@@ -25,7 +25,7 @@ from . import __version__
 from .clocks import FreeClockState, rotator_init
 from .errors import ConfigError, NumericalError, ScenarioParseError
 from .frames import FrameSystem, build_chart, compose_transform, exchange_chain
-from .packets import default_grid, expectation, make_gaussian
+from .packets import MomentumGrid, WavePacket, default_grid, expectation, make_gaussian
 from .relkin import (
     ModeSuperposition,
     RelClockSystem,
@@ -36,9 +36,6 @@ from .relkin import (
     proper_time_stats,
     time_boost,
 )
-
-KINDS = ("jacobi-demo", "rotator-dilation", "freeclock-dilation",
-         "entangled-clock", "frame-transform", "nonrel-limit")
 
 _DEFAULTS = {"grid_points": 2048, "mc_samples": 0, "seed": 0, "histogram_bins": 720}
 
@@ -72,133 +69,125 @@ class Diagnostic:
         return f"{self.field}: {self.error}: {self.message}"
 
 
-class _Checker:
-    """Collects one diagnostic per violated precondition, field by field."""
+@dataclass(frozen=True)
+class Field:
+    """One scenario key: its type and at most one bound.
 
-    def __init__(self, sc: dict):
-        self.sc = sc
-        self.diags: list[Diagnostic] = []
+    type is "number", "integer" (an integral number) or "list" (a nonempty
+    list of numbers); every number must be finite.  bound is a key of
+    _BOUNDS, applied to every list entry, or a number, the minimum.
+    """
 
-    def flag(self, field, error, message):
-        self.diags.append(Diagnostic(field, error, message))
-
-    def number(self, field, *, positive=False, nonzero=False, integer=False,
-               minimum=None, maximum=None):
-        v = self.sc.get(field)
-        if v is None:
-            self.flag(field, "ConfigError", "required field is missing")
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.flag(field, "ConfigError", f"expected a number, got {v!r}")
-            return None
-        if integer and int(v) != v:
-            self.flag(field, "ConfigError", f"expected an integer, got {v!r}")
-            return None
-        if positive and v <= 0:
-            self.flag(field, "NonPositiveWidth", "must be > 0")
-            return None
-        if nonzero and v == 0:
-            self.flag(field, "ZeroMeanMomentum", "must be nonzero")
-            return None
-        if minimum is not None and v < minimum:
-            self.flag(field, "ConfigError", f"must be >= {minimum}")
-            return None
-        if maximum is not None and v > maximum:
-            self.flag(field, "ConfigError", f"must be <= {maximum}")
-            return None
-        return v
-
-    def array(self, field, *, positive=False, nonnegative=False, min_len=1):
-        v = self.sc.get(field)
-        if v is None:
-            self.flag(field, "ConfigError", "required field is missing")
-            return None
-        if not isinstance(v, list) or len(v) < min_len or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-            self.flag(field, "ConfigError",
-                      f"expected a list of at least {min_len} numbers")
-            return None
-        if positive and any(x <= 0 for x in v):
-            self.flag(field, "NonPositiveWidth", "all entries must be > 0")
-            return None
-        if nonnegative and any(x < 0 for x in v):
-            self.flag(field, "ConfigError", "all entries must be >= 0")
-            return None
-        return v
+    name: str
+    type: str = "number"
+    bound: str | float | None = None
+    required: bool = True
 
 
-def _check_packet(chk: _Checker):
-    center = chk.number("packet_center")
-    width = chk.number("packet_width", positive=True)
-    lo, hi = chk.sc.get("grid_min"), chk.sc.get("grid_max")
-    if center is not None and width is not None and lo is not None and hi is not None:
+# bound -> (test, error code, what a value must be)
+_BOUNDS = {
+    "positive": (lambda x: x > 0, "NonPositiveWidth", "> 0"),
+    "nonzero": (lambda x: x != 0, "ZeroMeanMomentum", "nonzero"),
+    "nonnegative": (lambda x: x >= 0, "ConfigError", ">= 0"),
+}
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What a scenario of one kind contains, and how it runs.
+
+    checks are functions of the scenario that relate several fields; they run
+    only once every field is valid, and each yields Diagnostics.  runner maps
+    the scenario, with its integer fields as int, to a ResultTable.
+    """
+
+    fields: tuple[Field, ...]
+    checks: tuple
+    runner: object
+
+
+def _finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return isinstance(v, int) or bool(np.isfinite(v))
+
+
+def _check_field(spec: Field, v) -> Diagnostic | None:
+    def flag(error, message):
+        return Diagnostic(spec.name, error, message)
+
+    if v is None:
+        return flag("ConfigError", "required field is missing") if spec.required else None
+    if spec.type == "list":
+        if not (isinstance(v, list) and v and all(_finite_number(x) for x in v)):
+            return flag("ConfigError", "expected a nonempty list of finite numbers")
+    elif not _finite_number(v):
+        return flag("ConfigError", f"expected a finite number, got {v!r}")
+    elif spec.type == "integer" and int(v) != v:
+        return flag("ConfigError", f"expected an integer, got {v!r}")
+    if spec.bound is None:
+        return None
+    test, error, text = _BOUNDS.get(spec.bound) or (
+        lambda x: x >= spec.bound, "ConfigError", f">= {spec.bound}")
+    if not all(test(x) for x in (v if spec.type == "list" else [v])):
+        return flag(error, ("all entries must be " if spec.type == "list" else "must be ") + text)
+    return None
+
+
+_COMMON = (Field("grid_points", "integer", 16), Field("mc_samples", "integer", 0),
+           Field("seed", "integer", 0))
+_PACKET = (Field("packet_center"), Field("packet_width", bound="positive"),
+           Field("grid_min", required=False), Field("grid_max", required=False))
+_ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
+
+
+def _explicit_grid_covers_packet(sc):
+    lo, hi = sc.get("grid_min"), sc.get("grid_max")
+    if (lo is None) != (hi is None):
+        yield Diagnostic("grid_max" if hi is None else "grid_min", "ConfigError",
+                         "give both grid_min and grid_max, or neither")
+    elif lo is not None:
+        center, width = sc["packet_center"], sc["packet_width"]
         if lo > center - 6 * width or hi < center + 6 * width:
-            chk.flag("grid_min", "GridTooNarrow",
-                     "explicit grid must cover packet_center +- 6 packet_width")
-    return center, width
+            yield Diagnostic("grid_min", "GridTooNarrow",
+                             "explicit grid must cover packet_center +- 6 packet_width")
 
 
-def _check_rotator(chk: _Checker, rest_mass):
-    omega = chk.number("omega", positive=True)
-    j_z = chk.number("j_z", integer=True, minimum=1)
-    if rest_mass is not None and omega is not None and j_z is not None:
-        if rest_mass - 2 * np.pi * omega * j_z <= 0:
-            chk.flag("omega", "ConfigError",
-                     "mass operator loses positivity: need 2*pi*omega*j_z < rest_mass")
-    return omega, j_z
+def _mass_operator_stays_positive(sc):
+    if sc["rest_mass"] - 2 * np.pi * sc["omega"] * sc["j_z"] <= 0:
+        yield Diagnostic("omega", "ConfigError",
+                         "mass operator loses positivity: need 2*pi*omega*j_z < rest_mass")
+
+
+def _two_or_more_masses(sc):
+    if len(sc["masses"]) < 2:
+        yield Diagnostic("masses", "ConfigError", "expected a list of at least 2 numbers")
+
+
+def _modes_match(sc):
+    momenta = sc["mode_momenta"]
+    if len(set(momenta)) != len(momenta):
+        yield Diagnostic("mode_momenta", "ConfigError", "mode momenta must be distinct")
+    if len(momenta) != len(sc["mode_weights"]):
+        yield Diagnostic("mode_weights", "ConfigError",
+                         "must have the same length as mode_momenta")
+
+
+def _betas_nonrelativistic(sc):
+    if any(b > 0.1 for b in sc["betas"]):
+        yield Diagnostic("betas", "ConfigError", "nonrelativistic limit needs beta <= 0.1")
 
 
 def validate_scenario(sc: dict) -> list[Diagnostic]:
-    chk = _Checker(sc)
-    kind = sc.get("kind")
-    if kind not in KINDS:
-        chk.flag("kind", "ConfigError", f"must be one of {', '.join(KINDS)}")
-        return chk.diags
-    chk.number("grid_points", integer=True, minimum=16)
-    chk.number("mc_samples", integer=True, minimum=0)
-    chk.number("seed", integer=True, minimum=0)
-
-    if kind == "jacobi-demo":
-        chk.array("masses", positive=True, min_len=2)
-    elif kind == "rotator-dilation":
-        rest = chk.number("rest_mass", positive=True)
-        _check_packet(chk)
-        _check_rotator(chk, rest)
-        chk.array("tau_grid", nonnegative=True)
-    elif kind == "freeclock-dilation":
-        m_a = chk.number("m_a", positive=True)
-        m_b = chk.number("m_b", positive=True)
-        chk.number("p_bar", nonzero=True)
-        chk.number("a_x", positive=True)
-        _check_packet(chk)
-        chk.array("tau_grid", nonnegative=True)
-        del m_a, m_b  # rest mass is implied, nothing further to cross-check
-    elif kind == "entangled-clock":
-        rest = chk.number("rest_mass", positive=True)
-        momenta = chk.array("mode_momenta")
-        weights = chk.array("mode_weights", positive=True)
-        if momenta is not None and len(set(momenta)) != len(momenta):
-            chk.flag("mode_momenta", "ConfigError", "mode momenta must be distinct")
-        if momenta is not None and weights is not None and len(momenta) != len(weights):
-            chk.flag("mode_weights", "ConfigError",
-                     "must have the same length as mode_momenta")
-        _check_rotator(chk, rest)
-        chk.number("tau0", minimum=0)
-        chk.number("histogram_bins", integer=True, minimum=8)
-    elif kind == "frame-transform":
-        chk.number("m1", positive=True)
-        chk.number("m2", positive=True)
-        _check_packet(chk)
-        chk.number("tau1")
-        chk.number("tau2")
-    elif kind == "nonrel-limit":
-        chk.number("m1", positive=True)
-        chk.number("m2", positive=True)
-        betas = chk.array("betas", positive=True)
-        if betas is not None and any(b > 0.1 for b in betas):
-            chk.flag("betas", "ConfigError",
-                     "nonrelativistic limit needs beta <= 0.1")
-    return chk.diags
+    name = sc.get("kind")
+    kind = SCENARIOS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        return [Diagnostic("kind", "ConfigError", f"must be one of {', '.join(SCENARIOS)}")]
+    diags = [d for spec in _COMMON + kind.fields
+             if (d := _check_field(spec, sc.get(spec.name))) is not None]
+    if not diags:
+        diags = [d for check in kind.checks for d in check(sc)]
+    return diags
 
 
 # --- result tables -------------------------------------------------------------
@@ -289,46 +278,54 @@ def _run_jacobi_demo(sc: dict) -> ResultTable:
                        {"bodies": n, "worst_pairing_residual": worst})
 
 
-def _dilation_system(sc: dict) -> RelClockSystem:
-    packet = make_gaussian(
-        default_grid(sc["packet_center"], sc["packet_width"], sc["grid_points"]),
-        sc["packet_center"], sc["packet_width"],
-        mass=sc["rest_mass"] if "rest_mass" in sc else sc["m_a"] + sc["m_b"])
-    if sc["kind"] == "rotator-dilation":
-        clock = rotator_init(int(sc["j_z"]), sc["omega"])
-        return RelClockSystem(sc["rest_mass"], packet, clock)
-    clock = FreeClockState(sc["m_a"], sc["m_b"], sc["p_bar"], sc["a_x"])
-    return RelClockSystem(sc["m_a"] + sc["m_b"], packet, clock)
+def _packet(sc: dict, mass: float) -> WavePacket:
+    """The scenario's Gaussian packet: on grid_min..grid_max when given, else
+    on the default grid around packet_center."""
+    if sc.get("grid_min") is None:
+        grid = default_grid(sc["packet_center"], sc["packet_width"], sc["grid_points"])
+    else:
+        grid = MomentumGrid.linspace(sc["grid_min"], sc["grid_max"], sc["grid_points"])
+    return make_gaussian(grid, sc["packet_center"], sc["packet_width"], mass=mass)
 
 
-def _run_dilation(sc: dict) -> ResultTable:
-    sys_ = _dilation_system(sc)
-    n_mc = int(sc["mc_samples"])
+def _dilation_table(sc: dict, sys_: RelClockSystem, model: str) -> ResultTable:
+    n_mc = sc["mc_samples"]
     rows = []
     for i, tau0 in enumerate(sc["tau_grid"]):
         s = proper_time_stats(sys_, float(tau0))
         mc = (None,) * 4
         if n_mc > 0:
-            chk = mc_variance_check(sys_, float(tau0), n_mc, int(sc["seed"]), stream=i)
+            chk = mc_variance_check(sys_, float(tau0), n_mc, sc["seed"], stream=i)
             mc = (chk.mean, chk.variance, chk.stderr_mean, chk.stderr_variance)
         rows.append((float(tau0), s.tau_mean, s.d_tau, s.d_b, s.g2, s.d0, s.d_x) + mc)
     columns = (("tau0", "time"), ("tau_mean", "time"), ("d_tau", "time^2"),
                ("d_b", "1"), ("g2", "time"), ("d0", "time^2"), ("d_x", "time^2"),
                ("mc_mean", "time"), ("mc_variance", "time^2"),
                ("mc_stderr_mean", "time"), ("mc_stderr_variance", "time^2"))
-    model = "rotator" if sc["kind"] == "rotator-dilation" else "freeclock"
     return ResultTable(sc["name"], columns, rows,
                        {"model": model, "alpha_i": sys_.alpha_i})
+
+
+def _run_rotator_dilation(sc: dict) -> ResultTable:
+    clock = rotator_init(sc["j_z"], sc["omega"])
+    sys_ = RelClockSystem(sc["rest_mass"], _packet(sc, sc["rest_mass"]), clock)
+    return _dilation_table(sc, sys_, "rotator")
+
+
+def _run_freeclock_dilation(sc: dict) -> ResultTable:
+    mass = sc["m_a"] + sc["m_b"]
+    clock = FreeClockState(sc["m_a"], sc["m_b"], sc["p_bar"], sc["a_x"])
+    return _dilation_table(sc, RelClockSystem(mass, _packet(sc, mass), clock), "freeclock")
 
 
 def _run_entangled(sc: dict) -> ResultTable:
     weights = np.asarray(sc["mode_weights"], dtype=float)
     coeffs = np.sqrt(weights / weights.sum())
     modes = ModeSuperposition(np.asarray(sc["mode_momenta"], dtype=float), coeffs)
-    sys_ = RelClockSystem(sc["rest_mass"], modes, rotator_init(int(sc["j_z"]), sc["omega"]))
+    sys_ = RelClockSystem(sc["rest_mass"], modes, rotator_init(sc["j_z"], sc["omega"]))
     tau0 = float(sc["tau0"])
     ent = boosted_evolve(sys_, tau0)
-    bins = int(sc["histogram_bins"])
+    bins = sc["histogram_bins"]
     thetas = (np.arange(bins) + 0.5) * 2 * np.pi / bins
     density = ent.hand_density(thetas)
     rows = [(float(t), float(d)) for t, d in zip(thetas, density)]
@@ -342,9 +339,7 @@ def _run_entangled(sc: dict) -> ResultTable:
 
 def _run_frame_transform(sc: dict) -> ResultTable:
     m1, m2 = sc["m1"], sc["m2"]
-    packet = make_gaussian(
-        default_grid(sc["packet_center"], sc["packet_width"], sc["grid_points"]),
-        sc["packet_center"], sc["packet_width"], mass=m2)
+    packet = _packet(sc, m2)
     mapped = frame_to_frame(packet, m1, m2, sc["tau1"], sc["tau2"])
     back = frame_to_frame(mapped, m2, m1, sc["tau2"], sc["tau1"])
     b_12 = expectation(packet, lambda p: m2 / np.sqrt(m2 ** 2 + p ** 2)).real
@@ -365,7 +360,7 @@ def _run_frame_transform(sc: dict) -> ResultTable:
 
 def _run_nonrel_limit(sc: dict) -> ResultTable:
     betas = sorted(sc["betas"], reverse=True)  # final row is the most converged
-    report = nonrel_limit_report(sc["m1"], sc["m2"], betas, n=int(sc["grid_points"]))
+    report = nonrel_limit_report(sc["m1"], sc["m2"], betas, n=sc["grid_points"])
     k_m = (sc["m1"] + sc["m2"]) / sc["m1"]
     rows = [(r.beta, r.h_ratio, r.x_ratio, k_m, 1.0 / k_m) for r in report]
     columns = (("beta", "1"), ("h_ratio", "1"), ("x_ratio", "1"),
@@ -373,13 +368,32 @@ def _run_nonrel_limit(sc: dict) -> ResultTable:
     return ResultTable(sc["name"], columns, rows, {"k_m": k_m})
 
 
-_RUNNERS = {
-    "jacobi-demo": _run_jacobi_demo,
-    "rotator-dilation": _run_dilation,
-    "freeclock-dilation": _run_dilation,
-    "entangled-clock": _run_entangled,
-    "frame-transform": _run_frame_transform,
-    "nonrel-limit": _run_nonrel_limit,
+SCENARIOS = {
+    "jacobi-demo": Kind(
+        (Field("masses", "list", "positive"),),
+        (_two_or_more_masses,), _run_jacobi_demo),
+    "rotator-dilation": Kind(
+        (Field("rest_mass", bound="positive"), *_PACKET, *_ROTATOR,
+         Field("tau_grid", "list", "nonnegative")),
+        (_explicit_grid_covers_packet, _mass_operator_stays_positive), _run_rotator_dilation),
+    "freeclock-dilation": Kind(
+        (Field("m_a", bound="positive"), Field("m_b", bound="positive"),
+         Field("p_bar", bound="nonzero"), Field("a_x", bound="positive"), *_PACKET,
+         Field("tau_grid", "list", "nonnegative")),
+        (_explicit_grid_covers_packet,), _run_freeclock_dilation),
+    "entangled-clock": Kind(
+        (Field("rest_mass", bound="positive"), Field("mode_momenta", "list"),
+         Field("mode_weights", "list", "positive"), *_ROTATOR, Field("tau0", bound=0),
+         Field("histogram_bins", "integer", 8)),
+        (_modes_match, _mass_operator_stays_positive), _run_entangled),
+    "frame-transform": Kind(
+        (Field("m1", bound="positive"), Field("m2", bound="positive"), *_PACKET,
+         Field("tau1"), Field("tau2")),
+        (_explicit_grid_covers_packet,), _run_frame_transform),
+    "nonrel-limit": Kind(
+        (Field("m1", bound="positive"), Field("m2", bound="positive"),
+         Field("betas", "list", "positive")),
+        (_betas_nonrelativistic,), _run_nonrel_limit),
 }
 
 
@@ -387,7 +401,12 @@ def run_scenario(sc: dict) -> ResultTable:
     diags = validate_scenario(sc)
     if diags:
         raise ConfigError("; ".join(str(d) for d in diags))
-    return _RUNNERS[sc["kind"]](sc)
+    kind = SCENARIOS[sc["kind"]]
+    typed = dict(sc)
+    for spec in _COMMON + kind.fields:
+        if spec.type == "integer":
+            typed[spec.name] = int(sc[spec.name])
+    return kind.runner(typed)
 
 
 def write_results(sc: dict, table: ResultTable, out_dir: str) -> str:

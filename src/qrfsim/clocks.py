@@ -42,7 +42,7 @@ class RotatorClockState:
     def __post_init__(self):
         if self.j_z < 1 or int(self.j_z) != self.j_z:
             raise ConfigError(f"J_z must be a positive integer, got {self.j_z}")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise NonPositiveWidth(f"rotation frequency must be positive, got {self.omega}")
         c = np.asarray(self.coefficients, dtype=complex)
         object.__setattr__(self, "coefficients", c)
@@ -74,11 +74,11 @@ class FreeClockState:
     a_x: float
 
     def __post_init__(self):
-        if self.m_a <= 0 or self.m_b <= 0:
+        if not (self.m_a > 0 and self.m_b > 0):
             raise NonPositiveWidth("constituent masses must be positive")
         if self.p_bar == 0.0:
             raise ZeroMeanMomentum("free-particle clock needs a nonzero mean momentum")
-        if self.a_x <= 0:
+        if not self.a_x > 0:
             raise NonPositiveWidth("position width a_x must be positive")
 
     @property
@@ -139,15 +139,26 @@ def _autocorrelations(c: np.ndarray) -> np.ndarray:
     return np.array([np.sum(np.conj(c[: n - k]) * c[k:]) for k in range(n)])
 
 
-def angle_moments(state: RotatorClockState) -> AngleMoments:
-    c = state.coefficients
-    n = state.n_states
-    a1 = _autocorrelations(c)[1]
-    peak = float(-np.angle(a1)) if a1 != 0 else 0.0
+def recenter(state: RotatorClockState) -> tuple[float, RotatorClockState]:
+    """The one angle branch every rotator statistic uses: theta = phi + u.
 
-    # recentring makes the moments evolution-invariant: rigid translation of
-    # the density shifts the peak and leaves c~ unchanged
-    c_tilde = c * np.exp(1j * state.m_values * peak)
+    phi is the density peak, wrapped to (-pi, pi]; the returned state carries
+    c~ = c e^{i m phi}, whose density is the original one translated to peak
+    at u = 0, and u ranges over (-pi, pi].  Rigid translation of the density
+    moves phi and leaves c~ unchanged, so moments of u are evolution-invariant.
+    """
+    c = state.coefficients
+    a1 = np.sum(np.conj(c[:-1]) * c[1:])
+    phi = float(-np.angle(a1)) if a1 != 0 else 0.0
+    if phi <= -np.pi:
+        phi += 2.0 * np.pi
+    return phi, replace(state, coefficients=c * np.exp(1j * state.m_values * phi))
+
+
+def angle_moments(state: RotatorClockState) -> AngleMoments:
+    n = state.n_states
+    peak, centered = recenter(state)
+    c_tilde = centered.coefficients
     a = _autocorrelations(c_tilde)
     k = np.arange(1, n)
     sign = (-1.0) ** k

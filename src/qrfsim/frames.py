@@ -159,26 +159,20 @@ def exchange_angle(m1: float, m2: float, m3: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class ExchangeOp:
-    """Adjacent-body swap realized as dilatation * rotation * parity * dilatation.
-
-    `position` is the 0-based slot of the first swapped body in the source
-    ordering.  `matrix` maps source-chart coordinate vectors to target-chart
-    ones; only rows touching the affected coordinates differ from identity.
-    """
+class ChartTransform:
+    """Linear coordinate map q^target = matrix q^source between two charts of one system."""
 
     source: JacobiChart
     target: JacobiChart
-    position: int
-    beta: float
-    pre_factors: tuple[float, ...]   # sqrt(mu) of the source rows
-    post_factors: tuple[float, ...]  # 1/sqrt(mu') of the target rows
-    parity: bool
     matrix: np.ndarray
 
 
-def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) -> ExchangeOp:
-    """Exchange the bodies at ordering slots (position, position+1)."""
+def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) -> ChartTransform:
+    """Exchange the bodies at ordering slots (position, position+1).
+
+    The map is dilatation * rotation * parity * dilatation on the two affected
+    coordinates; every other row is identity.
+    """
     n = chart.size
     if not (0 <= position <= n - 2):
         raise BadLabel(f"swap position {position} outside 0..{n - 2}")
@@ -187,52 +181,34 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
         new_ordering[position + 1], new_ordering[position])
     target = chart_for_ordering(system, new_ordering)
 
-    masses = system.masses
-    m_ord = masses[[l - 1 for l in chart.ordering]]
-    a, b = m_ord[position], m_ord[position + 1]
-    rest = float(m_ord[position + 2:].sum())
-    beta = exchange_angle(a, b, rest)
-
+    pre = np.sqrt(chart.reduced_masses[position:position + 2])
+    post = 1.0 / np.sqrt(target.reduced_masses[position:position + 2])
     full = np.eye(n)
     if position == n - 2:
         # tail pair: the single relative coordinate just flips sign
-        pre = (np.sqrt(chart.reduced_masses[position]),)
-        post = (1.0 / np.sqrt(target.reduced_masses[position]),)
         full[position, position] = -post[0] * pre[0]  # == -1, mu is pair-symmetric
     else:
-        pre = tuple(np.sqrt(chart.reduced_masses[position:position + 2]))
-        post = tuple(1.0 / np.sqrt(target.reduced_masses[position:position + 2]))
+        m_ord = system.masses[[l - 1 for l in chart.ordering]]
+        beta = exchange_angle(m_ord[position], m_ord[position + 1],
+                              float(m_ord[position + 2:].sum()))
         rot = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
         block = np.diag(post) @ rot @ np.diag([-1.0, 1.0]) @ np.diag(pre)
         full[position:position + 2, position:position + 2] = block
-    return ExchangeOp(chart, target, position, beta, pre, post, True, full)
+    return ChartTransform(chart, target, full)
 
 
-def exchange_chain(system: FrameSystem, to_label: int) -> list[ExchangeOp]:
+def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
     """Adjacent exchanges carrying frame 1's chart into frame `to_label`'s."""
     n = system.size
     if not (1 <= to_label <= n):
         raise BadLabel(f"frame label {to_label} outside 1..{n}")
-    ops: list[ExchangeOp] = []
+    ops: list[ChartTransform] = []
     chart = build_chart(system, 1)
     for pos in range(to_label - 2, -1, -1):  # bubble the body to the front
         op = adjacent_exchange(system, chart, pos)
         ops.append(op)
         chart = op.target
     return ops
-
-
-@dataclass(frozen=True, eq=False)
-class ChartTransform:
-    """Linear coordinate map between two charts of one system."""
-
-    source: JacobiChart
-    target: JacobiChart
-    matrix: np.ndarray
-
-    @property
-    def momentum_matrix(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix).T
 
 
 def compose_transform(system: FrameSystem, from_label: int, to_label: int) -> ChartTransform:
@@ -276,7 +252,7 @@ def gaussian_chart_state(chart: JacobiChart, means: Sequence[float],
     return ChartState(chart, amp)
 
 
-def apply_transform(state: ChartState, op: ExchangeOp | ChartTransform) -> ChartState:
+def apply_transform(state: ChartState, op: ChartTransform) -> ChartState:
     """Push the amplitude through q' = U q with the Jacobian factor."""
     if state.chart is not op.source and tuple(state.chart.ordering) != tuple(op.source.ordering):
         raise ChartMismatch(
@@ -289,10 +265,6 @@ def apply_transform(state: ChartState, op: ExchangeOp | ChartTransform) -> Chart
         return scale * inner(np.asarray(q) @ u_inv_t)
 
     return ChartState(op.target, amp)
-
-
-def apply_exchange(state: ChartState, op: ExchangeOp) -> ChartState:
-    return apply_transform(state, op)
 
 
 @dataclass(frozen=True, eq=False)

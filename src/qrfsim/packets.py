@@ -63,7 +63,7 @@ class MomentumGrid:
         if pts.ndim != 1 or pts.size < 3:
             raise NonPositiveWidth("grid must be a 1D array of at least 3 points")
         steps = np.diff(pts)
-        if np.any(steps <= 0):
+        if not np.all(steps > 0):
             raise NonPositiveWidth("grid points must be strictly increasing")
         if np.max(np.abs(steps - steps[0])) > 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0):
             raise NonPositiveWidth("grid spacing is not uniform")
@@ -94,7 +94,7 @@ class MomentumGrid:
 
     @classmethod
     def centered(cls, center: float, half_width: float, n: int = DEFAULT_GRID_POINTS) -> "MomentumGrid":
-        if half_width <= 0:
+        if not half_width > 0:
             raise NonPositiveWidth("grid half-width must be positive")
         return cls(np.linspace(center - half_width, center + half_width, n))
 
@@ -116,10 +116,10 @@ class WavePacket:
             raise NonPositiveWidth("amplitude array does not match the grid")
         if not np.all(np.isfinite(amp.view(float))):
             raise NonFiniteSample("packet amplitudes contain NaN/inf")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise NonPositiveWidth("mass must be positive")
         n = self.norm()
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise NonPositiveWidth(f"packet norm {n!r} differs from 1 beyond 1e-9")
 
     def norm(self) -> float:
@@ -275,27 +275,13 @@ def position_wavefunction(packet: WavePacket, xs: np.ndarray) -> np.ndarray:
     return out / np.sqrt(2.0 * np.pi)
 
 
-def position_density(packet: WavePacket, xs: np.ndarray) -> np.ndarray:
-    return np.abs(position_wavefunction(packet, xs)) ** 2
-
-
 @dataclass(frozen=True, eq=False)
 class ProductState:
-    """Uncorrelated multi-body state: one packet per body, optional clock."""
+    """Uncorrelated multi-body state: one packet per body."""
 
     factors: tuple[WavePacket, ...]
-    internal: object | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) < 1:
             raise NonPositiveWidth("a product state needs at least one factor")
-
-    def joint_expectation(self, fs) -> complex:
-        """Product of single-factor expectations <f1(p1)> * <f2(p2)> * ..."""
-        if len(fs) != len(self.factors):
-            raise NonPositiveWidth("one observable per factor required")
-        out = complex(1.0)
-        for packet, f in zip(self.factors, fs):
-            out *= expectation(packet, f)
-        return out

@@ -23,6 +23,7 @@ from .clocks import (
     angle_moments,
     angular_density,
     freeclock_packet,
+    recenter,
     rotator_evolve_rest,
     theta_matrix,
 )
@@ -55,7 +56,7 @@ ALPHA_I_WARN = 0.1
 def time_boost(p: np.ndarray, m2: float | np.ndarray) -> np.ndarray:
     """B_2 = m_2 / sqrt(m_2^2 + p^2), the operator-valued inverse Lorentz factor."""
     m2 = np.asarray(m2, dtype=float)
-    if np.any(m2 <= 0):
+    if not np.all(m2 > 0):
         raise NonPositiveWidth("time boost needs a positive mass")
     p = np.asarray(p, dtype=float)
     return m2 / np.sqrt(m2 ** 2 + p ** 2)
@@ -104,7 +105,7 @@ class RelClockSystem:
     clock_packet: WavePacket | None = None
 
     def __post_init__(self):
-        if self.rest_mass <= 0:
+        if not self.rest_mass > 0:
             raise NonPositiveWidth("rest mass must be positive")
         _external_weights(self.external)  # type check
         if isinstance(self.clock, RotatorClockState):
@@ -177,19 +178,19 @@ def proper_time_stats_rotator(sys: RelClockSystem, tau0: float) -> TimeOperatorS
     b2_bar = float(w_m @ ((b * b) @ w_p))
     d_b = max(b2_bar - b_bar ** 2, 0.0)
 
+    # theta = phi + u on the peak-centred branch; phi is a constant, so the
+    # boost-angle covariance is that of u in the recentred coefficients
     scale = 2 * np.pi * clock.omega
-    mom = angle_moments(clock)
-    theta0 = mom.mean if mom.mean <= np.pi else mom.mean - 2 * np.pi
-    d0 = mom.variance_full / scale ** 2
-
+    d0 = angle_moments(clock).variance_full / scale ** 2
+    phi, centered = recenter(clock)
+    c = centered.coefficients
     theta = theta_matrix(clock.n_states)
-    c = clock.coefficients
-    theta_bar = float(np.real(np.conj(c) @ theta @ c))
+    u_bar = float(np.real(np.conj(c) @ theta @ c))
     overlap = np.conj(c)[:, None] * c[None, :] * theta
     anticom = float(np.real(np.sum(overlap * (b_mode[:, None] + b_mode[None, :]))))
-    g2 = (anticom - 2 * b_bar * theta_bar) / scale
+    g2 = (anticom - 2 * b_bar * u_bar) / scale
 
-    tau_mean = b_bar * tau0 + theta0 / scale
+    tau_mean = b_bar * tau0 + (phi + u_bar) / scale
     d_tau = d_b * tau0 ** 2 + g2 * tau0 + d0
     return TimeOperatorStats(tau_mean, d_tau, d_b, g2, d0, tau0, "rotator")
 
@@ -289,7 +290,8 @@ def sample_proper_times(sys: RelClockSystem, tau0: float, n: int,
     Momenta, clock modes and clock offsets are drawn independently from their
     marginal densities; this reproduces the operator mean always and the
     operator variance whenever the boost-angle cross moment vanishes (true
-    for the real-coefficient initial states prepared here).
+    for the real-coefficient initial states prepared here).  Clock angles
+    are drawn on the peak-centred branch theta = phi + u of `recenter`.
     """
     rng = make_rng(seed, stream)
     if isinstance(sys.external, WavePacket):
@@ -301,8 +303,9 @@ def sample_proper_times(sys: RelClockSystem, tau0: float, n: int,
     if isinstance(sys.clock, RotatorClockState):
         clock = sys.clock
         m = clock.m_values[choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
-        thetas = np.linspace(-np.pi, np.pi, 16385)
-        theta = inverse_cdf_sample(thetas, angular_density(clock, thetas), n, rng)
+        phi, centered = recenter(clock)
+        us = np.linspace(-np.pi, np.pi, 16385)
+        theta = phi + inverse_cdf_sample(us, angular_density(centered, us), n, rng)
         b = time_boost(p, _rotator_mode_masses(sys.rest_mass, clock)[m + clock.j_z])
         return b * tau0 + theta / (2 * np.pi * clock.omega)
 
@@ -352,7 +355,6 @@ class TwoBodyKinematics:
     e_s: np.ndarray
     s12: np.ndarray
     q12: np.ndarray
-    beta1: np.ndarray
     n1: np.ndarray
 
     @classmethod
@@ -375,8 +377,7 @@ class TwoBodyKinematics:
         e_s = m1 + e12
         s12 = np.sqrt((e1 + e2) ** 2 - np.sum((p1 + p2) ** 2, axis=-1))
         q12 = m1 * p12 / s12[..., None]
-        return cls(m1, m2, p1, p2, e1, e2, p12, e12, e_s, s12, q12,
-                   p1 / e1[..., None], n1)
+        return cls(m1, m2, p1, p2, e1, e2, p12, e12, e_s, s12, q12, n1)
 
     @classmethod
     def from_z_momenta(cls, m1: float, m2: float, p1z: np.ndarray, p2z: np.ndarray) -> "TwoBodyKinematics":
@@ -451,10 +452,6 @@ def cluster_hamiltonian(m1: float, packet_g2: WavePacket, packet_g3: WavePacket)
     return ClusterHamiltonian(m1, m2, m3, s23, p23, q23, energies)
 
 
-def cluster_dispersion(m1: float, s23: np.ndarray, p23: np.ndarray) -> np.ndarray:
-    return m1 + np.sqrt(np.asarray(s23) ** 2 + np.asarray(p23) ** 2)
-
-
 # --- Newton-Wigner coordinate ------------------------------------------------
 
 def _nw_apply(packet: WavePacket) -> np.ndarray:
@@ -504,7 +501,7 @@ def frame_to_frame(packet: WavePacket, m1: float, m2: float,
     momentum reflection-dilatation p12 -> -(m2/m1) p21 carrying the Jacobian
     amplitude factor sqrt(m2/m1).  Frames are synchronized at tau = 0.
     """
-    if m1 <= 0 or m2 <= 0:
+    if not (m1 > 0 and m2 > 0):
         raise NonPositiveWidth("frame masses must be positive")
     undone = evolve_free(packet, lambda p: m1 + np.sqrt(m2 ** 2 + p ** 2), -tau1)
     pts = -(m1 / m2) * packet.grid.points[::-1]

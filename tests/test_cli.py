@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +100,71 @@ class TestExitCodes:
     def test_numerical_failure_returns_3(self, tmp_path, capsys, monkeypatch):
         def boom(sc):
             raise NumericalError("synthetic blow-up")
-        monkeypatch.setitem(cli._RUNNERS, "jacobi-demo", boom)
+        monkeypatch.setitem(cli.SCENARIOS, "jacobi-demo",
+                            replace(cli.SCENARIOS["jacobi-demo"], runner=boom))
         good = str(SCENARIO_DIR / "jacobi-demo.json")
         assert cli.main(["run", "--scenario", good, "--out", str(tmp_path)]) == 3
         assert "synthetic" in capsys.readouterr().err
+
+
+def _edited(name, **changes):
+    sc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    sc.update(changes)
+    return sc
+
+
+@pytest.mark.parametrize("payload", [
+    _edited("rotator-dilation", mc_samples=0, rest_mass=float("nan")),
+    _edited("rotator-dilation", mc_samples=0, tau_grid=[float("nan")]),
+    _edited("rotator-dilation", mc_samples=0, j_z=float("nan")),
+    _edited("rotator-dilation", mc_samples=0, grid_min="a", grid_max=2.0),
+    _edited("rotator-dilation", mc_samples=0, grid_min=0.0),
+    _edited("frame-transform", tau1=float("inf")),
+    _edited("frame-transform", m1=float("nan")),
+    _edited("jacobi-demo", kind=["jacobi-demo"]),
+], ids=["rest_mass-nan", "tau_grid-nan", "j_z-nan", "grid_min-string", "grid_min-alone",
+        "tau1-inf", "m1-nan", "kind-list"])
+def test_bad_input_fails_closed(tmp_path, capsys, payload):
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["validate", "--scenario", path]) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_integral_float_counts_are_read_as_integers(tmp_path):
+    for tag, n in (("int", 2048), ("float", 2048.0)):
+        path = write_scenario(tmp_path, _edited("rotator-dilation", mc_samples=0,
+                                                grid_points=n), f"{tag}.json")
+        assert cli.main(["validate", "--scenario", path]) == 0
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / tag)]) == 0
+    assert (tmp_path / "int" / "rotator-dilation.csv").read_bytes() == \
+           (tmp_path / "float" / "rotator-dilation.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["rotator-dilation", "frame-transform"])
+def test_explicit_grid_is_honoured(tmp_path, name):
+    sc = _edited(name, mc_samples=0)
+    center, width = sc["packet_center"], sc["packet_width"]
+    wide = dict(sc, grid_min=center - 8 * width, grid_max=center + 8 * width)
+    for tag, payload in (("default", sc), ("wide", wide)):
+        path = write_scenario(tmp_path, payload, f"{tag}.json")
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / tag)]) == 0
+    a, b = (tmp_path / "default" / f"{name}.csv"), (tmp_path / "wide" / f"{name}.csv")
+    assert a.read_bytes() != b.read_bytes()
+    for row_a, row_b in zip(read_rows(a), read_rows(b)):
+        for col, cell in row_a.items():
+            if cell == "" or col.startswith("mc_"):
+                continue
+            try:
+                x, y = float(cell), float(row_b[col])
+            except ValueError:
+                assert cell == row_b[col]
+                continue
+            assert abs(x - y) <= 1e-3 * max(abs(x), abs(y)) + 1e-12, col
 
 
 class TestRunOutputs:

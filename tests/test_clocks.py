@@ -17,7 +17,7 @@ from qrfsim.clocks import (
     rotator_read,
     theta_matrix,
 )
-from qrfsim.errors import ZeroMeanMomentum
+from qrfsim.errors import NonPositiveWidth, ZeroMeanMomentum
 from qrfsim.packets import evolve_free, position_variance, variance
 
 
@@ -191,3 +191,14 @@ def test_freeclock_growth_matches_heisenberg_evolution():
 def test_freeclock_rejects_zero_momentum():
     with pytest.raises(ZeroMeanMomentum):
         FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.0, a_x=10.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rotator_init(4, np.nan),
+    lambda: FreeClockState(m_a=np.nan, m_b=1.0, p_bar=0.2, a_x=25.0),
+    lambda: FreeClockState(m_a=1.0, m_b=np.nan, p_bar=0.2, a_x=25.0),
+    lambda: FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.2, a_x=np.nan),
+], ids=["omega", "m_a", "m_b", "a_x"])
+def test_nan_parameters_are_rejected(build):
+    with pytest.raises(NonPositiveWidth):
+        build()

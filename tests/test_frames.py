@@ -13,7 +13,6 @@ from qrfsim.frames import (
     Body,
     FrameSystem,
     adjacent_exchange,
-    apply_exchange,
     apply_transform,
     arf_limit_chart,
     build_chart,
@@ -74,19 +73,29 @@ def test_exchange_angle_closed_form():
 
 
 def test_exchange_matrix_matches_direct_chart_change():
-    system = FrameSystem.from_masses([1.0, 2.0, 3.0])
-    chart = build_chart(system, 1)
-    op = adjacent_exchange(system, chart, 0)
-    direct = op.target.coord_map @ np.linalg.inv(chart.coord_map)
-    assert_allclose(op.matrix, direct, atol=1e-12)
-    assert_allclose(abs(np.linalg.det(op.matrix)), 1.0, atol=1e-12)
-    assert_allclose(op.beta, -np.arccos(np.sqrt(2.0 / 20.0)), atol=1e-15)
+    # the exchange angles of both mass sets are checked in closed form above
+    for masses in ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]):
+        system = FrameSystem.from_masses(masses)
+        chart = build_chart(system, 1)
+        op = adjacent_exchange(system, chart, 0)
+        direct = op.target.coord_map @ np.linalg.inv(chart.coord_map)
+        assert_allclose(op.matrix, direct, atol=1e-12)
+        assert_allclose(abs(np.linalg.det(op.matrix)), 1.0, atol=1e-12)
 
 
 def test_equal_mass_exchange_has_pi_third_block():
     system = FrameSystem.from_masses([1.0, 1.0, 1.0])
-    op = adjacent_exchange(system, build_chart(system, 1), 0)
-    assert_allclose(op.beta, -np.pi / 3, atol=1e-15)
+    chart = build_chart(system, 1)
+    op = adjacent_exchange(system, chart, 0)
+    # in mass-scaled coordinates sqrt(mu) q the block is rotation(-pi/3) * parity
+    scale = np.sqrt(chart.reduced_masses[:2])
+    assert_allclose(op.target.reduced_masses[:2], chart.reduced_masses[:2], atol=1e-15)
+    scaled_block = np.diag(scale) @ op.matrix[:2, :2] @ np.diag(1.0 / scale)
+    beta = -np.pi / 3
+    rot = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
+    assert_allclose(scaled_block, rot @ np.diag([-1.0, 1.0]), atol=1e-12)
+    assert_allclose(op.matrix[2:, 2:], np.eye(1), atol=1e-15)
+    assert_allclose(op.matrix[:2, 2:], 0.0, atol=1e-15)
 
 
 @hyp.settings(max_examples=40, deadline=None)
@@ -106,8 +115,8 @@ def test_two_body_exchange_is_parity_on_amplitudes():
     chart = build_chart(system, 1)
     state = gaussian_chart_state(chart, [0.4, -0.1], [0.5, 0.7])
     op1 = adjacent_exchange(system, chart, 0)
-    once = apply_exchange(state, op1)
-    twice = apply_exchange(once, adjacent_exchange(system, op1.target, 0))
+    once = apply_transform(state, op1)
+    twice = apply_transform(once, adjacent_exchange(system, op1.target, 0))
     pts = np.random.default_rng(7).normal(size=(50, 2))
     assert_allclose(twice.amplitude(pts), state.amplitude(pts), atol=1e-12)
     # single application reflects the relative coordinate
@@ -124,7 +133,7 @@ def test_gaussian_pushforward_center():
     widths = np.array([0.4, 0.3, 0.5])
     state = gaussian_chart_state(chart, means, widths)
     op = adjacent_exchange(system, chart, 0)
-    pushed = apply_exchange(state, op)
+    pushed = apply_transform(state, op)
 
     axes = [np.linspace(-5.0, 5.0, 96) for _ in range(3)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

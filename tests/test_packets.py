@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from qrfsim.errors import GridTooNarrow, NonFiniteSample, NonPositiveWidth
 from qrfsim.packets import (
     MomentumGrid,
+    WavePacket,
     default_grid,
     evolve_free,
     expectation,
@@ -31,6 +32,26 @@ def test_grid_rejects_nonuniform_spacing():
     pts[10] += 1e-6
     with pytest.raises(NonPositiveWidth):
         MomentumGrid(pts)
+
+
+class _NanNormPacket(WavePacket):
+    def norm(self):
+        return float("nan")
+
+
+_GRID = MomentumGrid.centered(0.0, 6.0, 65)
+_AMP = make_gaussian(_GRID, 0.0, 1.0, mass=1.0).amplitudes
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MomentumGrid(np.array([0.0, np.nan, 2.0, 3.0])),
+    lambda: MomentumGrid.centered(0.0, np.nan, 64),
+    lambda: WavePacket(_GRID, _AMP, np.nan),
+    lambda: _NanNormPacket(_GRID, _AMP, 1.0),
+], ids=["grid-step", "grid-half-width", "packet-mass", "packet-norm"])
+def test_nan_inputs_are_rejected(build):
+    with pytest.raises(NonPositiveWidth):
+        build()
 
 
 def test_grid_covers_reports_extent():

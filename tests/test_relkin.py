@@ -1,16 +1,19 @@
 """Relativistic layer: time dilation statistics, boosts, frame changes."""
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from qrfsim.clocks import (
     FreeClockState,
+    RotatorClockState,
     angle_moments,
     angular_density,
     rotator_evolve_rest,
     rotator_init,
 )
-from qrfsim.errors import ClockModelMismatch, ConfigError, RoughState
+from qrfsim.errors import ClockModelMismatch, ConfigError, NonPositiveWidth, RoughState
 from qrfsim.packets import (
     MomentumGrid,
     WavePacket,
@@ -61,6 +64,45 @@ def freeclock_system():
     return RelClockSystem(1.0, packet, FreeClockState(0.5, 0.5, 0.2, 25.0))
 
 
+def shifted_system(chirp, center):
+    """gaussian_system's packet with a J_z = 4 clock whose density is symmetric
+    about 0 (flat, or chirped c_m ~ e^{0.3 i m^2}), moved rigidly to peak at center."""
+    m = np.arange(-4, 5)
+    clock = RotatorClockState(4, 0.02, np.exp(1j * chirp * m ** 2) / 3.0)
+    clock = rotator_evolve_rest(clock, center / (2 * np.pi * clock.omega))
+    packet = make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0)
+    return RelClockSystem(1.0, packet, clock)
+
+
+def joint_quadrature(sys, tau0, center, n_theta=1 << 16):
+    """Mean and variance of tau = B tau0 + theta / (2 pi omega) by brute force.
+
+    The momentum integral uses the packet's own weights; the angle integral
+    is a dense midpoint rule on the branch (center - pi, center + pi], with
+    {B, theta} built from <m|theta|phi> on that branch.  Nothing here uses
+    the library's angle-branch code or the angle-operator matrix.
+    """
+    clock = sys.clock
+    m, c = clock.m_values, clock.coefficients
+    p = sys.external.grid.points
+    w_p = sys.external.grid.quad_weights() * sys.external.density()
+    masses = sys.rest_mass + 2 * np.pi * clock.omega * m
+    b = masses[:, None] / np.sqrt(masses[:, None] ** 2 + p[None, :] ** 2)  # (m, p)
+    h = 2 * np.pi / n_theta
+    theta = center - np.pi + h * (np.arange(n_theta) + 0.5)
+    basis = np.exp(1j * np.outer(theta, m)) / np.sqrt(2 * np.pi)
+    psi = basis @ c
+    theta_psi = h * (basis.conj().T @ (theta * psi))  # <m|theta|phi>
+    rho = np.abs(psi) ** 2
+    w_m = np.abs(c) ** 2
+    anticom = 2 * np.real((np.conj(c) * theta_psi) @ b)  # <{B(p), theta}> per p
+    scale = 2 * np.pi * clock.omega
+    mean = tau0 * (w_m @ b @ w_p) + h * np.sum(theta * rho) / scale
+    second = (tau0 ** 2 * (w_m @ (b * b) @ w_p) + tau0 * (anticom @ w_p) / scale
+              + h * np.sum(theta ** 2 * rho) / scale ** 2)
+    return mean, second - mean ** 2
+
+
 class TestTimeBoost:
     def test_three_four_five_triangle(self):
         assert time_boost(0.75, 1.0) == pytest.approx(0.8, abs=1e-15)
@@ -72,6 +114,17 @@ class TestTimeBoost:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(Exception):
             time_boost(0.5, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: time_boost(0.5, np.array([1.0, np.nan])),
+    lambda: RelClockSystem(np.nan, gaussian_system().external, rotator_init(4, 0.02)),
+    lambda: frame_to_frame(gaussian_system().external, np.nan, 0.7, 0.0, 0.0),
+    lambda: frame_to_frame(gaussian_system().external, 1.3, np.nan, 0.0, 0.0),
+], ids=["time_boost", "rest_mass", "frame_to_frame-m1", "frame_to_frame-m2"])
+def test_nan_masses_are_rejected(build):
+    with pytest.raises(NonPositiveWidth):
+        build()
 
 
 class TestProperTimeMean:
@@ -125,6 +178,32 @@ class TestDispersionQuadratic:
         assert s.d_b == pytest.approx(var_b, rel=1e-10)
         assert s.d_tau == pytest.approx(var_b * tau0 ** 2 + var_th / scale ** 2,
                                         rel=1e-6)
+
+    @pytest.mark.parametrize("chirp,center", [(0.0, 3.0), (0.3, 2.0), (0.3, -3.1)])
+    def test_off_zero_branch_matches_joint_quadrature(self, chirp, center):
+        sys = shifted_system(chirp, center)
+        for tau0 in (1.0, 16.0):
+            s = proper_time_stats_rotator(sys, tau0)
+            mean, var = joint_quadrature(sys, tau0, center)
+            assert s.tau_mean == pytest.approx(mean, rel=1e-9)
+            assert s.d_tau == pytest.approx(var, rel=1e-8)
+
+    @hyp.settings(max_examples=20, deadline=None)
+    @hyp.given(chirp=st.sampled_from([0.0, 0.3]), t=st.floats(0.0, 60.0))
+    def test_dispersion_is_invariant_under_rest_evolution(self, chirp, t):
+        sys = shifted_system(chirp, 0.0)
+        moved = RelClockSystem(1.0, sys.external, rotator_evolve_rest(sys.clock, t))
+        s0 = proper_time_stats_rotator(sys, 16.0)
+        s1 = proper_time_stats_rotator(moved, 16.0)
+        assert s1.d_tau == pytest.approx(s0.d_tau, rel=1e-9)
+        assert s1.g2 == pytest.approx(s0.g2, abs=1e-9)
+
+    def test_shifted_clock_samples_on_the_same_branch(self):
+        sys = shifted_system(0.0, 3.0)
+        stats = proper_time_stats_rotator(sys, 16.0)
+        chk = mc_variance_check(sys, 16.0, 200_000, seed=1)
+        assert abs(chk.mean - stats.tau_mean) < 4 * chk.stderr_mean
+        assert abs(chk.variance - stats.d_tau) < 4 * chk.stderr_variance
 
     def test_rotator_matches_monte_carlo(self):
         sys = gaussian_system()
