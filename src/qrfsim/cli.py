@@ -89,6 +89,8 @@ _BOUNDS = {
     "positive": (lambda x: x > 0, "NonPositiveWidth", "> 0"),
     "nonzero": (lambda x: x != 0, "ZeroMeanMomentum", "nonzero"),
     "nonnegative": (lambda x: x >= 0, "ConfigError", ">= 0"),
+    # make_rng keys stream s of seed n as n + (s << 32): larger seeds alias other streams
+    "seed": (lambda x: 0 <= x < 2 ** 32, "ConfigError", "in [0, 2**32)"),
 }
 
 
@@ -134,8 +136,8 @@ def _check_field(spec: Field, v) -> Diagnostic | None:
     return None
 
 
-_COMMON = (Field("grid_points", "integer", 16), Field("mc_samples", "integer", 0),
-           Field("seed", "integer", 0))
+_SEED = Field("seed", "integer", "seed")
+_COMMON = (Field("grid_points", "integer", 16), Field("mc_samples", "integer", 0), _SEED)
 _PACKET = (Field("packet_center"), Field("packet_width", bound="positive"),
            Field("grid_min", required=False), Field("grid_max", required=False))
 _ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
@@ -289,15 +291,15 @@ def _packet(sc: dict, mass: float) -> WavePacket:
 
 
 def _dilation_table(sc: dict, sys_: RelClockSystem, model: str) -> ResultTable:
-    n_mc = sc["mc_samples"]
-    rows = []
-    for i, tau0 in enumerate(sc["tau_grid"]):
-        s = proper_time_stats(sys_, float(tau0))
-        mc = (None,) * 4
-        if n_mc > 0:
-            chk = mc_variance_check(sys_, float(tau0), n_mc, sc["seed"], stream=i)
-            mc = (chk.mean, chk.variance, chk.stderr_mean, chk.stderr_variance)
-        rows.append((float(tau0), s.tau_mean, s.d_tau, s.d_b, s.g2, s.d0, s.d_x) + mc)
+    taus = np.asarray(sc["tau_grid"], dtype=float)
+    s = proper_time_stats(sys_, taus)
+    mc = itertools.repeat((None,) * 4)
+    if sc["mc_samples"] > 0:
+        chk = mc_variance_check(sys_, taus, sc["mc_samples"], sc["seed"])
+        mc = zip(chk.mean, chk.variance, chk.stderr_mean, chk.stderr_variance)
+    d_x = itertools.repeat(None) if s.d_x is None else s.d_x
+    rows = [(t, mean, d_tau, s.d_b, s.g2, s.d0, dx) + row
+            for t, mean, d_tau, dx, row in zip(taus, s.tau_mean, s.d_tau, d_x, mc)]
     columns = (("tau0", "time"), ("tau_mean", "time"), ("d_tau", "time^2"),
                ("d_b", "1"), ("g2", "time"), ("d0", "time^2"), ("d_x", "time^2"),
                ("mc_mean", "time"), ("mc_variance", "time^2"),
@@ -427,6 +429,8 @@ def expand_sweep(sc: dict) -> list[dict]:
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}: expected a nonempty list of values")
+    if (bad_seed := _check_field(_SEED, sc.get("seed"))) is not None:
+        raise ConfigError(str(bad_seed))
     base = {k: v for k, v in sc.items() if k != "sweep"}
     keys = sorted(grid)
     out = []
@@ -499,12 +503,8 @@ def main(argv=None) -> int:
         sc = load_scenario(args.scenario)
         if args.command == "validate":
             diags = validate_scenario(sc)
-            for d in diags:
-                print(d)
-            if diags:
-                return 2
-            print("ok")
-            return 0
+            print("\n".join(map(str, diags)) or "ok")
+            return 2 if diags else 0
         sc = _apply_overrides(sc, args)
         if args.command == "run":
             path = write_results(sc, run_scenario(sc), args.out)
@@ -513,10 +513,7 @@ def main(argv=None) -> int:
             for path in run_sweep(sc, args.out):
                 print(f"wrote {path}")
         return 0
-    except ScenarioParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConfigError as e:
+    except ConfigError as e:  # ScenarioParseError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

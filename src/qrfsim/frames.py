@@ -333,41 +333,30 @@ class ReducedDensityMatrix:
         return float(np.sum(np.diag(self.matrix)).real * self.delta_spacing)
 
 
-def _bin_masks(delta: np.ndarray, edges: np.ndarray) -> list[np.ndarray]:
-    """Half-open bins (e_{j-1}, e_j]; an edge tie goes to the lower bin."""
-    idx = np.searchsorted(edges, delta, side="left") - 1
-    idx[delta <= edges[0]] = 0  # the first bin is closed on the left
-    return [idx == j for j in range(len(edges) - 1)]
-
-
-def _validate_bins(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    edges = np.asarray(edges, dtype=float)
+def _project(kernel: np.ndarray, delta: np.ndarray, bins):
+    """Keep the kernel's diagonal blocks of half-open bins (e_{j-1}, e_j], the
+    first closed on the left: (edges, matrix, masks, weights, dropped), with the
+    kept bins' probabilities read off the projected diagonal."""
+    edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ConfigError("bins must be a strictly increasing edge array of length >= 2")
-    if edges[0] > lo or edges[-1] < hi:
-        raise ConfigError(
-            f"bins [{edges[0]}, {edges[-1]}] do not cover the relative-coordinate range [{lo}, {hi}]")
-    return edges
-
-
-def _rereduce(rho: ReducedDensityMatrix, edges: np.ndarray) -> ReducedDensityMatrix:
-    edges = _validate_bins(edges, float(rho.delta_grid[0]), float(rho.delta_grid[-1]))
-    masks = _bin_masks(rho.delta_grid, edges)
-    block = np.zeros_like(rho.matrix, dtype=bool)
+    if edges[0] > delta[0] or edges[-1] < delta[-1]:
+        raise ConfigError(f"bins [{edges[0]}, {edges[-1]}] do not cover the "
+                          f"relative-coordinate range [{delta[0]}, {delta[-1]}]")
+    idx = np.searchsorted(edges, delta, side="left") - 1
+    idx[delta <= edges[0]] = 0
+    masks = [idx == j for j in range(len(edges) - 1)]
+    block = np.zeros_like(kernel, dtype=bool)
     for m in masks:
         block |= np.outer(m, m)
-    matrix = np.where(block, rho.matrix, 0.0)
-    d = rho.delta_spacing
-    weights = np.array([np.sum(np.diag(matrix).real[m]) * d for m in masks])
-    keep = [j for j, w in enumerate(weights) if w > 1e-14]
-    if not keep:
+    matrix = np.where(block, kernel, 0.0)
+    diag = np.diag(matrix).real * (delta[1] - delta[0])
+    weights = np.array([diag[m].sum() for m in masks])
+    keep = weights > 1e-14
+    if not keep.any():
         raise EmptyBin("every bin captured zero probability")
-    same = (edges.size == rho.bin_edges.size and np.allclose(edges, rho.bin_edges))
-    widths = rho.widths if same else np.array([])
-    return ReducedDensityMatrix(
-        rho.delta_grid, edges, tuple(masks[j] for j in keep), weights[keep],
-        matrix, widths, tuple(j for j in range(len(masks)) if j not in keep),
-        dict(rho.meta, rereduced=True))
+    return (edges, matrix, tuple(m for m, k in zip(masks, keep) if k), weights[keep],
+            tuple(int(j) for j in np.flatnonzero(~keep)))
 
 
 def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
@@ -381,7 +370,11 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     bin is empty.
     """
     if isinstance(state, ReducedDensityMatrix):
-        return _rereduce(state, np.asarray(bins, dtype=float))
+        edges, matrix, masks, weights, dropped = _project(state.matrix, state.delta_grid, bins)
+        same = edges.size == state.bin_edges.size and np.allclose(edges, state.bin_edges)
+        return ReducedDensityMatrix(state.delta_grid, edges, masks, weights, matrix,
+                                    state.widths if same else np.array([]), dropped,
+                                    dict(state.meta, rereduced=True))
     if len(state.factors) != 2:
         raise ConfigError("measurement reduction expects exactly two bodies")
     pk_n, pk_1 = state.factors
@@ -414,35 +407,15 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
         raise EmptyBin("joint amplitude vanishes on the mesh")
     chi = chi / np.sqrt(norm2)  # trace is now exactly 1 on the mesh
 
-    edges = _validate_bins(np.asarray(bins, dtype=float), float(delta[0]), float(delta[-1]))
-    masks = _bin_masks(delta, edges)
-
     gram = (chi @ chi.conj().T) * dx  # rho(delta_a, delta_b) before projection
-    block = np.zeros_like(gram, dtype=bool)
-    for m in masks:
-        block |= np.outer(m, m)
-    matrix = np.where(block, gram, 0.0)
-
+    edges, matrix, masks, weights, dropped = _project(gram, delta, bins)
     prob = np.abs(chi) ** 2 * dd * dx
-    weights = np.array([prob[m].sum() for m in masks])
-    widths = np.full(len(masks), np.nan)
-    for j, m in enumerate(masks):
-        w = weights[j]
-        if w <= 1e-14:
-            continue
+    widths = []
+    for m, w in zip(masks, weights):
         pj = prob[m, :] / w
         mean = np.sum(pj * xn_mesh[m, :])
-        widths[j] = np.sqrt(max(np.sum(pj * (xn_mesh[m, :] - mean) ** 2), 0.0))
-
-    keep = [j for j, w in enumerate(weights) if w > 1e-14]
-    if not keep:
-        raise EmptyBin("every bin captured zero probability")
-    dropped = tuple(j for j in range(len(masks)) if j not in keep)
-    meta = {
-        "masses": (m_n, m_1),
-        "mesh_points": mesh_points,
-        "captured_probability": float(weights.sum()),
-    }
-    return ReducedDensityMatrix(
-        delta, edges, tuple(masks[j] for j in keep), weights[keep], matrix,
-        widths[keep], dropped, meta)
+        widths.append(np.sqrt(max(np.sum(pj * (xn_mesh[m, :] - mean) ** 2), 0.0)))
+    meta = {"masses": (m_n, m_1), "mesh_points": mesh_points,
+            "captured_probability": float(weights.sum())}
+    return ReducedDensityMatrix(delta, edges, masks, weights, matrix, np.array(widths),
+                                dropped, meta)

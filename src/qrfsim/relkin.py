@@ -12,7 +12,7 @@ reported statistics are exact quadrature moments of those operators.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class RelClockSystem:
     rest_mass: float
     external: WavePacket | ModeSuperposition
     clock: RotatorClockState | FreeClockState
-    clock_packet: WavePacket | None = None
+    clock_packet: WavePacket | None = field(init=False, default=None)
 
     def __post_init__(self):
         if not self.rest_mass > 0:
@@ -120,8 +120,7 @@ class RelClockSystem:
             if abs(total - self.rest_mass) > 1e-12 * total:
                 raise ConfigError(
                     f"rest mass {self.rest_mass} must equal m_a + m_b = {total}")
-            if self.clock_packet is None:
-                object.__setattr__(self, "clock_packet", freeclock_packet(self.clock))
+            object.__setattr__(self, "clock_packet", freeclock_packet(self.clock))
         else:
             raise ClockModelMismatch(f"unknown clock model {type(self.clock).__name__}")
         if self.alpha_i > ALPHA_I_WARN:
@@ -148,35 +147,38 @@ class TimeOperatorStats:
 
     d_tau is assembled as d_b*tau0^2 + g2*tau0 + d0 from the reported
     coefficients; d_x additionally folds the free clock's velocity spread.
+    tau0, tau_mean, d_tau and d_x are floats or arrays, as tau0 was given.
     """
 
-    tau_mean: float
-    d_tau: float
+    tau_mean: float | np.ndarray
+    d_tau: float | np.ndarray
     d_b: float
     g2: float
     d0: float
-    tau0: float
+    tau0: float | np.ndarray
     model: str
-    d_x: float | None = None
+    d_x: float | np.ndarray | None = None
 
 
 def _rotator_mode_masses(rest_mass: float, clock: RotatorClockState) -> np.ndarray:
     return rest_mass + 2 * np.pi * clock.omega * clock.m_values
 
 
-def proper_time_stats_rotator(sys: RelClockSystem, tau0: float) -> TimeOperatorStats:
-    if not isinstance(sys.clock, RotatorClockState):
-        raise ClockModelMismatch("expected a rotator clock")
+def _boost_moments(p, w_p, m_op, w_m, f=1.0) -> tuple[np.ndarray, float, float]:
+    """B_2 on the (internal mode x momentum) mesh: its per-mode average over
+    the momenta, and the mean and variance of f B_2 (f: 1 or one per mode)."""
+    b = time_boost(p[None, :], m_op[:, None])
+    b_mode = b @ w_p
+    s_bar = float(w_m @ (f * b_mode))
+    s2_bar = float(w_m @ (f ** 2 * ((b * b) @ w_p)))
+    return b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0)
+
+
+def _rotator_stats(sys: RelClockSystem, tau0) -> TimeOperatorStats:
     clock = sys.clock
     p, w_p = _external_weights(sys.external)
-    w_m = np.abs(clock.coefficients) ** 2
-    m_op = _rotator_mode_masses(sys.rest_mass, clock)
-
-    b = time_boost(p[None, :], m_op[:, None])
-    b_mode = b @ w_p                       # per-mode packet average of B_2
-    b_bar = float(w_m @ b_mode)
-    b2_bar = float(w_m @ ((b * b) @ w_p))
-    d_b = max(b2_bar - b_bar ** 2, 0.0)
+    b_mode, b_bar, d_b = _boost_moments(p, w_p, _rotator_mode_masses(sys.rest_mass, clock),
+                                        np.abs(clock.coefficients) ** 2)
 
     # theta = phi + u on the peak-centred branch; phi is a constant, so the
     # boost-angle covariance is that of u in the recentred coefficients
@@ -195,9 +197,7 @@ def proper_time_stats_rotator(sys: RelClockSystem, tau0: float) -> TimeOperatorS
     return TimeOperatorStats(tau_mean, d_tau, d_b, g2, d0, tau0, "rotator")
 
 
-def proper_time_stats_freeclock(sys: RelClockSystem, tau0: float) -> TimeOperatorStats:
-    if not isinstance(sys.clock, FreeClockState):
-        raise ClockModelMismatch("expected a free-particle clock")
+def _freeclock_stats(sys: RelClockSystem, tau0) -> TimeOperatorStats:
     clock = sys.clock
     pk_x = sys.clock_packet
     p2, w2 = _external_weights(sys.external)
@@ -206,31 +206,30 @@ def proper_time_stats_freeclock(sys: RelClockSystem, tau0: float) -> TimeOperato
     pbar, mu = clock.p_bar, clock.mu_ab
 
     m_op = clock.m_a + clock.m_b + px ** 2 / (2 * mu)
-    b = time_boost(p2[None, :], m_op[:, None])     # (n_px, n_p2)
-    b_ext = b @ w2
-    s = (px / pbar) * b_ext                        # tau0-coefficient, per px mode
-    s_bar = float(wx @ s)
-    s2_bar = float(wx @ (((px / pbar) ** 2) * ((b * b) @ w2)))
-    d_b = max(s2_bar - s_bar ** 2, 0.0)
-
+    b_ext, s_bar, d_b = _boost_moments(p2, w2, m_op, wx, px / pbar)
     b_bar = float(wx @ b_ext)
-    x_mean = position_mean(pk_x)
-    x_var = position_variance(pk_x)
     cross = 2.0 * sym_xp_covariance(pk_x)
 
-    d0 = (mu / pbar) ** 2 * x_var
+    d0 = (mu / pbar) ** 2 * position_variance(pk_x)
     g2 = (mu / pbar ** 2) * b_bar * cross
     d_x = d0 + (variance(pk_x, lambda q: q) / pbar ** 2) * b_bar ** 2 * tau0 ** 2
 
-    tau_mean = s_bar * tau0 + mu * x_mean / pbar
+    tau_mean = s_bar * tau0 + mu * position_mean(pk_x) / pbar
     d_tau = d_b * tau0 ** 2 + g2 * tau0 + d0
     return TimeOperatorStats(tau_mean, d_tau, d_b, g2, d0, tau0, "freeclock", d_x)
 
 
-def proper_time_stats(sys: RelClockSystem, tau0: float) -> TimeOperatorStats:
+def _stats(sys: RelClockSystem, tau0) -> TimeOperatorStats:
     if isinstance(sys.clock, RotatorClockState):
-        return proper_time_stats_rotator(sys, tau0)
-    return proper_time_stats_freeclock(sys, tau0)
+        return _rotator_stats(sys, tau0)
+    return _freeclock_stats(sys, tau0)
+
+
+def proper_time_stats(sys: RelClockSystem, tau0: float | np.ndarray) -> TimeOperatorStats:
+    """Proper-time statistics at observer time tau0, a float or a 1D array;
+    the tau0-free coefficients are computed once for all entries."""
+    t = np.asarray(tau0, dtype=float)
+    return _stats(sys, float(t) if t.ndim == 0 else t)
 
 
 # --- boosted evolution -------------------------------------------------------
@@ -283,59 +282,89 @@ def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:
 
 # --- Monte-Carlo oracle ------------------------------------------------------
 
-def sample_proper_times(sys: RelClockSystem, tau0: float, n: int,
-                        seed: int, stream: int = 0) -> np.ndarray:
-    """Classical ensemble draws of the proper-time observable.
+def _proper_time_sampler(sys: RelClockSystem):
+    """draw(tau0, n, rng): classical ensemble draws of the proper-time observable.
 
-    Momenta, clock modes and clock offsets are drawn independently from their
-    marginal densities; this reproduces the operator mean always and the
-    operator variance whenever the boost-angle cross moment vanishes (true
-    for the real-coefficient initial states prepared here).  Clock angles
+    Momenta, clock modes and clock offsets are drawn, in that order, from their
+    marginal tables, built here once; this reproduces the operator mean always
+    and the variance whenever the boost-angle cross moment g2 vanishes.  Angles
     are drawn on the peak-centred branch theta = phi + u of `recenter`.
     """
-    rng = make_rng(seed, stream)
-    if isinstance(sys.external, WavePacket):
-        dens = sys.external.density()
-        p = inverse_cdf_sample(sys.external.grid.points, dens, n, rng)
-    else:
-        p = sys.external.points[choice_from_weights(sys.external.probabilities, n, rng)]
+    ext, clock = sys.external, sys.clock
+    p_weights = ext.density() if isinstance(ext, WavePacket) else ext.probabilities
 
-    if isinstance(sys.clock, RotatorClockState):
-        clock = sys.clock
-        m = clock.m_values[choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
+    def draw_p(n, rng):
+        if isinstance(ext, WavePacket):
+            return inverse_cdf_sample(ext.grid.points, p_weights, n, rng)
+        return ext.points[choice_from_weights(p_weights, n, rng)]
+
+    if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
         us = np.linspace(-np.pi, np.pi, 16385)
-        theta = phi + inverse_cdf_sample(us, angular_density(centered, us), n, rng)
-        b = time_boost(p, _rotator_mode_masses(sys.rest_mass, clock)[m + clock.j_z])
-        return b * tau0 + theta / (2 * np.pi * clock.omega)
+        u_density = angular_density(centered, us)
 
-    clock = sys.clock
+        def draw(tau0, n, rng):
+            p = draw_p(n, rng)
+            m = clock.m_values[choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
+            theta = phi + inverse_cdf_sample(us, u_density, n, rng)
+            b = time_boost(p, _rotator_mode_masses(sys.rest_mass, clock)[m + clock.j_z])
+            return b * tau0 + theta / (2 * np.pi * clock.omega)
+        return draw
+
     pk_x = sys.clock_packet
-    px = inverse_cdf_sample(pk_x.grid.points, pk_x.density(), n, rng)
+    px_density = pk_x.density()
     sig_x = np.sqrt(position_variance(pk_x))
     x0 = position_mean(pk_x)
     xs = np.linspace(x0 - 10 * sig_x, x0 + 10 * sig_x, 16384)
-    x = inverse_cdf_sample(xs, np.abs(position_wavefunction(pk_x, xs)) ** 2, n, rng)
-    m_op = clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab)
-    b = time_boost(p, m_op)
-    return (px * b / clock.p_bar) * tau0 + clock.mu_ab * x / clock.p_bar
+    x_density = np.abs(position_wavefunction(pk_x, xs)) ** 2
+
+    def draw(tau0, n, rng):
+        p = draw_p(n, rng)
+        px = inverse_cdf_sample(pk_x.grid.points, px_density, n, rng)
+        x = inverse_cdf_sample(xs, x_density, n, rng)
+        b = time_boost(p, clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab))
+        return (px * b / clock.p_bar) * tau0 + clock.mu_ab * x / clock.p_bar
+    return draw
+
+
+def sample_proper_times(sys: RelClockSystem, tau0: float, n: int,
+                        seed: int, stream: int = 0) -> np.ndarray:
+    """n ensemble draws of the proper time at tau0 from stream (seed, stream)."""
+    return _proper_time_sampler(sys)(tau0, n, make_rng(seed, stream))
 
 
 @dataclass(frozen=True)
 class EnsembleCheck:
-    mean: float
-    variance: float
-    stderr_mean: float
-    stderr_variance: float
+    """Sample moments; all but samples have the shape of tau0."""
+
+    mean: float | np.ndarray
+    variance: float | np.ndarray
+    stderr_mean: float | np.ndarray
+    stderr_variance: float | np.ndarray
     samples: int
 
 
-def mc_variance_check(sys: RelClockSystem, tau0: float, n: int, seed: int,
+def _sample_moments(t: np.ndarray) -> tuple[float, float, float, float]:
+    return (float(t.mean()), float(t.var(ddof=1)), float(t.std(ddof=1) / np.sqrt(t.size)),
+            variance_standard_error(t))
+
+
+def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, seed: int,
                       stream: int = 0) -> EnsembleCheck:
-    t = sample_proper_times(sys, tau0, n, seed, stream)
-    return EnsembleCheck(float(t.mean()), float(t.var(ddof=1)),
-                         float(t.std(ddof=1) / np.sqrt(n)),
-                         variance_standard_error(t), n)
+    """Ensemble moments at tau0, a float or an array whose entry i draws from
+    stream + i; refuses states with a boost-angle cross moment g2 it would miss."""
+    s = _stats(sys, 0.0)
+    if not abs(s.g2) <= 1e-6 * 2 * np.sqrt(s.d_b * s.d0):
+        raise ConfigError(f"g2 = {s.g2:.6g} correlates boost and clock offset; "
+                          "the Monte-Carlo ensemble cannot check this state")
+    draw = _proper_time_sampler(sys)
+    taus = np.asarray(tau0, dtype=float)
+    # reduce each tau0's draws before the next: only one set of n draws is held
+    moments = [_sample_moments(draw(float(t), n, make_rng(seed, stream + i)))
+               for i, t in enumerate(taus.flat)]
+    if taus.ndim == 0:
+        return EnsembleCheck(*moments[0], n)
+    return EnsembleCheck(*(np.reshape(col, taus.shape) for col in zip(*moments)), n)
 
 
 # --- two-body kinematics -----------------------------------------------------

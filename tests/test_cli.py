@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrfsim import cli
+from qrfsim import cli, relkin
 from qrfsim.errors import ConfigError, NumericalError, ScenarioParseError
 
 SCENARIO_DIR = Path(cli.__file__).parent / "scenarios"
@@ -122,17 +122,50 @@ def _edited(name, **changes):
     _edited("frame-transform", tau1=float("inf")),
     _edited("frame-transform", m1=float("nan")),
     _edited("jacobi-demo", kind=["jacobi-demo"]),
+    _edited("rotator-dilation", mc_samples=1000, seed="x"),
+    _edited("rotator-dilation", mc_samples=1000, seed=1.5),
+    _edited("rotator-dilation", mc_samples=1000, seed=-1),
+    _edited("rotator-dilation", mc_samples=1000, seed=2 ** 32),
+    _edited("rotator-dilation", mc_samples=1000, seed=2 ** 64),
+    _edited("rotator-dilation", mc_samples=1000, seed=1e300),
 ], ids=["rest_mass-nan", "tau_grid-nan", "j_z-nan", "grid_min-string", "grid_min-alone",
-        "tau1-inf", "m1-nan", "kind-list"])
+        "tau1-inf", "m1-nan", "kind-list", "seed-string", "seed-fraction", "seed-negative",
+        "seed-2^32", "seed-2^64", "seed-1e300"])
 def test_bad_input_fails_closed(tmp_path, capsys, payload):
     path = write_scenario(tmp_path, payload)
     assert cli.main(["validate", "--scenario", path]) == 2
     assert len(capsys.readouterr().out.splitlines()) == 1
     out = tmp_path / "out"
-    assert cli.main(["run", "--scenario", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert not out.exists()
+    sweep = write_scenario(tmp_path, dict(payload, sweep={"mc_samples": [0]}), "sweep.json")
+    for argv in (["run", "--scenario", path], ["sweep", "--scenario", sweep]):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+
+def test_freeclock_table_builds_its_position_table_once(tmp_path, monkeypatch):
+    calls = []
+    original = relkin.position_wavefunction
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(relkin, "position_wavefunction", counted)
+    sc = _edited("freeclock-dilation", mc_samples=1000, grid_points=256)
+    assert len(sc["tau_grid"]) == 3
+    path = write_scenario(tmp_path, sc)
+    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_largest_seed_runs(tmp_path):
+    sc = _edited("rotator-dilation", mc_samples=1000, seed=2 ** 32 - 1, tau_grid=[1.0])
+    path = write_scenario(tmp_path, sc)
+    sweep = write_scenario(tmp_path, dict(sc, sweep={"omega": [0.02]}), "sweep.json")
+    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["sweep", "--scenario", sweep, "--out", str(tmp_path / "sweep")]) == 0
 
 
 def test_integral_float_counts_are_read_as_integers(tmp_path):

@@ -13,7 +13,7 @@ from qrfsim.clocks import (
     rotator_evolve_rest,
     rotator_init,
 )
-from qrfsim.errors import ClockModelMismatch, ConfigError, NonPositiveWidth, RoughState
+from qrfsim.errors import ConfigError, NonPositiveWidth, RoughState
 from qrfsim.packets import (
     MomentumGrid,
     WavePacket,
@@ -40,8 +40,6 @@ from qrfsim.relkin import (
     nw_commutator_residual,
     pair_invariant_mass,
     proper_time_stats,
-    proper_time_stats_freeclock,
-    proper_time_stats_rotator,
     rotator_readout_boosted,
     sample_proper_times,
     time_boost,
@@ -130,27 +128,55 @@ def test_nan_masses_are_rejected(build):
 class TestProperTimeMean:
     def test_narrow_packet_dilation(self):
         # sharply peaked momentum: the moving clock runs at 4/5 rate
-        stats = proper_time_stats_rotator(narrow_system(), 10.0)
+        stats = proper_time_stats(narrow_system(), 10.0)
         assert stats.tau_mean == pytest.approx(8.0, abs=1e-3)
 
     def test_mean_grows_linearly(self):
         sys = gaussian_system()
-        s1 = proper_time_stats_rotator(sys, 5.0)
-        s2 = proper_time_stats_rotator(sys, 10.0)
+        s1 = proper_time_stats(sys, 5.0)
+        s2 = proper_time_stats(sys, 10.0)
         assert 2 * s1.tau_mean == pytest.approx(s2.tau_mean, rel=1e-12)
 
     def test_dispatcher_picks_model(self):
         assert proper_time_stats(narrow_system(), 1.0).model == "rotator"
         assert proper_time_stats(freeclock_system(), 1.0).model == "freeclock"
-        with pytest.raises(ClockModelMismatch):
-            proper_time_stats_rotator(freeclock_system(), 1.0)
+
+
+@pytest.mark.parametrize("build", [gaussian_system, freeclock_system],
+                         ids=["rotator", "freeclock"])
+class TestTauGrid:
+    """One call over a tau0 grid equals one call per tau0, bit for bit."""
+
+    TAUS = np.array([0.0, 1.0, 2.5, 16.0, 100.0])
+
+    def test_stats_on_array_equal_scalar_calls(self, build):
+        sys = build()
+        grid = proper_time_stats(sys, self.TAUS)
+        for i, tau0 in enumerate(self.TAUS):
+            s = proper_time_stats(sys, float(tau0))
+            assert grid.tau0[i] == s.tau0
+            assert grid.tau_mean[i] == s.tau_mean and grid.d_tau[i] == s.d_tau
+            assert (grid.d_b, grid.g2, grid.d0) == (s.d_b, s.g2, s.d0)
+            assert s.d_x is None if grid.d_x is None else grid.d_x[i] == s.d_x
+        assert grid.tau_mean.shape == grid.d_tau.shape == self.TAUS.shape
+
+    def test_monte_carlo_on_array_equals_scalar_calls_per_stream(self, build):
+        sys = build()
+        taus = self.TAUS[1:4]
+        grid = mc_variance_check(sys, taus, 2000, seed=5, stream=3)
+        assert grid.mean.shape == taus.shape
+        for i, tau0 in enumerate(taus):
+            s = mc_variance_check(sys, float(tau0), 2000, seed=5, stream=3 + i)
+            assert (grid.mean[i], grid.variance[i], grid.stderr_mean[i],
+                    grid.stderr_variance[i]) == (s.mean, s.variance, s.stderr_mean,
+                                                 s.stderr_variance)
 
 
 class TestDispersionQuadratic:
     def test_assembled_from_coefficients(self):
         sys = gaussian_system()
         for tau0 in (1.0, 7.0, 30.0):
-            s = proper_time_stats_rotator(sys, tau0)
+            s = proper_time_stats(sys, tau0)
             assert s.d_tau == pytest.approx(
                 s.d_b * tau0 ** 2 + s.g2 * tau0 + s.d0, rel=1e-12)
 
@@ -172,63 +198,69 @@ class TestDispersionQuadratic:
         mean_th = np.trapezoid(rho * th, th)
         var_th = np.trapezoid(rho * th ** 2, th) - mean_th ** 2
 
-        s = proper_time_stats_rotator(sys, tau0)
+        s = proper_time_stats(sys, tau0)
         scale = 2 * np.pi * sys.clock.omega
         assert s.g2 == pytest.approx(0.0, abs=1e-12)
         assert s.d_b == pytest.approx(var_b, rel=1e-10)
         assert s.d_tau == pytest.approx(var_b * tau0 ** 2 + var_th / scale ** 2,
                                         rel=1e-6)
 
-    @pytest.mark.parametrize("chirp,center", [(0.0, 3.0), (0.3, 2.0), (0.3, -3.1)])
+    @pytest.mark.parametrize("chirp,center", [(0.0, 3.0), (0.3, 2.0), (0.3, -3.1), (0.3, 0.0)])
     def test_off_zero_branch_matches_joint_quadrature(self, chirp, center):
         sys = shifted_system(chirp, center)
         for tau0 in (1.0, 16.0):
-            s = proper_time_stats_rotator(sys, tau0)
+            s = proper_time_stats(sys, tau0)
             mean, var = joint_quadrature(sys, tau0, center)
             assert s.tau_mean == pytest.approx(mean, rel=1e-9)
             assert s.d_tau == pytest.approx(var, rel=1e-8)
+        if chirp:
+            # g2 != 0: the ensemble draws the clock offset independently of
+            # (p, m), so it would report d_b tau0^2 + d0 and must refuse
+            assert abs(s.g2) > 0.5 * np.sqrt(s.d_b * s.d0)
+            with pytest.raises(ConfigError, match="g2"):
+                mc_variance_check(sys, 16.0, 1000, seed=1)
 
     @hyp.settings(max_examples=20, deadline=None)
     @hyp.given(chirp=st.sampled_from([0.0, 0.3]), t=st.floats(0.0, 60.0))
     def test_dispersion_is_invariant_under_rest_evolution(self, chirp, t):
         sys = shifted_system(chirp, 0.0)
         moved = RelClockSystem(1.0, sys.external, rotator_evolve_rest(sys.clock, t))
-        s0 = proper_time_stats_rotator(sys, 16.0)
-        s1 = proper_time_stats_rotator(moved, 16.0)
+        s0 = proper_time_stats(sys, 16.0)
+        s1 = proper_time_stats(moved, 16.0)
         assert s1.d_tau == pytest.approx(s0.d_tau, rel=1e-9)
         assert s1.g2 == pytest.approx(s0.g2, abs=1e-9)
 
     def test_shifted_clock_samples_on_the_same_branch(self):
         sys = shifted_system(0.0, 3.0)
-        stats = proper_time_stats_rotator(sys, 16.0)
+        stats = proper_time_stats(sys, 16.0)
         chk = mc_variance_check(sys, 16.0, 200_000, seed=1)
         assert abs(chk.mean - stats.tau_mean) < 4 * chk.stderr_mean
         assert abs(chk.variance - stats.d_tau) < 4 * chk.stderr_variance
 
     def test_rotator_matches_monte_carlo(self):
         sys = gaussian_system()
-        stats = proper_time_stats_rotator(sys, 8.0)
+        stats = proper_time_stats(sys, 8.0)
         chk = mc_variance_check(sys, 8.0, 150_000, seed=7)
         assert abs(chk.mean - stats.tau_mean) < 3 * chk.stderr_mean
         assert abs(chk.variance - stats.d_tau) < 3 * chk.stderr_variance
 
     def test_freeclock_matches_monte_carlo(self):
         sys = freeclock_system()
-        stats = proper_time_stats_freeclock(sys, 8.0)
+        stats = proper_time_stats(sys, 8.0)
         chk = mc_variance_check(sys, 8.0, 150_000, seed=11)
         assert abs(chk.mean - stats.tau_mean) < 3 * chk.stderr_mean
         assert abs(chk.variance - stats.d_tau) < 3 * chk.stderr_variance
 
     def test_freeclock_rest_dispersion(self):
         sys = freeclock_system()
-        s = proper_time_stats_freeclock(sys, 0.0)
+        s = proper_time_stats(sys, 0.0)
         mu, pbar, a_x = 0.25, 0.2, 25.0
         assert s.d0 == pytest.approx((mu * a_x / pbar) ** 2, rel=1e-2)
         assert s.d_tau == pytest.approx(s.d0, rel=1e-12)
 
     def test_velocity_spread_dominates_late(self):
         sys = freeclock_system()
-        s = proper_time_stats_freeclock(sys, 3000.0)
+        s = proper_time_stats(sys, 3000.0)
         assert s.d_x is not None
         assert s.d_x > 10 * s.d0
 
@@ -238,7 +270,7 @@ class TestDispersionQuadratic:
         for w in widths:
             pk = make_gaussian(default_grid(0.75, w), 0.75, w, mass=1.0)
             sys = RelClockSystem(1.0, pk, rotator_init(4, 0.02))
-            slopes.append(proper_time_stats_rotator(sys, 1.0).d_b)
+            slopes.append(proper_time_stats(sys, 1.0).d_b)
         assert slopes[0] > slopes[1] > slopes[2] > 0
 
 
