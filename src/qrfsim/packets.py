@@ -1,8 +1,8 @@
 """Momentum-space wave packets on uniform 1D grids.
 
 All states are natively momentum-space amplitudes Phi(p); position-space
-quantities are obtained from phase derivatives or explicit Fourier sums, never
-by FFT round trips.  Conventions (hbar = c = 1):
+quantities come from phase derivatives or the quadrature Fourier sum psi(x)
+(chirp-z on uniform x), never by FFT round trips.  Conventions (hbar = c = 1):
 
     psi(x) = (2*pi)**-0.5 * Integral Phi(p) exp(+i p x) dp
     x_hat  = +i d/dp      (a packet located at x0 carries the phase exp(-i p x0))
@@ -51,6 +51,20 @@ def simpson_weights(n: int, spacing: float) -> np.ndarray:
     return w
 
 
+def uniform_step(points: np.ndarray) -> float:
+    """Step of a uniform 1D lattice (0 below 2 points); NonPositiveWidth if the
+    steps differ by more than 1e-12 * max(|first|, |last|, 1) or are NaN."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1:
+        raise NonPositiveWidth("sample points must be a 1D array")
+    if pts.size < 2:
+        return 0.0
+    steps = np.diff(pts)
+    if not np.max(np.abs(steps - steps[0])) <= 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0):
+        raise NonPositiveWidth("grid spacing is not uniform")
+    return float(steps[0])
+
+
 @dataclass(frozen=True, eq=False)
 class MomentumGrid:
     """Strictly increasing, uniform momentum lattice (collinear axis)."""
@@ -62,11 +76,9 @@ class MomentumGrid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 3:
             raise NonPositiveWidth("grid must be a 1D array of at least 3 points")
-        steps = np.diff(pts)
-        if not np.all(steps > 0):
+        if not np.all(np.diff(pts) > 0):
             raise NonPositiveWidth("grid points must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0):
-            raise NonPositiveWidth("grid spacing is not uniform")
+        uniform_step(pts)
 
     @property
     def spacing(self) -> float:
@@ -259,20 +271,27 @@ def sym_xp_covariance(packet: WavePacket) -> float:
 
 
 def position_wavefunction(packet: WavePacket, xs: np.ndarray) -> np.ndarray:
-    """psi(x) on arbitrary sample points via the direct Fourier sum.
+    """psi(x) on a uniform 1D x lattice, ascending or descending.
 
-    Evaluated in blocks so the (n_x, n_p) kernel never exceeds ~16 MB.
+    The same Simpson quadrature sum, evaluated exactly as a Bluestein chirp-z
+    transform: with p_j = p_c + j dp, x_k = x_c + k dx (j, k counted from the
+    lattice middles) and jk = (j^2 + k^2 - (k - j)^2) / 2, the sum over j is one
+    convolution, zero-padded to a linear one: no round trip, no periodic wrap.
     """
     xs = np.asarray(xs, dtype=float)
-    weighted = packet.grid.quad_weights() * packet.amplitudes
-    out = np.empty(xs.shape, dtype=complex)
-    flat = xs.reshape(-1)
-    block = max(1, (1 << 20) // packet.grid.size)
-    for start in range(0, flat.size, block):
-        chunk = flat[start:start + block]
-        kernel = np.exp(1j * np.outer(chunk, packet.grid.points))
-        out.reshape(-1)[start:start + block] = kernel @ weighted
-    return out / np.sqrt(2.0 * np.pi)
+    n, m, dp = packet.grid.size, xs.size, packet.grid.spacing
+    a = dp * uniform_step(xs)
+    if m == 0:
+        return np.empty(0, dtype=complex)
+    j, k = np.arange(n) - n // 2, np.arange(m) - m // 2
+    chirped = packet.grid.quad_weights() * packet.amplitudes * np.exp(
+        1j * (dp * xs[m // 2] * j + 0.5 * a * j * j))
+    lag = np.arange(1 - n, m)  # k - j; negative lags wrap to the end
+    kernel = np.zeros(1 << (n + m - 2).bit_length(), dtype=complex)
+    kernel[lag] = np.exp(-0.5j * a * (lag - m // 2 + n // 2) ** 2)
+    conv = np.fft.ifft(np.fft.fft(chirped, kernel.size) * np.fft.fft(kernel))[:m]
+    phase = np.exp(1j * (packet.grid.points[n // 2] * xs + 0.5 * a * k * k))
+    return conv * phase / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True, eq=False)

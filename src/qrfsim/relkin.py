@@ -120,7 +120,8 @@ class RelClockSystem:
             if abs(total - self.rest_mass) > 1e-12 * total:
                 raise ConfigError(
                     f"rest mass {self.rest_mass} must equal m_a + m_b = {total}")
-            object.__setattr__(self, "clock_packet", freeclock_packet(self.clock))
+            n = self.external.grid.size if isinstance(self.external, WavePacket) else 2048
+            object.__setattr__(self, "clock_packet", freeclock_packet(self.clock, n))
         else:
             raise ClockModelMismatch(f"unknown clock model {type(self.clock).__name__}")
         if self.alpha_i > ALPHA_I_WARN:

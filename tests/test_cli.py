@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from qrfsim import cli, relkin
 from qrfsim.errors import ConfigError, NumericalError, ScenarioParseError
@@ -158,6 +159,28 @@ def test_freeclock_table_builds_its_position_table_once(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, sc)
     assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_freeclock_packet_follows_grid_points(tmp_path, monkeypatch):
+    sizes = []
+    original = relkin.freeclock_packet
+
+    def recorded(*args):
+        packet = original(*args)
+        sizes.append(packet.grid.size)
+        return packet
+
+    monkeypatch.setattr(relkin, "freeclock_packet", recorded)
+    rows = {}
+    for n in (256, 2048):
+        path = write_scenario(tmp_path, _edited("freeclock-dilation", mc_samples=0,
+                                                grid_points=n), f"{n}.json")
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / str(n))]) == 0
+        rows[n] = read_rows(tmp_path / str(n) / "freeclock-dilation.csv")
+    assert sizes == [256, 2048]
+    for coarse, fine in zip(rows[256], rows[2048]):
+        for column in ("tau_mean", "d_tau", "d_b", "d0", "d_x"):
+            assert_allclose(float(coarse[column]), float(fine[column]), rtol=1e-5)
 
 
 def test_largest_seed_runs(tmp_path):

@@ -1,4 +1,6 @@
-"""Packet construction, quadrature moments, free evolution."""
+"""Packet construction, quadrature moments, free evolution, position space."""
+
+import tracemalloc
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qrfsim.clocks import FreeClockState, freeclock_packet
 from qrfsim.errors import GridTooNarrow, NonFiniteSample, NonPositiveWidth
 from qrfsim.packets import (
     MomentumGrid,
@@ -17,6 +20,8 @@ from qrfsim.packets import (
     make_gaussian,
     position_mean,
     position_variance,
+    position_wavefunction,
+    simpson_weights,
     variance,
 )
 
@@ -190,3 +195,100 @@ def test_doubling_grid_density_is_converged(center, width):
         pk = make_gaussian(default_grid(center, width, n), center=center, width=width, mass=2.0)
         vals.append(expectation(pk, obs).real)
     assert abs(vals[1] - vals[0]) < 1e-3 * abs(vals[0])
+
+
+# --- position space -------------------------------------------------------------
+
+def direct_position_sum(packet, xs):
+    """Oracle: the quadrature sum of psi(x) term by term, in kernel blocks of 2**20 entries."""
+    xs = np.asarray(xs, dtype=float)
+    weighted = packet.grid.quad_weights() * packet.amplitudes
+    out = np.empty(xs.size, dtype=complex)
+    block = max(1, (1 << 20) // packet.grid.size)
+    for start in range(0, xs.size, block):
+        kernel = np.exp(1j * np.outer(xs[start:start + block], packet.grid.points))
+        out[start:start + block] = kernel @ weighted
+    return out / np.sqrt(2.0 * np.pi)
+
+
+def _freeclock_table():
+    """The free clock's MC position table: 2048 p-points, 16384 x-points over +-10 sigma_x."""
+    pk = freeclock_packet(FreeClockState(0.5, 0.5, 0.2, 25.0))
+    x0, sig = position_mean(pk), np.sqrt(position_variance(pk))
+    return pk, np.linspace(x0 - 10 * sig, x0 + 10 * sig, 16384)
+
+
+def _reduce_body(sigma_x, p, x0):
+    """A measurement-reduction body: 1024 p-points, 4096 x-points over x0 +- 10."""
+    width = 1.0 / (2.0 * sigma_x)
+    pk = make_gaussian(default_grid(p, width, 1024), p, width, mass=1.3, x0=x0)
+    return pk, np.linspace(x0 - 10.0, x0 + 10.0, 4096)
+
+
+def _chirped():
+    g = MomentumGrid.centered(0.5, 3.0, 2048)
+    pk = from_function(g, lambda p: np.exp(-(p - 0.5) ** 2 / 0.25 + 2j * (p - 0.5) ** 2), 1.0)
+    x0, sig = position_mean(pk), np.sqrt(position_variance(pk))
+    return pk, np.linspace(x0 - 10 * sig, x0 + 10 * sig, 3001)
+
+
+def _gaussian():
+    return make_gaussian(default_grid(0.4, 0.5), 0.4, 0.5, mass=1.0, x0=-0.7)
+
+
+@pytest.mark.parametrize("case", [
+    _freeclock_table,
+    lambda: _reduce_body(0.02, 0.7, -1.3),
+    lambda: _reduce_body(1.0, -0.4, 1.9),
+    _chirped,
+    lambda: (_gaussian(), np.array([0.3])),
+    lambda: (_gaussian(), np.array([-2.0, 1.5])),
+    lambda: (_gaussian(), np.linspace(4.0, -6.0, 999)),
+], ids=["freeclock-table", "reduce-narrow", "reduce-wide", "chirped", "one-x", "two-x",
+        "descending"])
+def test_position_wavefunction_matches_direct_sum(case):
+    packet, xs = case()
+    expected = direct_position_sum(packet, xs)
+    got = position_wavefunction(packet, xs)
+    assert got.shape == xs.shape
+    assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_gaussian_position_density_is_normal():
+    # |psi|^2 of make_gaussian(..., x0) is normal: mean x0, sigma_x = 1/(2 sigma_p)
+    # up to the +-6 sigma_p grid cut, which leaves ~1e-4 of the peak pointwise
+    sigma_p, x0 = 0.5, -0.7
+    xs = np.linspace(-8.0, 6.0, 4001)
+    density = np.abs(position_wavefunction(_gaussian(), xs)) ** 2
+    w = simpson_weights(xs.size, xs[1] - xs[0])
+    mean = np.sum(w * density * xs)
+    assert_allclose([np.sum(w * density), mean], [1.0, x0], atol=1e-8)
+    assert_allclose(np.sqrt(np.sum(w * density * (xs - mean) ** 2)), 1 / (2 * sigma_p), rtol=1e-6)
+    normal = np.exp(-(xs - x0) ** 2 * 2 * sigma_p ** 2) * np.sqrt(2 / np.pi) * sigma_p
+    assert_allclose(density, normal, atol=1e-4 * normal.max())
+
+
+def test_position_wavefunction_of_no_points_is_empty():
+    assert position_wavefunction(_gaussian(), np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("xs", [
+    np.array([0.0, 0.1, 0.3]),
+    np.linspace(-1.0, 1.0, 64) ** 3,
+    np.linspace(-1.0, 1.0, 64).reshape(8, 8),
+    np.array([0.0, np.nan, 0.2]),
+], ids=["uneven", "cubic", "2d", "nan"])
+def test_position_wavefunction_rejects_non_uniform_xs(xs):
+    with pytest.raises(NonPositiveWidth):
+        position_wavefunction(_gaussian(), xs)
+
+
+def test_position_table_memory_is_bounded():
+    packet, xs = _freeclock_table()
+    tracemalloc.start()
+    try:
+        position_wavefunction(packet, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
