@@ -27,6 +27,7 @@ from .errors import ConfigError, NumericalError, ScenarioParseError
 from .frames import FrameSystem, build_chart, compose_transform, exchange_chain
 from .packets import MomentumGrid, WavePacket, default_grid, expectation, make_gaussian
 from .relkin import (
+    ANGLE_TABLE_POINTS,
     ModeSuperposition,
     RelClockSystem,
     boosted_evolve,
@@ -38,6 +39,9 @@ from .relkin import (
 )
 
 _DEFAULTS = {"grid_points": 2048, "mc_samples": 0, "seed": 0, "histogram_bins": 720}
+
+#: Largest working set, in bytes, one scenario may need (see README).
+MAX_WORKING_SET = 2 * 2 ** 30
 
 
 # --- scenario loading and validation ------------------------------------------
@@ -178,6 +182,47 @@ def _modes_match(sc):
 def _betas_nonrelativistic(sc):
     if any(b > 0.1 for b in sc["betas"]):
         yield Diagnostic("betas", "ConfigError", "nonrelativistic limit needs beta <= 0.1")
+
+
+# Working-set estimates: bytes of the arrays a runner holds at once, keyed by
+# the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
+# per packet grid point, 16 per boost-mesh entry (B_2 and B_2^2), 32 per
+# tabulated angle per rotator mode, and 40-48 per Monte-Carlo draw.
+_PER_POINT, _PER_DRAW = 160, 48
+
+
+def _rotator_bytes(sc):
+    modes, n, mc = 2 * int(sc["j_z"]) + 1, int(sc["grid_points"]), int(sc["mc_samples"])
+    return {"grid_points": (16 * modes + _PER_POINT) * n,
+            "j_z": 32 * ANGLE_TABLE_POINTS * modes if mc > 0 else 0,
+            "mc_samples": _PER_DRAW * mc}
+
+
+def _freeclock_bytes(sc):
+    n = int(sc["grid_points"])  # the boost mesh is n x n: one row per clock momentum
+    return {"grid_points": 16 * n * n + _PER_POINT * n,
+            "mc_samples": _PER_DRAW * int(sc["mc_samples"])}
+
+
+def _histogram_bytes(sc):
+    return {"histogram_bins": 32 * int(sc["histogram_bins"]) * (2 * int(sc["j_z"]) + 1)}
+
+
+def _packet_bytes(sc):
+    return {"grid_points": _PER_POINT * int(sc["grid_points"])}
+
+
+def _under_cap(estimate):
+    """Cross-check: the estimated working set stays under MAX_WORKING_SET;
+    the diagnostic names the field with the largest share."""
+    def check(sc):
+        shares = estimate(sc)
+        need = sum(shares.values())
+        if need > MAX_WORKING_SET:
+            yield Diagnostic(max(shares, key=shares.get), "ConfigError",
+                             f"needs a working set of about {need >> 20} MiB; "
+                             f"the cap is {MAX_WORKING_SET >> 20} MiB")
+    return check
 
 
 def validate_scenario(sc: dict) -> list[Diagnostic]:
@@ -377,25 +422,27 @@ SCENARIOS = {
     "rotator-dilation": Kind(
         (Field("rest_mass", bound="positive"), *_PACKET, *_ROTATOR,
          Field("tau_grid", "list", "nonnegative")),
-        (_explicit_grid_covers_packet, _mass_operator_stays_positive), _run_rotator_dilation),
+        (_explicit_grid_covers_packet, _mass_operator_stays_positive, _under_cap(_rotator_bytes)),
+        _run_rotator_dilation),
     "freeclock-dilation": Kind(
         (Field("m_a", bound="positive"), Field("m_b", bound="positive"),
          Field("p_bar", bound="nonzero"), Field("a_x", bound="positive"), *_PACKET,
          Field("tau_grid", "list", "nonnegative")),
-        (_explicit_grid_covers_packet,), _run_freeclock_dilation),
+        (_explicit_grid_covers_packet, _under_cap(_freeclock_bytes)), _run_freeclock_dilation),
     "entangled-clock": Kind(
         (Field("rest_mass", bound="positive"), Field("mode_momenta", "list"),
          Field("mode_weights", "list", "positive"), *_ROTATOR, Field("tau0", bound=0),
          Field("histogram_bins", "integer", 8)),
-        (_modes_match, _mass_operator_stays_positive), _run_entangled),
+        (_modes_match, _mass_operator_stays_positive, _under_cap(_histogram_bytes)),
+        _run_entangled),
     "frame-transform": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"), *_PACKET,
          Field("tau1"), Field("tau2")),
-        (_explicit_grid_covers_packet,), _run_frame_transform),
+        (_explicit_grid_covers_packet, _under_cap(_packet_bytes)), _run_frame_transform),
     "nonrel-limit": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"),
          Field("betas", "list", "positive")),
-        (_betas_nonrelativistic,), _run_nonrel_limit),
+        (_betas_nonrelativistic, _under_cap(_packet_bytes)), _run_nonrel_limit),
 }
 
 

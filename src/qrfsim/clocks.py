@@ -158,8 +158,7 @@ def recenter(state: RotatorClockState) -> tuple[float, RotatorClockState]:
 def angle_moments(state: RotatorClockState) -> AngleMoments:
     n = state.n_states
     peak, centered = recenter(state)
-    c_tilde = centered.coefficients
-    a = _autocorrelations(c_tilde)
+    a = _autocorrelations(centered.coefficients)
     k = np.arange(1, n)
     sign = (-1.0) ** k
     mean_u = float(np.sum(sign * 2.0 * a[1:].imag / k))
@@ -170,7 +169,7 @@ def angle_moments(state: RotatorClockState) -> AngleMoments:
     nodes, weights = np.polynomial.legendre.leggauss(_LOBE_NODES)
     u = nodes * half
     w = weights * half
-    rho = np.abs(np.exp(1j * np.outer(u, state.m_values)) @ c_tilde) ** 2 / (2.0 * np.pi)
+    rho = angular_density(centered, u)
     mass = float(np.sum(w * rho))
     mu_lobe = float(np.sum(w * rho * u) / mass)
     var_lobe = max(float(np.sum(w * rho * u ** 2) / mass) - mu_lobe ** 2, 0.0)

@@ -29,6 +29,9 @@ from .packets import ProductState, position_mean, position_variance, position_wa
 #: Mass ratio used to realize the infinite-mass frame body numerically.
 ARF_MASS_RATIO = 1e8
 
+#: Uniform x points per body where measurement_reduce samples psi(x) to interpolate.
+_FINE_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class Body:
@@ -86,7 +89,6 @@ class JacobiChart:
     coord_map: np.ndarray
     momentum_map: np.ndarray
     reduced_masses: np.ndarray
-    frame_label: int | None = None
 
     @property
     def size(self) -> int:
@@ -97,8 +99,7 @@ class JacobiChart:
         return self.coord_map @ self.momentum_map.T
 
 
-def chart_for_ordering(system: FrameSystem, ordering: Sequence[int],
-                       frame_label: int | None = None) -> JacobiChart:
+def chart_for_ordering(system: FrameSystem, ordering: Sequence[int]) -> JacobiChart:
     """Jacobi chart for an explicit body ordering (1-based labels)."""
     n = system.size
     ordering = tuple(int(l) for l in ordering)
@@ -127,7 +128,7 @@ def chart_for_ordering(system: FrameSystem, ordering: Sequence[int],
     b = np.zeros((n, n))
     a[:, cols] = a_ord
     b[:, cols] = b_ord
-    return JacobiChart(ordering, a, b, mu, frame_label)
+    return JacobiChart(ordering, a, b, mu)
 
 
 def frame_ordering(n: int, label: int) -> tuple[int, ...]:
@@ -142,7 +143,7 @@ def build_chart(system: FrameSystem, frame_label: int) -> JacobiChart:
         raise BadLabel(f"frame label {frame_label} outside 1..{n}")
     if system.bodies[frame_label - 1].role != "frame":
         raise BadLabel(f"body {frame_label} has role 'particle' and cannot carry a frame")
-    return chart_for_ordering(system, frame_ordering(n, frame_label), frame_label)
+    return chart_for_ordering(system, frame_ordering(n, frame_label))
 
 
 def exchange_angle(m1: float, m2: float, m3: float) -> float:
@@ -246,8 +247,9 @@ def gaussian_chart_state(chart: JacobiChart, means: Sequence[float],
     norm = np.prod((2.0 * np.pi * sig ** 2) ** -0.25)
 
     def amp(q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return norm * np.exp(-np.sum((q - mu) ** 2 / (4.0 * sig ** 2), axis=-1))
+        z = np.asarray(q, dtype=float) - mu  # the one (..., N) temporary
+        z /= 2.0 * sig
+        return norm * np.exp(-np.einsum("...i,...i->...", z, z))
 
     return ChartState(chart, amp)
 
@@ -283,10 +285,6 @@ class InternalHamiltonian:
         p = np.asarray(p, dtype=float)
         return np.einsum("...i,ij,...j->...", p, self.internal_form, p)
 
-    def cm_energy(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return np.einsum("...i,ij,...j->...", p, self.cm_form, p)
-
     def mode_energies(self, pi_internal: np.ndarray) -> np.ndarray:
         """Energy from internal chart momenta directly: sum pi_i^2 / 2 mu_i."""
         pi = np.asarray(pi_internal, dtype=float)
@@ -312,18 +310,16 @@ class ReducedDensityMatrix:
     """Post-measurement state over a discretized relative coordinate.
 
     matrix is a density kernel rho(delta_a, delta_b); the trace carries the
-    grid measure, trace = sum(diag) * delta_spacing.  masks are the kept
-    bins' projectors on the grid; weights their branch probabilities.
+    grid measure, trace = sum(diag) * delta_spacing.  weights are the kept
+    bins' branch probabilities.
     """
 
     delta_grid: np.ndarray
     bin_edges: np.ndarray
-    masks: tuple[np.ndarray, ...]
     weights: np.ndarray
     matrix: np.ndarray
     widths: np.ndarray
     dropped_bins: tuple[int, ...]
-    meta: dict
 
     @property
     def delta_spacing(self) -> float:
@@ -346,10 +342,7 @@ def _project(kernel: np.ndarray, delta: np.ndarray, bins):
     idx = np.searchsorted(edges, delta, side="left") - 1
     idx[delta <= edges[0]] = 0
     masks = [idx == j for j in range(len(edges) - 1)]
-    block = np.zeros_like(kernel, dtype=bool)
-    for m in masks:
-        block |= np.outer(m, m)
-    matrix = np.where(block, kernel, 0.0)
+    matrix = np.where(idx[:, None] == idx[None, :], kernel, 0.0)
     diag = np.diag(matrix).real * (delta[1] - delta[0])
     weights = np.array([diag[m].sum() for m in masks])
     keep = weights > 1e-14
@@ -360,7 +353,7 @@ def _project(kernel: np.ndarray, delta: np.ndarray, bins):
 
 
 def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
-                       mesh_points: int = 384, fine_points: int = 4096) -> ReducedDensityMatrix:
+                       mesh_points: int = 384) -> ReducedDensityMatrix:
     """Reduce a two-body product state over a binned relative-position measurement.
 
     The relative coordinate is delta = x_n - x_1 with the measured particle
@@ -370,11 +363,10 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     bin is empty.
     """
     if isinstance(state, ReducedDensityMatrix):
-        edges, matrix, masks, weights, dropped = _project(state.matrix, state.delta_grid, bins)
+        edges, matrix, _, weights, dropped = _project(state.matrix, state.delta_grid, bins)
         same = edges.size == state.bin_edges.size and np.allclose(edges, state.bin_edges)
-        return ReducedDensityMatrix(state.delta_grid, edges, masks, weights, matrix,
-                                    state.widths if same else np.array([]), dropped,
-                                    dict(state.meta, rereduced=True))
+        return ReducedDensityMatrix(state.delta_grid, edges, weights, matrix,
+                                    state.widths if same else np.array([]), dropped)
     if len(state.factors) != 2:
         raise ConfigError("measurement reduction expects exactly two bodies")
     pk_n, pk_1 = state.factors
@@ -397,7 +389,7 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     x1_mesh = xcm[None, :] - (m_n / m_tot) * delta[:, None]
 
     def on_mesh(packet, mesh):
-        fine = np.linspace(mesh.min() - 1e-9, mesh.max() + 1e-9, fine_points)
+        fine = np.linspace(mesh.min() - 1e-9, mesh.max() + 1e-9, _FINE_POINTS)
         psi = position_wavefunction(packet, fine)
         return (np.interp(mesh, fine, psi.real) + 1j * np.interp(mesh, fine, psi.imag))
 
@@ -415,7 +407,4 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
         pj = prob[m, :] / w
         mean = np.sum(pj * xn_mesh[m, :])
         widths.append(np.sqrt(max(np.sum(pj * (xn_mesh[m, :] - mean) ** 2), 0.0)))
-    meta = {"masses": (m_n, m_1), "mesh_points": mesh_points,
-            "captured_probability": float(weights.sum())}
-    return ReducedDensityMatrix(delta, edges, masks, weights, matrix, np.array(widths),
-                                dropped, meta)
+    return ReducedDensityMatrix(delta, edges, weights, matrix, np.array(widths), dropped)

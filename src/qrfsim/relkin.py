@@ -52,6 +52,9 @@ from .sampling import choice_from_weights, inverse_cdf_sample, make_rng, varianc
 #: Above this internal-to-rest energy ratio the factorized boost drifts.
 ALPHA_I_WARN = 0.1
 
+#: Angles at which the rotator's Monte-Carlo sampler tabulates its density.
+ANGLE_TABLE_POINTS = 16385
+
 
 def time_boost(p: np.ndarray, m2: float | np.ndarray) -> np.ndarray:
     """B_2 = m_2 / sqrt(m_2^2 + p^2), the operator-valued inverse Lorentz factor."""
@@ -130,16 +133,14 @@ class RelClockSystem:
                 "the factorized boosted evolution degrades beyond 0.1", stacklevel=2)
 
     @property
-    def internal_energy_mean(self) -> float:
+    def alpha_i(self) -> float:
+        """|<internal energy>| / rest mass."""
         if isinstance(self.clock, RotatorClockState):
             w = np.abs(self.clock.coefficients) ** 2
-            return float(2 * np.pi * self.clock.omega * np.sum(w * self.clock.m_values))
-        p2 = expectation(self.clock_packet, lambda p: p * p).real
-        return float(p2 / (2 * self.clock.mu_ab))
-
-    @property
-    def alpha_i(self) -> float:
-        return abs(self.internal_energy_mean) / self.rest_mass
+            energy = 2 * np.pi * self.clock.omega * np.sum(w * self.clock.m_values)
+        else:
+            energy = expectation(self.clock_packet, lambda p: p * p).real / (2 * self.clock.mu_ab)
+        return abs(float(energy)) / self.rest_mass
 
 
 @dataclass(frozen=True)
@@ -175,55 +176,46 @@ def _boost_moments(p, w_p, m_op, w_m, f=1.0) -> tuple[np.ndarray, float, float]:
     return b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0)
 
 
-def _rotator_stats(sys: RelClockSystem, tau0) -> TimeOperatorStats:
+def _stats(sys: RelClockSystem, tau0) -> TimeOperatorStats:
+    """Both clock models: tau_2 = S tau0 + T, so each branch computes only the
+    tau0-free coefficients, and the tau0 polynomials are evaluated once below."""
     clock = sys.clock
     p, w_p = _external_weights(sys.external)
-    b_mode, b_bar, d_b = _boost_moments(p, w_p, _rotator_mode_masses(sys.rest_mass, clock),
-                                        np.abs(clock.coefficients) ** 2)
+    if isinstance(clock, RotatorClockState):
+        model, v = "rotator", None
+        b_mode, slope, d_b = _boost_moments(p, w_p, _rotator_mode_masses(sys.rest_mass, clock),
+                                            np.abs(clock.coefficients) ** 2)
+        # theta = phi + u on the peak-centred branch; phi is a constant, so the
+        # boost-angle covariance is that of u in the recentred coefficients
+        scale = 2 * np.pi * clock.omega
+        d0 = angle_moments(clock).variance_full / scale ** 2
+        phi, centered = recenter(clock)
+        c = centered.coefficients
+        theta = theta_matrix(clock.n_states)
+        u_bar = float(np.real(np.conj(c) @ theta @ c))
+        overlap = np.conj(c)[:, None] * c[None, :] * theta
+        anticom = float(np.real(np.sum(overlap * (b_mode[:, None] + b_mode[None, :]))))
+        g2 = (anticom - 2 * slope * u_bar) / scale
+        offset = (phi + u_bar) / scale
+    else:
+        model = "freeclock"
+        pk_x = sys.clock_packet
+        px = pk_x.grid.points
+        wx = pk_x.grid.quad_weights() * pk_x.density()
+        pbar, mu = clock.p_bar, clock.mu_ab
+        m_op = clock.m_a + clock.m_b + px ** 2 / (2 * mu)
+        b_ext, slope, d_b = _boost_moments(p, w_p, m_op, wx, px / pbar)
+        b_bar = float(wx @ b_ext)
+        cross = 2.0 * sym_xp_covariance(pk_x)
+        d0 = (mu / pbar) ** 2 * position_variance(pk_x)
+        g2 = (mu / pbar ** 2) * b_bar * cross
+        v = (variance(pk_x, lambda q: q) / pbar ** 2) * b_bar ** 2  # velocity spread
+        offset = mu * position_mean(pk_x) / pbar
 
-    # theta = phi + u on the peak-centred branch; phi is a constant, so the
-    # boost-angle covariance is that of u in the recentred coefficients
-    scale = 2 * np.pi * clock.omega
-    d0 = angle_moments(clock).variance_full / scale ** 2
-    phi, centered = recenter(clock)
-    c = centered.coefficients
-    theta = theta_matrix(clock.n_states)
-    u_bar = float(np.real(np.conj(c) @ theta @ c))
-    overlap = np.conj(c)[:, None] * c[None, :] * theta
-    anticom = float(np.real(np.sum(overlap * (b_mode[:, None] + b_mode[None, :]))))
-    g2 = (anticom - 2 * b_bar * u_bar) / scale
-
-    tau_mean = b_bar * tau0 + (phi + u_bar) / scale
+    tau_mean = slope * tau0 + offset
     d_tau = d_b * tau0 ** 2 + g2 * tau0 + d0
-    return TimeOperatorStats(tau_mean, d_tau, d_b, g2, d0, tau0, "rotator")
-
-
-def _freeclock_stats(sys: RelClockSystem, tau0) -> TimeOperatorStats:
-    clock = sys.clock
-    pk_x = sys.clock_packet
-    p2, w2 = _external_weights(sys.external)
-    px = pk_x.grid.points
-    wx = pk_x.grid.quad_weights() * pk_x.density()
-    pbar, mu = clock.p_bar, clock.mu_ab
-
-    m_op = clock.m_a + clock.m_b + px ** 2 / (2 * mu)
-    b_ext, s_bar, d_b = _boost_moments(p2, w2, m_op, wx, px / pbar)
-    b_bar = float(wx @ b_ext)
-    cross = 2.0 * sym_xp_covariance(pk_x)
-
-    d0 = (mu / pbar) ** 2 * position_variance(pk_x)
-    g2 = (mu / pbar ** 2) * b_bar * cross
-    d_x = d0 + (variance(pk_x, lambda q: q) / pbar ** 2) * b_bar ** 2 * tau0 ** 2
-
-    tau_mean = s_bar * tau0 + mu * position_mean(pk_x) / pbar
-    d_tau = d_b * tau0 ** 2 + g2 * tau0 + d0
-    return TimeOperatorStats(tau_mean, d_tau, d_b, g2, d0, tau0, "freeclock", d_x)
-
-
-def _stats(sys: RelClockSystem, tau0) -> TimeOperatorStats:
-    if isinstance(sys.clock, RotatorClockState):
-        return _rotator_stats(sys, tau0)
-    return _freeclock_stats(sys, tau0)
+    d_x = None if v is None else d0 + v * tau0 ** 2
+    return TimeOperatorStats(tau_mean, d_tau, d_b, g2, d0, tau0, model, d_x)
 
 
 def proper_time_stats(sys: RelClockSystem, tau0: float | np.ndarray) -> TimeOperatorStats:
@@ -301,7 +293,7 @@ def _proper_time_sampler(sys: RelClockSystem):
 
     if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
-        us = np.linspace(-np.pi, np.pi, 16385)
+        us = np.linspace(-np.pi, np.pi, ANGLE_TABLE_POINTS)
         u_density = angular_density(centered, us)
 
         def draw(tau0, n, rng):
@@ -336,13 +328,12 @@ def sample_proper_times(sys: RelClockSystem, tau0: float, n: int,
 
 @dataclass(frozen=True)
 class EnsembleCheck:
-    """Sample moments; all but samples have the shape of tau0."""
+    """Sample moments, each of the shape of tau0."""
 
     mean: float | np.ndarray
     variance: float | np.ndarray
     stderr_mean: float | np.ndarray
     stderr_variance: float | np.ndarray
-    samples: int
 
 
 def _sample_moments(t: np.ndarray) -> tuple[float, float, float, float]:
@@ -364,8 +355,8 @@ def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, see
     moments = [_sample_moments(draw(float(t), n, make_rng(seed, stream + i)))
                for i, t in enumerate(taus.flat)]
     if taus.ndim == 0:
-        return EnsembleCheck(*moments[0], n)
-    return EnsembleCheck(*(np.reshape(col, taus.shape) for col in zip(*moments)), n)
+        return EnsembleCheck(*moments[0])
+    return EnsembleCheck(*(np.reshape(col, taus.shape) for col in zip(*moments)))
 
 
 # --- two-body kinematics -----------------------------------------------------
@@ -385,7 +376,6 @@ class TwoBodyKinematics:
     e_s: np.ndarray
     s12: np.ndarray
     q12: np.ndarray
-    n1: np.ndarray
 
     @classmethod
     def from_momenta(cls, m1: float, m2: float, p1: np.ndarray, p2: np.ndarray) -> "TwoBodyKinematics":
@@ -407,7 +397,7 @@ class TwoBodyKinematics:
         e_s = m1 + e12
         s12 = np.sqrt((e1 + e2) ** 2 - np.sum((p1 + p2) ** 2, axis=-1))
         q12 = m1 * p12 / s12[..., None]
-        return cls(m1, m2, p1, p2, e1, e2, p12, e12, e_s, s12, q12, n1)
+        return cls(m1, m2, p1, p2, e1, e2, p12, e12, e_s, s12, q12)
 
     @classmethod
     def from_z_momenta(cls, m1: float, m2: float, p1z: np.ndarray, p2z: np.ndarray) -> "TwoBodyKinematics":

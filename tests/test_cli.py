@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,6 +144,53 @@ def test_bad_input_fails_closed(tmp_path, capsys, payload):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, field", [
+    (_edited("freeclock-dilation", grid_points=65536), "grid_points"),
+    (_edited("rotator-dilation", mc_samples=10 ** 10), "mc_samples"),
+], ids=["freeclock-grid_points-65536", "mc_samples-1e10"])
+def test_working_set_over_the_cap_fails_closed(tmp_path, capsys, monkeypatch, payload, field):
+    def never(sc):
+        raise AssertionError("a scenario over the cap reached its runner")
+
+    # the runners are replaced, so a missing check cannot allocate the extreme case
+    monkeypatch.setattr(cli, "SCENARIOS", {name: replace(kind, runner=never)
+                                           for name, kind in cli.SCENARIOS.items()})
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["validate", "--scenario", path]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith(f"{field}: ConfigError: ")
+    sweep = write_scenario(tmp_path, dict(payload, sweep={"tau_grid": [[1.0], [2.0]]}),
+                           "sweep.json")
+    for argv in (["run", "--scenario", path], ["sweep", "--scenario", sweep]):
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    _edited("freeclock-dilation", mc_samples=0),
+    *(_edited("rotator-dilation", mc_samples=0, j_z=j_z, omega=0.004) for j_z in (4, 12, 24)),
+], ids=["freeclock", "rotator-4", "rotator-12", "rotator-24"])
+def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
+    assert cli.validate_scenario(payload) == []
+
+
+@pytest.mark.parametrize("payload, estimate", [
+    (_edited("freeclock-dilation", grid_points=1024, mc_samples=0), cli._freeclock_bytes),
+    (_edited("rotator-dilation", grid_points=256, mc_samples=200000, tau_grid=[1.0]),
+     cli._rotator_bytes),
+], ids=["freeclock-mesh", "rotator-mc"])
+def test_working_set_estimate_tracks_the_traced_peak(payload, estimate):
+    tracemalloc.start()
+    try:
+        cli.run_scenario(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 < sum(estimate(payload).values()) / peak < 2.0
 
 
 def test_freeclock_table_builds_its_position_table_once(tmp_path, monkeypatch):

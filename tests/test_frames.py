@@ -1,6 +1,7 @@
 """Jacobi charts, exchange operators, internal Hamiltonians, measurement reduction."""
 
 import math
+import tracemalloc
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -143,6 +144,23 @@ def test_gaussian_pushforward_center():
     assert_allclose(total, 1.0, atol=1e-9)  # norm preserved by the jacobian factor
     centroid = [float((dens * mesh[..., k]).sum() * dv / total) for k in range(3)]
     assert_allclose(centroid, op.matrix @ means, atol=1e-6)
+
+
+def test_chart_amplitude_holds_one_temporary():
+    chart = build_chart(FrameSystem.from_masses(np.linspace(1.0, 4.0, 8)), 1)
+    means, widths = np.linspace(-1.0, 1.0, 8), np.linspace(0.5, 2.0, 8)
+    state = gaussian_chart_state(chart, means, widths)
+    q = np.random.default_rng(3).normal(0.0, 2.0, (32768, 8))
+    tracemalloc.start()
+    try:
+        amp = state.amplitude(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * q.nbytes
+    norm = np.prod((2.0 * np.pi * widths ** 2) ** -0.25)
+    expected = norm * np.exp(-np.sum((q - means) ** 2 / (4.0 * widths ** 2), axis=-1))
+    assert_allclose(amp, expected, rtol=1e-12, atol=0.0)
 
 
 def test_transform_rejects_wrong_chart():
