@@ -28,6 +28,7 @@ from .frames import FrameSystem, build_chart, compose_transform, exchange_chain
 from .packets import MomentumGrid, WavePacket, default_grid, expectation, make_gaussian
 from .relkin import (
     ANGLE_TABLE_POINTS,
+    BOOST_BLOCK_ROWS,
     ModeSuperposition,
     RelClockSystem,
     boosted_evolve,
@@ -186,7 +187,7 @@ def _betas_nonrelativistic(sc):
 
 # Working-set estimates: bytes of the arrays a runner holds at once, keyed by
 # the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
-# per packet grid point, 16 per boost-mesh entry (B_2 and B_2^2), 32 per
+# per packet grid point, 16 per boost-mesh entry held (B_2 and B_2^2), 32 per
 # tabulated angle per rotator mode, and 40-48 per Monte-Carlo draw.
 _PER_POINT, _PER_DRAW = 160, 48
 
@@ -199,8 +200,8 @@ def _rotator_bytes(sc):
 
 
 def _freeclock_bytes(sc):
-    n = int(sc["grid_points"])  # the boost mesh is n x n: one row per clock momentum
-    return {"grid_points": 16 * n * n + _PER_POINT * n,
+    n = int(sc["grid_points"])  # the boost mesh is n x n, held in blocks of rows
+    return {"grid_points": 16 * min(n, BOOST_BLOCK_ROWS) * n + _PER_POINT * n,
             "mc_samples": _PER_DRAW * int(sc["mc_samples"])}
 
 
@@ -340,7 +341,7 @@ def _dilation_table(sc: dict, sys_: RelClockSystem, model: str) -> ResultTable:
     s = proper_time_stats(sys_, taus)
     mc = itertools.repeat((None,) * 4)
     if sc["mc_samples"] > 0:
-        chk = mc_variance_check(sys_, taus, sc["mc_samples"], sc["seed"])
+        chk = mc_variance_check(sys_, taus, sc["mc_samples"], sc["seed"], stats=s)
         mc = zip(chk.mean, chk.variance, chk.stderr_mean, chk.stderr_variance)
     d_x = itertools.repeat(None) if s.d_x is None else s.d_x
     rows = [(t, mean, d_tau, s.d_b, s.g2, s.d0, dx) + row

@@ -55,6 +55,9 @@ ALPHA_I_WARN = 0.1
 #: Angles at which the rotator's Monte-Carlo sampler tabulates its density.
 ANGLE_TABLE_POINTS = 16385
 
+#: Internal modes per block of the boost mesh that _boost_moments holds at once.
+BOOST_BLOCK_ROWS = 256
+
 
 def time_boost(p: np.ndarray, m2: float | np.ndarray) -> np.ndarray:
     """B_2 = m_2 / sqrt(m_2^2 + p^2), the operator-valued inverse Lorentz factor."""
@@ -168,11 +171,16 @@ def _rotator_mode_masses(rest_mass: float, clock: RotatorClockState) -> np.ndarr
 
 def _boost_moments(p, w_p, m_op, w_m, f=1.0) -> tuple[np.ndarray, float, float]:
     """B_2 on the (internal mode x momentum) mesh: its per-mode average over
-    the momenta, and the mean and variance of f B_2 (f: 1 or one per mode)."""
-    b = time_boost(p[None, :], m_op[:, None])
-    b_mode = b @ w_p
+    the momenta, and the mean and variance of f B_2 (f: 1 or one per mode).
+    The mesh is held BOOST_BLOCK_ROWS modes at a time."""
+    b_mode, b2_mode = np.empty(m_op.size), np.empty(m_op.size)
+    for i in range(0, m_op.size, BOOST_BLOCK_ROWS):
+        rows = slice(i, i + BOOST_BLOCK_ROWS)
+        b = time_boost(p[None, :], m_op[rows, None])
+        b_mode[rows] = b @ w_p
+        b2_mode[rows] = (b * b) @ w_p
     s_bar = float(w_m @ (f * b_mode))
-    s2_bar = float(w_m @ (f ** 2 * ((b * b) @ w_p)))
+    s2_bar = float(w_m @ (f ** 2 * b2_mode))
     return b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0)
 
 
@@ -276,7 +284,8 @@ def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:
 # --- Monte-Carlo oracle ------------------------------------------------------
 
 def _proper_time_sampler(sys: RelClockSystem):
-    """draw(tau0, n, rng): classical ensemble draws of the proper-time observable.
+    """draw(n, rng) -> (S, T): n ensemble draws of the proper-time observable's
+    slope and offset, tau_2 = S tau0 + T, so one ensemble serves every tau0.
 
     Momenta, clock modes and clock offsets are drawn, in that order, from their
     marginal tables, built here once; this reproduces the operator mean always
@@ -296,12 +305,12 @@ def _proper_time_sampler(sys: RelClockSystem):
         us = np.linspace(-np.pi, np.pi, ANGLE_TABLE_POINTS)
         u_density = angular_density(centered, us)
 
-        def draw(tau0, n, rng):
+        def draw(n, rng):
             p = draw_p(n, rng)
             m = clock.m_values[choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
             theta = phi + inverse_cdf_sample(us, u_density, n, rng)
             b = time_boost(p, _rotator_mode_masses(sys.rest_mass, clock)[m + clock.j_z])
-            return b * tau0 + theta / (2 * np.pi * clock.omega)
+            return b, theta / (2 * np.pi * clock.omega)
         return draw
 
     pk_x = sys.clock_packet
@@ -311,19 +320,20 @@ def _proper_time_sampler(sys: RelClockSystem):
     xs = np.linspace(x0 - 10 * sig_x, x0 + 10 * sig_x, 16384)
     x_density = np.abs(position_wavefunction(pk_x, xs)) ** 2
 
-    def draw(tau0, n, rng):
+    def draw(n, rng):
         p = draw_p(n, rng)
         px = inverse_cdf_sample(pk_x.grid.points, px_density, n, rng)
         x = inverse_cdf_sample(xs, x_density, n, rng)
         b = time_boost(p, clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab))
-        return (px * b / clock.p_bar) * tau0 + clock.mu_ab * x / clock.p_bar
+        return px * b / clock.p_bar, clock.mu_ab * x / clock.p_bar
     return draw
 
 
 def sample_proper_times(sys: RelClockSystem, tau0: float, n: int,
                         seed: int, stream: int = 0) -> np.ndarray:
     """n ensemble draws of the proper time at tau0 from stream (seed, stream)."""
-    return _proper_time_sampler(sys)(tau0, n, make_rng(seed, stream))
+    slope, offset = _proper_time_sampler(sys)(n, make_rng(seed, stream))
+    return slope * tau0 + offset
 
 
 @dataclass(frozen=True)
@@ -342,18 +352,21 @@ def _sample_moments(t: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, seed: int,
-                      stream: int = 0) -> EnsembleCheck:
-    """Ensemble moments at tau0, a float or an array whose entry i draws from
-    stream + i; refuses states with a boost-angle cross moment g2 it would miss."""
-    s = _stats(sys, 0.0)
+                      stream: int = 0, *, stats: TimeOperatorStats | None = None
+                      ) -> EnsembleCheck:
+    """Ensemble moments at tau0, a float or an array, from one ensemble of n
+    draws on stream (seed, stream) that serves every tau0: the entries are
+    correlated, and each entry's marginal is exact.  Refuses states with a
+    boost-angle cross moment g2 it would miss; stats, when given, are this
+    system's proper_time_stats and spare recomputing g2."""
+    s = _stats(sys, 0.0) if stats is None else stats
     if not abs(s.g2) <= 1e-6 * 2 * np.sqrt(s.d_b * s.d0):
         raise ConfigError(f"g2 = {s.g2:.6g} correlates boost and clock offset; "
                           "the Monte-Carlo ensemble cannot check this state")
-    draw = _proper_time_sampler(sys)
+    slope, offset = _proper_time_sampler(sys)(n, make_rng(seed, stream))
     taus = np.asarray(tau0, dtype=float)
-    # reduce each tau0's draws before the next: only one set of n draws is held
-    moments = [_sample_moments(draw(float(t), n, make_rng(seed, stream + i)))
-               for i, t in enumerate(taus.flat)]
+    # reduce each tau0's draws before the next: one row is held beside S and T
+    moments = [_sample_moments(slope * float(t) + offset) for t in taus.flat]
     if taus.ndim == 0:
         return EnsembleCheck(*moments[0])
     return EnsembleCheck(*(np.reshape(col, taus.shape) for col in zip(*moments)))

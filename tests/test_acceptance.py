@@ -96,7 +96,7 @@ def test_ac02_dispersion_law_vs_monte_carlo(report):
     elapsed = time.perf_counter() - start
     report("AC-02 dispersion law vs Monte Carlo",
            worst_z < 3.0 and fit_ok and elapsed < 30.0,
-           f"worst |z|={worst_z:.2f} over 6 tau0 (10^6 samples each), "
+           f"worst |z|={worst_z:.2f} (one 10^6-sample ensemble shared by 6 tau0), "
            f"fit d_b={fit[0]:.4e}/{s.d_b:.4e}, g2={fit[1]:.1e}, "
            f"d0={fit[2]:.4f}/{s.d0:.4f}, {elapsed:.1f}s")
 

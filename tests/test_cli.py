@@ -147,9 +147,9 @@ def test_bad_input_fails_closed(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize("payload, field", [
-    (_edited("freeclock-dilation", grid_points=65536), "grid_points"),
+    (_edited("freeclock-dilation", grid_points=2 ** 20), "grid_points"),
     (_edited("rotator-dilation", mc_samples=10 ** 10), "mc_samples"),
-], ids=["freeclock-grid_points-65536", "mc_samples-1e10"])
+], ids=["freeclock-grid_points-2^20", "mc_samples-1e10"])
 def test_working_set_over_the_cap_fails_closed(tmp_path, capsys, monkeypatch, payload, field):
     def never(sc):
         raise AssertionError("a scenario over the cap reached its runner")
@@ -207,6 +207,33 @@ def test_freeclock_table_builds_its_position_table_once(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, sc)
     assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_dilation_table_computes_its_coefficients_once(tmp_path, monkeypatch):
+    calls = []
+    original = relkin._stats
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(relkin, "_stats", counted)
+    for name in ("freeclock-dilation", "rotator-dilation"):
+        path = write_scenario(tmp_path, _edited(name, mc_samples=1000, grid_points=256))
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+
+
+def test_freeclock_monte_carlo_agrees_with_its_analytic_columns(tmp_path):
+    path = write_scenario(tmp_path, _edited("freeclock-dilation", grid_points=256,
+                                            mc_samples=20000))
+    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "freeclock-dilation.csv")
+    assert len(rows) == 3
+    for row in rows:
+        r = {k: float(v) for k, v in row.items()}
+        assert abs(r["mc_mean"] - r["tau_mean"]) < 5 * r["mc_stderr_mean"]
+        assert abs(r["mc_variance"] - r["d_tau"]) < 5 * r["mc_stderr_variance"]
 
 
 def test_freeclock_packet_follows_grid_points(tmp_path, monkeypatch):

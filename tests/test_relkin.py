@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from qrfsim import relkin
 from qrfsim.clocks import (
     FreeClockState,
     RotatorClockState,
@@ -161,15 +162,72 @@ class TestTauGrid:
         assert grid.tau_mean.shape == grid.d_tau.shape == self.TAUS.shape
 
     def test_monte_carlo_on_array_equals_scalar_calls_per_stream(self, build):
+        # one ensemble serves every tau0: entry i is the scalar call on the same stream
         sys = build()
         taus = self.TAUS[1:4]
         grid = mc_variance_check(sys, taus, 2000, seed=5, stream=3)
         assert grid.mean.shape == taus.shape
         for i, tau0 in enumerate(taus):
-            s = mc_variance_check(sys, float(tau0), 2000, seed=5, stream=3 + i)
+            s = mc_variance_check(sys, float(tau0), 2000, seed=5, stream=3)
             assert (grid.mean[i], grid.variance[i], grid.stderr_mean[i],
                     grid.stderr_variance[i]) == (s.mean, s.variance, s.stderr_mean,
                                                  s.stderr_variance)
+
+    def test_monte_carlo_rows_are_moments_of_sampled_proper_times(self, build):
+        sys = build()
+        grid = mc_variance_check(sys, self.TAUS, 2000, seed=5, stream=3)
+        for i, tau0 in enumerate(self.TAUS):
+            t = sample_proper_times(sys, float(tau0), 2000, seed=5, stream=3)
+            assert (grid.mean[i], grid.variance[i], grid.stderr_mean[i],
+                    grid.stderr_variance[i]) == relkin._sample_moments(t)
+
+    @pytest.mark.parametrize("length", [1, 3, 12])
+    def test_monte_carlo_draws_once_per_table(self, build, length, monkeypatch):
+        draws = []
+        factory = relkin._proper_time_sampler
+
+        def counting(sys):
+            draw = factory(sys)
+
+            def counted(n, rng):
+                draws.append(n)
+                return draw(n, rng)
+            return counted
+
+        monkeypatch.setattr(relkin, "_proper_time_sampler", counting)
+        mc_variance_check(build(), np.linspace(0.0, 50.0, length), 500, seed=2)
+        assert draws == [500]
+
+    def test_given_stats_spare_the_guard_its_coefficients(self, build, monkeypatch):
+        sys = build()
+        stats = proper_time_stats(sys, self.TAUS)
+        expected = mc_variance_check(sys, self.TAUS, 500, seed=2)
+        monkeypatch.setattr(relkin, "_stats", None)  # any call would fail
+        given = mc_variance_check(sys, self.TAUS, 500, seed=2, stats=stats)
+        for field in ("mean", "variance", "stderr_mean", "stderr_variance"):
+            assert np.array_equal(getattr(given, field), getattr(expected, field))
+
+
+@pytest.mark.parametrize("n, rtol", [(2048, 0.0), (1001, 1e-15)])
+def test_blocked_boost_mesh_matches_the_full_mesh(n, rtol):
+    # the free clock's mesh has n clock momenta: 8 blocks at 2048, a remainder at 1001
+    packet = make_gaussian(default_grid(0.75, 0.1, n), 0.75, 0.1, mass=1.0)
+    clock = FreeClockState(0.5, 0.5, 0.2, 25.0)
+    sys = RelClockSystem(1.0, packet, clock)
+    p, w_p = packet.grid.points, packet.grid.quad_weights() * packet.density()
+    px = sys.clock_packet.grid.points
+    w_x = sys.clock_packet.grid.quad_weights() * sys.clock_packet.density()
+    m_op = clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab)
+    f = px / clock.p_bar
+    blocked = relkin._boost_moments(p, w_p, m_op, w_x, f)
+
+    b = time_boost(p[None, :], m_op[:, None])  # the whole n x n mesh at once
+    b_mode = b @ w_p
+    s_bar = float(w_x @ (f * b_mode))
+    s2_bar = float(w_x @ (f ** 2 * ((b * b) @ w_p)))
+    full = (b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0))
+    for got, want in zip(blocked, full):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
 
 
 class TestDispersionQuadratic:
