@@ -6,14 +6,15 @@ them (dilatation * rotation * parity * dilatation), the infinite-mass
 density matrix for a relative-position measurement.
 
 Charts are plain linear maps over body indices: q = A r and pi = B p with
-A B^T = 1 (canonical pairing).  Unitary frame changes act on amplitudes as
-push-forwards through these maps with the |det|^(-1/2) Jacobian factor.
+A B^T = 1 (canonical pairing).  Chart states are Gaussians: a unitary frame
+change pushes one through these maps with the |det|^(-1/2) Jacobian factor by
+updating its linear map and norm, so any chain of pushes leaves one Gaussian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -228,11 +229,25 @@ def arf_limit_chart(system: FrameSystem, mass_ratio: float = ARF_MASS_RATIO) -> 
 
 
 @dataclass(frozen=True, eq=False)
+class ChartGaussian:
+    """Amplitude norm * exp(-|q @ factor - center|^2) over chart coordinates q."""
+
+    factor: np.ndarray
+    center: np.ndarray
+    norm: float
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        z = np.asarray(q, dtype=float) @ self.factor  # the one (..., N) temporary
+        z -= self.center
+        return self.norm * np.exp(-np.einsum("...i,...i->...", z, z))
+
+
+@dataclass(frozen=True, eq=False)
 class ChartState:
     """Amplitude over chart coordinates: amplitude(Q) with Q.shape == (..., N)."""
 
     chart: JacobiChart
-    amplitude: Callable[[np.ndarray], np.ndarray]
+    amplitude: ChartGaussian
 
 
 def gaussian_chart_state(chart: JacobiChart, means: Sequence[float],
@@ -242,31 +257,22 @@ def gaussian_chart_state(chart: JacobiChart, means: Sequence[float],
     sig = np.asarray(widths, dtype=float)
     if mu.shape != (chart.size,) or sig.shape != (chart.size,):
         raise ConfigError("need one mean and one width per chart coordinate")
-    if np.any(sig <= 0):
-        raise NonPositiveWidth("chart-state widths must be positive")
+    if not np.all(np.isfinite(mu)):
+        raise ConfigError("chart-state means must be finite")
+    if not np.all((sig > 0) & np.isfinite(sig)):
+        raise NonPositiveWidth("chart-state widths must be positive and finite")
     norm = np.prod((2.0 * np.pi * sig ** 2) ** -0.25)
-
-    def amp(q: np.ndarray) -> np.ndarray:
-        z = np.asarray(q, dtype=float) - mu  # the one (..., N) temporary
-        z /= 2.0 * sig
-        return norm * np.exp(-np.einsum("...i,...i->...", z, z))
-
-    return ChartState(chart, amp)
+    return ChartState(chart, ChartGaussian(np.diag(1.0 / (2.0 * sig)), mu / (2.0 * sig), norm))
 
 
 def apply_transform(state: ChartState, op: ChartTransform) -> ChartState:
-    """Push the amplitude through q' = U q with the Jacobian factor."""
+    """Push through q' = U q: the factor becomes U^-T factor, the norm gains |det U|^(-1/2)."""
     if state.chart is not op.source and tuple(state.chart.ordering) != tuple(op.source.ordering):
         raise ChartMismatch(
             f"state on ordering {state.chart.ordering} fed to a transform from {op.source.ordering}")
-    u_inv_t = np.linalg.inv(op.matrix).T
-    scale = abs(np.linalg.det(op.matrix)) ** -0.5
-    inner = state.amplitude
-
-    def amp(q: np.ndarray) -> np.ndarray:
-        return scale * inner(np.asarray(q) @ u_inv_t)
-
-    return ChartState(op.target, amp)
+    g = state.amplitude
+    return ChartState(op.target, ChartGaussian(np.linalg.inv(op.matrix).T @ g.factor, g.center,
+                                               g.norm * abs(np.linalg.det(op.matrix)) ** -0.5))
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +340,9 @@ def _project(kernel: np.ndarray, delta: np.ndarray, bins):
     first closed on the left: (edges, matrix, masks, weights, dropped), with the
     kept bins' probabilities read off the projected diagonal."""
     edges = np.asarray(bins, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ConfigError("bins must be a strictly increasing edge array of length >= 2")
-    if edges[0] > delta[0] or edges[-1] < delta[-1]:
+    if not (edges[0] <= delta[0] and delta[-1] <= edges[-1]):
         raise ConfigError(f"bins [{edges[0]}, {edges[-1]}] do not cover the "
                           f"relative-coordinate range [{delta[0]}, {delta[-1]}]")
     idx = np.searchsorted(edges, delta, side="left") - 1
@@ -362,6 +368,8 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     capture no probability are dropped and recorded, not errors, unless every
     bin is empty.
     """
+    if not mesh_points >= 2:
+        raise ConfigError(f"mesh_points must be at least 2, got {mesh_points}")
     if isinstance(state, ReducedDensityMatrix):
         edges, matrix, _, weights, dropped = _project(state.matrix, state.delta_grid, bins)
         same = edges.size == state.bin_edges.size and np.allclose(edges, state.bin_edges)

@@ -47,7 +47,7 @@ from .packets import (
     sym_xp_covariance,
     variance,
 )
-from .sampling import choice_from_weights, inverse_cdf_sample, make_rng, variance_standard_error
+from .sampling import choice_from_weights, inverse_cdf_sample, make_rng, sample_moments
 
 #: Above this internal-to-rest energy ratio the factorized boost drifts.
 ALPHA_I_WARN = 0.1
@@ -179,6 +179,7 @@ def _boost_moments(p, w_p, m_op, w_m, f=1.0) -> tuple[np.ndarray, float, float]:
         b = time_boost(p[None, :], m_op[rows, None])
         b_mode[rows] = b @ w_p
         b2_mode[rows] = (b * b) @ w_p
+        del b  # else the next block is built while this one is still held
     s_bar = float(w_m @ (f * b_mode))
     s2_bar = float(w_m @ (f ** 2 * b2_mode))
     return b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0)
@@ -346,11 +347,6 @@ class EnsembleCheck:
     stderr_variance: float | np.ndarray
 
 
-def _sample_moments(t: np.ndarray) -> tuple[float, float, float, float]:
-    return (float(t.mean()), float(t.var(ddof=1)), float(t.std(ddof=1) / np.sqrt(t.size)),
-            variance_standard_error(t))
-
-
 def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, seed: int,
                       stream: int = 0, *, stats: TimeOperatorStats | None = None
                       ) -> EnsembleCheck:
@@ -366,7 +362,7 @@ def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, see
     slope, offset = _proper_time_sampler(sys)(n, make_rng(seed, stream))
     taus = np.asarray(tau0, dtype=float)
     # reduce each tau0's draws before the next: one row is held beside S and T
-    moments = [_sample_moments(slope * float(t) + offset) for t in taus.flat]
+    moments = [sample_moments(slope * float(t) + offset) for t in taus.flat]
     if taus.ndim == 0:
         return EnsembleCheck(*moments[0])
     return EnsembleCheck(*(np.reshape(col, taus.shape) for col in zip(*moments)))

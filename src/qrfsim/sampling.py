@@ -48,12 +48,21 @@ def choice_from_weights(weights: np.ndarray, n: int, rng: np.random.Generator) -
     return rng.choice(w.size, size=n, p=w / total)
 
 
-def variance_standard_error(samples: np.ndarray) -> float:
-    """Standard error of the sample variance (via the fourth central moment)."""
+def sample_moments(samples: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean, sample variance (ddof 1) and their standard errors, the variance's
+    via the fourth central moment, from one mean and one centred array."""
     x = np.asarray(samples, dtype=float)
     n = x.size
     m = x.mean()
-    s2 = x.var(ddof=1)
-    m4 = np.mean(np.square(np.square(x - m)))  # squaring twice: ** 4 goes through pow
+    d = x - m
+    np.square(d, out=d)
+    s2 = d.sum() / (n - 1)
+    m4 = np.square(d, out=d).mean()  # squaring twice: ** 4 goes through pow
     var_of_var = (m4 - s2 ** 2 * (n - 3) / (n - 1)) / n
-    return float(np.sqrt(max(var_of_var, 0.0)))
+    return (float(m), float(s2), float(np.sqrt(s2) / np.sqrt(n)),
+            float(np.sqrt(max(var_of_var, 0.0))))
+
+
+def variance_standard_error(samples: np.ndarray) -> float:
+    """Standard error of the sample variance (via the fourth central moment)."""
+    return sample_moments(samples)[3]

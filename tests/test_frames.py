@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrfsim.errors import BadLabel, ChartMismatch, ConfigError
+from qrfsim.errors import BadLabel, ChartMismatch, ConfigError, NonPositiveWidth
 from qrfsim.frames import (
     Body,
     FrameSystem,
@@ -147,20 +147,64 @@ def test_gaussian_pushforward_center():
 
 
 def test_chart_amplitude_holds_one_temporary():
-    chart = build_chart(FrameSystem.from_masses(np.linspace(1.0, 4.0, 8)), 1)
+    system = FrameSystem.from_masses(np.linspace(1.0, 4.0, 8))
     means, widths = np.linspace(-1.0, 1.0, 8), np.linspace(0.5, 2.0, 8)
-    state = gaussian_chart_state(chart, means, widths)
+    state = gaussian_chart_state(build_chart(system, 1), means, widths)
+    pushed = state
+    for op in exchange_chain(system, 8):  # seven exchanges: still one product
+        pushed = apply_transform(pushed, op)
     q = np.random.default_rng(3).normal(0.0, 2.0, (32768, 8))
-    tracemalloc.start()
-    try:
-        amp = state.amplitude(q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * q.nbytes
+    for s in (state, pushed):
+        tracemalloc.start()
+        try:
+            s.amplitude(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * q.nbytes
     norm = np.prod((2.0 * np.pi * widths ** 2) ** -0.25)
     expected = norm * np.exp(-np.sum((q - means) ** 2 / (4.0 * widths ** 2), axis=-1))
-    assert_allclose(amp, expected, rtol=1e-12, atol=0.0)
+    assert_allclose(state.amplitude(q), expected, rtol=1e-12, atol=0.0)
+    u = compose_transform(system, 1, 8).matrix
+    back = state.amplitude(q @ np.linalg.inv(u).T) / np.sqrt(abs(np.linalg.det(u)))
+    assert_allclose(pushed.amplitude(q), back, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_pushed_density_is_the_mapped_normal(n):
+    # |psi|^2 of a product Gaussian pushed through q' = U q is N(U mu, U diag(sig^2) U^T)
+    rng = np.random.default_rng(n)
+    system = FrameSystem.from_masses(rng.uniform(0.1, 10.0, n))
+    means, widths = rng.normal(0.0, 1.0, n), rng.uniform(0.3, 2.0, n)
+    state = gaussian_chart_state(build_chart(system, 1), means, widths)
+    label = int(rng.integers(2, n + 1))
+    u = compose_transform(system, 1, label).matrix
+    chained = state
+    for op in exchange_chain(system, label):
+        chained = apply_transform(chained, op)
+    direct = apply_transform(state, compose_transform(system, 1, label))
+
+    mean, cov = u @ means, u @ np.diag(widths ** 2) @ u.T
+    q = rng.multivariate_normal(mean, cov, 500)
+    logdet = np.linalg.slogdet(cov)[1]
+    z = q - mean
+    maha = np.sum(z * np.linalg.solve(cov, z.T).T, axis=-1)
+    pdf = np.exp(-0.5 * (maha + logdet + n * np.log(2.0 * np.pi)))
+    for pushed in (chained, direct):
+        assert pushed.chart.ordering == build_chart(system, label).ordering
+        assert_allclose(np.abs(pushed.amplitude(q)) ** 2, pdf, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("means, widths, error", [
+    ([0.0, np.nan, 0.0], [1.0, 1.0, 1.0], ConfigError),
+    ([0.0, np.inf, 0.0], [1.0, 1.0, 1.0], ConfigError),
+    ([0.0, 0.0, 0.0], [1.0, np.nan, 1.0], NonPositiveWidth),
+    ([0.0, 0.0, 0.0], [1.0, np.inf, 1.0], NonPositiveWidth),
+], ids=["nan-mean", "inf-mean", "nan-width", "inf-width"])
+def test_chart_state_inputs_fail_closed(means, widths, error):
+    chart = build_chart(FrameSystem.from_masses([1.0, 2.0, 4.0]), 1)
+    with pytest.raises(error):
+        gaussian_chart_state(chart, means, widths)
 
 
 def test_transform_rejects_wrong_chart():
@@ -337,3 +381,12 @@ def test_empty_bins_dropped_and_recorded():
 def test_bins_must_cover_support():
     with pytest.raises(ConfigError):
         measurement_reduce(_position_pair(), np.array([-0.5, 0.5]))
+    for edges in ([-50.0, np.nan, 50.0], [np.nan, 0.0, 50.0], [-50.0, 50.0, np.nan]):
+        with pytest.raises(ConfigError):
+            measurement_reduce(_position_pair(), np.array(edges))
+    for mesh_points in (1, 0):
+        with pytest.raises(ConfigError):
+            measurement_reduce(_position_pair(), np.array([-50.0, 50.0]), mesh_points)
+    # infinite outer edges cover any range
+    rho = measurement_reduce(_position_pair(), np.array([-np.inf, 0.0, np.inf]))
+    assert_allclose(rho.weights, [0.5, 0.5], atol=1e-6)

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from qrfsim import relkin
+from qrfsim import relkin, sampling
 from qrfsim.clocks import (
     FreeClockState,
     RotatorClockState,
@@ -179,7 +179,7 @@ class TestTauGrid:
         for i, tau0 in enumerate(self.TAUS):
             t = sample_proper_times(sys, float(tau0), 2000, seed=5, stream=3)
             assert (grid.mean[i], grid.variance[i], grid.stderr_mean[i],
-                    grid.stderr_variance[i]) == relkin._sample_moments(t)
+                    grid.stderr_variance[i]) == sampling.sample_moments(t)
 
     @pytest.mark.parametrize("length", [1, 3, 12])
     def test_monte_carlo_draws_once_per_table(self, build, length, monkeypatch):
