@@ -96,6 +96,8 @@ _BOUNDS = {
     "nonnegative": (lambda x: x >= 0, "ConfigError", ">= 0"),
     # make_rng keys stream s of seed n as n + (s << 32): larger seeds alias other streams
     "seed": (lambda x: 0 <= x < 2 ** 32, "ConfigError", "in [0, 2**32)"),
+    # a sample variance needs two draws
+    "mc_samples": (lambda x: x == 0 or x >= 2, "ConfigError", "0 (off) or >= 2"),
 }
 
 
@@ -142,7 +144,7 @@ def _check_field(spec: Field, v) -> Diagnostic | None:
 
 
 _SEED = Field("seed", "integer", "seed")
-_COMMON = (Field("grid_points", "integer", 16), Field("mc_samples", "integer", 0), _SEED)
+_COMMON = (Field("grid_points", "integer", 16), Field("mc_samples", "integer", "mc_samples"), _SEED)
 _PACKET = (Field("packet_center"), Field("packet_width", bound="positive"),
            Field("grid_min", required=False), Field("grid_max", required=False))
 _ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
@@ -341,7 +343,7 @@ def _dilation_table(sc: dict, sys_: RelClockSystem, model: str) -> ResultTable:
     s = proper_time_stats(sys_, taus)
     mc = itertools.repeat((None,) * 4)
     if sc["mc_samples"] > 0:
-        chk = mc_variance_check(sys_, taus, sc["mc_samples"], sc["seed"], stats=s)
+        chk = mc_variance_check(sys_, taus, sc["mc_samples"], sc["seed"])
         mc = zip(chk.mean, chk.variance, chk.stderr_mean, chk.stderr_variance)
     d_x = itertools.repeat(None) if s.d_x is None else s.d_x
     rows = [(t, mean, d_tau, s.d_b, s.g2, s.d0, dx) + row
@@ -390,8 +392,8 @@ def _run_frame_transform(sc: dict) -> ResultTable:
     packet = _packet(sc, m2)
     mapped = frame_to_frame(packet, m1, m2, sc["tau1"], sc["tau2"])
     back = frame_to_frame(mapped, m2, m1, sc["tau2"], sc["tau1"])
-    b_12 = expectation(packet, lambda p: m2 / np.sqrt(m2 ** 2 + p ** 2)).real
-    b_21 = expectation(mapped, lambda p: m1 / np.sqrt(m1 ** 2 + p ** 2)).real
+    b_12 = expectation(packet, lambda p: time_boost(p, m2)).real
+    b_21 = expectation(mapped, lambda p: time_boost(p, m1)).real
     rows = [
         ("input_center", sc["packet_center"]),
         ("mapped_center", mapped.center),

@@ -368,8 +368,8 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     capture no probability are dropped and recorded, not errors, unless every
     bin is empty.
     """
-    if not mesh_points >= 2:
-        raise ConfigError(f"mesh_points must be at least 2, got {mesh_points}")
+    if not (isinstance(mesh_points, (int, np.integer)) and mesh_points >= 2):
+        raise ConfigError(f"mesh_points must be an integer of at least 2, got {mesh_points!r}")
     if isinstance(state, ReducedDensityMatrix):
         edges, matrix, _, weights, dropped = _project(state.matrix, state.delta_grid, bins)
         same = edges.size == state.bin_edges.size and np.allclose(edges, state.bin_edges)

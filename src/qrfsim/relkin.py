@@ -6,13 +6,16 @@ frames are realized as per-mode variable substitutions with Jacobian
 amplitude factors, never as exponentiated generators.  The proper-time
 observable of a moving clock decomposes as tau_2 = B_2 tau_0 + theta(0)/2piw
 (rotator) or (p_x B_2 / pbar_x) tau_0 + mu x(0)/pbar_x (free clock), and all
-reported statistics are exact quadrature moments of those operators.
+reported statistics are exact quadrature moments of those operators.  Their
+tau_0-free coefficients belong to the system: RelClockSystem.time_operator
+computes them once, and proper_time_stats and mc_variance_check share them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +104,38 @@ def _external_weights(external) -> tuple[np.ndarray, np.ndarray]:
     raise ConfigError(f"unsupported external state {type(external).__name__}")
 
 
+@dataclass(frozen=True)
+class TimeOperatorStats:
+    """Mean and dispersion of another frame's proper time after observer time tau0.
+
+    tau_2 = S tau0 + T: slope, offset, d_b, g2, d0 and the free clock's
+    velocity spread v do not depend on tau0, and tau_mean, d_tau =
+    d_b*tau0^2 + g2*tau0 + d0 and d_x = d0 + v*tau0^2 (free clock only) are
+    evaluated from them, as floats or arrays as tau0 was given.
+    """
+
+    slope: float
+    offset: float
+    d_b: float
+    g2: float
+    d0: float
+    model: str
+    v: float | None = None
+    tau0: float | np.ndarray = 0.0
+
+    @property
+    def tau_mean(self) -> float | np.ndarray:
+        return self.slope * self.tau0 + self.offset
+
+    @property
+    def d_tau(self) -> float | np.ndarray:
+        return self.d_b * self.tau0 ** 2 + self.g2 * self.tau0 + self.d0
+
+    @property
+    def d_x(self) -> float | np.ndarray | None:
+        return None if self.v is None else self.d0 + self.v * self.tau0 ** 2
+
+
 @dataclass(frozen=True, eq=False)
 class RelClockSystem:
     """A clock-carrying body: rest mass, external momentum state, internal clock."""
@@ -145,28 +180,48 @@ class RelClockSystem:
             energy = expectation(self.clock_packet, lambda p: p * p).real / (2 * self.clock.mu_ab)
         return abs(float(energy)) / self.rest_mass
 
-
-@dataclass(frozen=True)
-class TimeOperatorStats:
-    """Mean and dispersion of another frame's proper time after observer time tau0.
-
-    d_tau is assembled as d_b*tau0^2 + g2*tau0 + d0 from the reported
-    coefficients; d_x additionally folds the free clock's velocity spread.
-    tau0, tau_mean, d_tau and d_x are floats or arrays, as tau0 was given.
-    """
-
-    tau_mean: float | np.ndarray
-    d_tau: float | np.ndarray
-    d_b: float
-    g2: float
-    d0: float
-    tau0: float | np.ndarray
-    model: str
-    d_x: float | np.ndarray | None = None
+    @cached_property
+    def time_operator(self) -> TimeOperatorStats:
+        """The tau0-free coefficients of tau_2 = S tau0 + T, computed on first use
+        and shared by proper_time_stats and mc_variance_check (tau0 = 0)."""
+        clock = self.clock
+        p, w_p = _external_weights(self.external)
+        if isinstance(clock, RotatorClockState):
+            b_mode, slope, d_b = _boost_moments(p, w_p, _rotator_mode_masses(self.rest_mass, clock),
+                                                np.abs(clock.coefficients) ** 2)
+            # theta = phi + u on the peak-centred branch; phi is a constant, so the
+            # boost-angle covariance is that of u in the recentred coefficients
+            scale = 2 * np.pi * clock.omega
+            d0 = angle_moments(clock).variance_full / scale ** 2
+            phi, centered = recenter(clock)
+            c = centered.coefficients
+            theta = theta_matrix(clock.n_states)
+            u_bar = float(np.real(np.conj(c) @ theta @ c))
+            overlap = np.conj(c)[:, None] * c[None, :] * theta
+            anticom = float(np.real(np.sum(overlap * (b_mode[:, None] + b_mode[None, :]))))
+            g2 = (anticom - 2 * slope * u_bar) / scale
+            return TimeOperatorStats(slope, (phi + u_bar) / scale, d_b, g2, d0, "rotator")
+        pk_x = self.clock_packet
+        px = pk_x.grid.points
+        wx = pk_x.grid.quad_weights() * pk_x.density()
+        pbar, mu = clock.p_bar, clock.mu_ab
+        b_ext, slope, d_b = _boost_moments(p, w_p, _freeclock_mass_operator(clock, px), wx,
+                                           px / pbar)
+        b_bar = float(wx @ b_ext)
+        cross = 2.0 * sym_xp_covariance(pk_x)
+        d0 = (mu / pbar) ** 2 * position_variance(pk_x)
+        g2 = (mu / pbar ** 2) * b_bar * cross
+        v = (variance(pk_x, lambda q: q) / pbar ** 2) * b_bar ** 2  # velocity spread
+        return TimeOperatorStats(slope, mu * position_mean(pk_x) / pbar, d_b, g2, d0,
+                                 "freeclock", v)
 
 
 def _rotator_mode_masses(rest_mass: float, clock: RotatorClockState) -> np.ndarray:
     return rest_mass + 2 * np.pi * clock.omega * clock.m_values
+
+
+def _freeclock_mass_operator(clock: FreeClockState, px: np.ndarray) -> np.ndarray:
+    return clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab)
 
 
 def _boost_moments(p, w_p, m_op, w_m, f=1.0) -> tuple[np.ndarray, float, float]:
@@ -185,53 +240,11 @@ def _boost_moments(p, w_p, m_op, w_m, f=1.0) -> tuple[np.ndarray, float, float]:
     return b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0)
 
 
-def _stats(sys: RelClockSystem, tau0) -> TimeOperatorStats:
-    """Both clock models: tau_2 = S tau0 + T, so each branch computes only the
-    tau0-free coefficients, and the tau0 polynomials are evaluated once below."""
-    clock = sys.clock
-    p, w_p = _external_weights(sys.external)
-    if isinstance(clock, RotatorClockState):
-        model, v = "rotator", None
-        b_mode, slope, d_b = _boost_moments(p, w_p, _rotator_mode_masses(sys.rest_mass, clock),
-                                            np.abs(clock.coefficients) ** 2)
-        # theta = phi + u on the peak-centred branch; phi is a constant, so the
-        # boost-angle covariance is that of u in the recentred coefficients
-        scale = 2 * np.pi * clock.omega
-        d0 = angle_moments(clock).variance_full / scale ** 2
-        phi, centered = recenter(clock)
-        c = centered.coefficients
-        theta = theta_matrix(clock.n_states)
-        u_bar = float(np.real(np.conj(c) @ theta @ c))
-        overlap = np.conj(c)[:, None] * c[None, :] * theta
-        anticom = float(np.real(np.sum(overlap * (b_mode[:, None] + b_mode[None, :]))))
-        g2 = (anticom - 2 * slope * u_bar) / scale
-        offset = (phi + u_bar) / scale
-    else:
-        model = "freeclock"
-        pk_x = sys.clock_packet
-        px = pk_x.grid.points
-        wx = pk_x.grid.quad_weights() * pk_x.density()
-        pbar, mu = clock.p_bar, clock.mu_ab
-        m_op = clock.m_a + clock.m_b + px ** 2 / (2 * mu)
-        b_ext, slope, d_b = _boost_moments(p, w_p, m_op, wx, px / pbar)
-        b_bar = float(wx @ b_ext)
-        cross = 2.0 * sym_xp_covariance(pk_x)
-        d0 = (mu / pbar) ** 2 * position_variance(pk_x)
-        g2 = (mu / pbar ** 2) * b_bar * cross
-        v = (variance(pk_x, lambda q: q) / pbar ** 2) * b_bar ** 2  # velocity spread
-        offset = mu * position_mean(pk_x) / pbar
-
-    tau_mean = slope * tau0 + offset
-    d_tau = d_b * tau0 ** 2 + g2 * tau0 + d0
-    d_x = None if v is None else d0 + v * tau0 ** 2
-    return TimeOperatorStats(tau_mean, d_tau, d_b, g2, d0, tau0, model, d_x)
-
-
 def proper_time_stats(sys: RelClockSystem, tau0: float | np.ndarray) -> TimeOperatorStats:
-    """Proper-time statistics at observer time tau0, a float or a 1D array;
-    the tau0-free coefficients are computed once for all entries."""
+    """Proper-time statistics at observer time tau0, a float or a 1D array,
+    from the system's tau0-free coefficients."""
     t = np.asarray(tau0, dtype=float)
-    return _stats(sys, float(t) if t.ndim == 0 else t)
+    return replace(sys.time_operator, tau0=float(t) if t.ndim == 0 else t)
 
 
 # --- boosted evolution -------------------------------------------------------
@@ -284,56 +297,44 @@ def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:
 
 # --- Monte-Carlo oracle ------------------------------------------------------
 
-def _proper_time_sampler(sys: RelClockSystem):
-    """draw(n, rng) -> (S, T): n ensemble draws of the proper-time observable's
-    slope and offset, tau_2 = S tau0 + T, so one ensemble serves every tau0.
+def _ensemble(sys: RelClockSystem, n: int, seed: int, stream: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(S, T): n ensemble draws from stream (seed, stream) of the proper-time
+    observable's slope and offset, tau_2 = S tau0 + T, so one ensemble serves
+    every tau0.
 
     Momenta, clock modes and clock offsets are drawn, in that order, from their
-    marginal tables, built here once; this reproduces the operator mean always
-    and the variance whenever the boost-angle cross moment g2 vanishes.  Angles
-    are drawn on the peak-centred branch theta = phi + u of `recenter`.
+    marginal tables; this reproduces the operator mean always and the variance
+    whenever the boost-angle cross moment g2 vanishes.  Angles are drawn on the
+    peak-centred branch theta = phi + u of `recenter`.
     """
+    rng = make_rng(seed, stream)
     ext, clock = sys.external, sys.clock
-    p_weights = ext.density() if isinstance(ext, WavePacket) else ext.probabilities
-
-    def draw_p(n, rng):
-        if isinstance(ext, WavePacket):
-            return inverse_cdf_sample(ext.grid.points, p_weights, n, rng)
-        return ext.points[choice_from_weights(p_weights, n, rng)]
-
+    if isinstance(ext, WavePacket):
+        p = inverse_cdf_sample(ext.grid.points, ext.density(), n, rng)
+    else:
+        p = ext.points[choice_from_weights(ext.probabilities, n, rng)]
     if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
         us = np.linspace(-np.pi, np.pi, ANGLE_TABLE_POINTS)
-        u_density = angular_density(centered, us)
-
-        def draw(n, rng):
-            p = draw_p(n, rng)
-            m = clock.m_values[choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
-            theta = phi + inverse_cdf_sample(us, u_density, n, rng)
-            b = time_boost(p, _rotator_mode_masses(sys.rest_mass, clock)[m + clock.j_z])
-            return b, theta / (2 * np.pi * clock.omega)
-        return draw
-
+        m = clock.m_values[choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
+        theta = phi + inverse_cdf_sample(us, angular_density(centered, us), n, rng)
+        b = time_boost(p, _rotator_mode_masses(sys.rest_mass, clock)[m + clock.j_z])
+        return b, theta / (2 * np.pi * clock.omega)
     pk_x = sys.clock_packet
-    px_density = pk_x.density()
+    px = inverse_cdf_sample(pk_x.grid.points, pk_x.density(), n, rng)
     sig_x = np.sqrt(position_variance(pk_x))
     x0 = position_mean(pk_x)
     xs = np.linspace(x0 - 10 * sig_x, x0 + 10 * sig_x, 16384)
-    x_density = np.abs(position_wavefunction(pk_x, xs)) ** 2
-
-    def draw(n, rng):
-        p = draw_p(n, rng)
-        px = inverse_cdf_sample(pk_x.grid.points, px_density, n, rng)
-        x = inverse_cdf_sample(xs, x_density, n, rng)
-        b = time_boost(p, clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab))
-        return px * b / clock.p_bar, clock.mu_ab * x / clock.p_bar
-    return draw
+    x = inverse_cdf_sample(xs, np.abs(position_wavefunction(pk_x, xs)) ** 2, n, rng)
+    b = time_boost(p, _freeclock_mass_operator(clock, px))
+    return px * b / clock.p_bar, clock.mu_ab * x / clock.p_bar
 
 
 def sample_proper_times(sys: RelClockSystem, tau0: float, n: int,
                         seed: int, stream: int = 0) -> np.ndarray:
     """n ensemble draws of the proper time at tau0 from stream (seed, stream)."""
-    slope, offset = _proper_time_sampler(sys)(n, make_rng(seed, stream))
+    slope, offset = _ensemble(sys, n, seed, stream)
     return slope * tau0 + offset
 
 
@@ -348,18 +349,18 @@ class EnsembleCheck:
 
 
 def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, seed: int,
-                      stream: int = 0, *, stats: TimeOperatorStats | None = None
-                      ) -> EnsembleCheck:
-    """Ensemble moments at tau0, a float or an array, from one ensemble of n
+                      stream: int = 0) -> EnsembleCheck:
+    """Ensemble moments at tau0, a float or an array, from one ensemble of n >= 2
     draws on stream (seed, stream) that serves every tau0: the entries are
     correlated, and each entry's marginal is exact.  Refuses states with a
-    boost-angle cross moment g2 it would miss; stats, when given, are this
-    system's proper_time_stats and spare recomputing g2."""
-    s = _stats(sys, 0.0) if stats is None else stats
+    boost-angle cross moment g2 it would miss."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ConfigError(f"a sample variance needs an integer of at least 2 draws, got {n!r}")
+    s = sys.time_operator
     if not abs(s.g2) <= 1e-6 * 2 * np.sqrt(s.d_b * s.d0):
         raise ConfigError(f"g2 = {s.g2:.6g} correlates boost and clock offset; "
                           "the Monte-Carlo ensemble cannot check this state")
-    slope, offset = _proper_time_sampler(sys)(n, make_rng(seed, stream))
+    slope, offset = _ensemble(sys, n, seed, stream)
     taus = np.asarray(tau0, dtype=float)
     # reduce each tau0's draws before the next: one row is held beside S and T
     moments = [sample_moments(slope * float(t) + offset) for t in taus.flat]
@@ -376,12 +377,8 @@ class TwoBodyKinematics:
 
     m1: float
     m2: float
-    p1: np.ndarray
-    p2: np.ndarray
-    e1: np.ndarray
     e2: np.ndarray
     p12: np.ndarray
-    e12: np.ndarray
     e_s: np.ndarray
     s12: np.ndarray
     q12: np.ndarray
@@ -406,7 +403,7 @@ class TwoBodyKinematics:
         e_s = m1 + e12
         s12 = np.sqrt((e1 + e2) ** 2 - np.sum((p1 + p2) ** 2, axis=-1))
         q12 = m1 * p12 / s12[..., None]
-        return cls(m1, m2, p1, p2, e1, e2, p12, e12, e_s, s12, q12)
+        return cls(m1, m2, e2, p12, e_s, s12, q12)
 
     @classmethod
     def from_z_momenta(cls, m1: float, m2: float, p1z: np.ndarray, p2z: np.ndarray) -> "TwoBodyKinematics":
@@ -439,11 +436,9 @@ def evolve_in_frame(kin: TwoBodyKinematics, packet: WavePacket, tau1: float) -> 
 
 
 def kg_square_check(kin: TwoBodyKinematics, packet: WavePacket) -> float:
-    """Residual of (H1 - m1)^2 = m2^2 + p12^2 over populated modes."""
-    p = packet.grid.points
-    h = kin.m1 + np.sqrt(kin.m2 ** 2 + p ** 2)
-    lhs = (h - kin.m1) ** 2
-    rhs = kin.m2 ** 2 + p ** 2
+    """Residual of (E_s - m1)^2 = m2^2 + |p12|^2 over the modes the packet populates."""
+    lhs = (kin.e_s - kin.m1) ** 2
+    rhs = kin.m2 ** 2 + np.sum(kin.p12 ** 2, axis=-1)
     populated = packet.density() > 1e-30
     return float(np.max(np.abs(lhs[populated] - rhs[populated])))
 
@@ -458,9 +453,6 @@ def pair_invariant_mass(m2: float, m3: float, p2z: np.ndarray, p3z: np.ndarray) 
 class ClusterHamiltonian:
     """Two-particle cluster seen from frame 1, reduced to (s23, p23) variables."""
 
-    m1: float
-    m2: float
-    m3: float
     s23: np.ndarray
     p23: np.ndarray
     q23: np.ndarray
@@ -478,7 +470,7 @@ def cluster_hamiltonian(m1: float, packet_g2: WavePacket, packet_g3: WavePacket)
     p23 = p2 + p3
     q23 = (p2 * e3 - p3 * e2) / s23    # pair-internal momentum, collinear form
     energies = m1 + np.sqrt(s23 ** 2 + p23 ** 2)
-    return ClusterHamiltonian(m1, m2, m3, s23, p23, q23, energies)
+    return ClusterHamiltonian(s23, p23, q23, energies)
 
 
 # --- Newton-Wigner coordinate ------------------------------------------------

@@ -170,6 +170,25 @@ def test_working_set_over_the_cap_fails_closed(tmp_path, capsys, monkeypatch, pa
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["rotator-dilation", "freeclock-dilation"])
+def test_one_monte_carlo_draw_fails_closed(tmp_path, capsys, name):
+    # a sample variance needs two draws; one draw would write NaN columns
+    payload = _edited(name, mc_samples=1, grid_points=256)
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["validate", "--scenario", path]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("mc_samples: ConfigError: ")
+    sweep = write_scenario(tmp_path, dict(payload, sweep={"tau_grid": [[1.0], [2.0]]}),
+                           "sweep.json")
+    shipped = str(SCENARIO_DIR / f"{name}.json")
+    for argv in (["run", "--scenario", path], ["sweep", "--scenario", sweep],
+                 ["run", "--scenario", shipped, "--mc-samples", "1"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "mc_samples: ConfigError: " in err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("payload", [
     _edited("freeclock-dilation", mc_samples=0),
     *(_edited("rotator-dilation", mc_samples=0, j_z=j_z, omega=0.004) for j_z in (4, 12, 24)),
@@ -211,13 +230,13 @@ def test_freeclock_table_builds_its_position_table_once(tmp_path, monkeypatch):
 
 def test_dilation_table_computes_its_coefficients_once(tmp_path, monkeypatch):
     calls = []
-    original = relkin._stats
+    original = relkin._boost_moments
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(relkin, "_stats", counted)
+    monkeypatch.setattr(relkin, "_boost_moments", counted)
     for name in ("freeclock-dilation", "rotator-dilation"):
         path = write_scenario(tmp_path, _edited(name, mc_samples=1000, grid_points=256))
         assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0

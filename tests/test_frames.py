@@ -384,7 +384,7 @@ def test_bins_must_cover_support():
     for edges in ([-50.0, np.nan, 50.0], [np.nan, 0.0, 50.0], [-50.0, 50.0, np.nan]):
         with pytest.raises(ConfigError):
             measurement_reduce(_position_pair(), np.array(edges))
-    for mesh_points in (1, 0):
+    for mesh_points in (1, 0, 2.5):
         with pytest.raises(ConfigError):
             measurement_reduce(_position_pair(), np.array([-50.0, 50.0]), mesh_points)
     # infinite outer edges cover any range

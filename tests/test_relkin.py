@@ -1,5 +1,7 @@
 """Relativistic layer: time dilation statistics, boosts, frame changes."""
 
+from dataclasses import replace
+
 import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
@@ -184,28 +186,37 @@ class TestTauGrid:
     @pytest.mark.parametrize("length", [1, 3, 12])
     def test_monte_carlo_draws_once_per_table(self, build, length, monkeypatch):
         draws = []
-        factory = relkin._proper_time_sampler
+        ensemble = relkin._ensemble
 
-        def counting(sys):
-            draw = factory(sys)
+        def counted(sys, n, seed, stream):
+            draws.append(n)
+            return ensemble(sys, n, seed, stream)
 
-            def counted(n, rng):
-                draws.append(n)
-                return draw(n, rng)
-            return counted
-
-        monkeypatch.setattr(relkin, "_proper_time_sampler", counting)
+        monkeypatch.setattr(relkin, "_ensemble", counted)
         mc_variance_check(build(), np.linspace(0.0, 50.0, length), 500, seed=2)
         assert draws == [500]
 
-    def test_given_stats_spare_the_guard_its_coefficients(self, build, monkeypatch):
+    def test_stats_and_guard_build_one_boost_mesh(self, build, monkeypatch):
+        expected = mc_variance_check(build(), self.TAUS, 500, seed=2)
+        meshes = []
+        boost_moments = relkin._boost_moments
+
+        def counted(*args):
+            meshes.append(1)
+            return boost_moments(*args)
+
+        monkeypatch.setattr(relkin, "_boost_moments", counted)
         sys = build()
-        stats = proper_time_stats(sys, self.TAUS)
-        expected = mc_variance_check(sys, self.TAUS, 500, seed=2)
-        monkeypatch.setattr(relkin, "_stats", None)  # any call would fail
-        given = mc_variance_check(sys, self.TAUS, 500, seed=2, stats=stats)
+        proper_time_stats(sys, self.TAUS)
+        shared = mc_variance_check(sys, self.TAUS, 500, seed=2)
+        assert len(meshes) == 1
         for field in ("mean", "variance", "stderr_mean", "stderr_variance"):
-            assert np.array_equal(getattr(given, field), getattr(expected, field))
+            assert np.array_equal(getattr(shared, field), getattr(expected, field))
+
+    @pytest.mark.parametrize("n", [0, 1, 2.5])
+    def test_monte_carlo_needs_two_draws(self, build, n):
+        with pytest.raises(ConfigError, match="2 draws"):
+            mc_variance_check(build(), self.TAUS, n, seed=2)
 
 
 @pytest.mark.parametrize("n, rtol", [(2048, 0.0), (1001, 1e-15)])
@@ -480,6 +491,8 @@ class TestFrameEvolution:
         g2 = make_gaussian(default_grid(0.5, 0.05), 0.5, 0.05, mass=0.7)
         kin = two_body_kinematics(1.3, f1, g2)
         assert kg_square_check(kin, g2) <= 1e-10
+        # the residual is read from the record, so a wrong boost shows
+        assert kg_square_check(replace(kin, p12=1.01 * kin.p12), g2) > 1e-3
 
     def test_centroid_moves_at_group_velocity(self):
         from qrfsim.relkin import evolve_in_frame
