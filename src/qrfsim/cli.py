@@ -196,7 +196,7 @@ _PER_POINT, _PER_DRAW = 160, 48
 
 def _rotator_bytes(sc):
     modes, n, mc = 2 * int(sc["j_z"]) + 1, int(sc["grid_points"]), int(sc["mc_samples"])
-    return {"grid_points": (16 * modes + _PER_POINT) * n,
+    return {"grid_points": 16 * min(modes, BOOST_BLOCK_ROWS) * n + _PER_POINT * n,
             "j_z": 32 * ANGLE_TABLE_POINTS * modes if mc > 0 else 0,
             "mc_samples": _PER_DRAW * mc}
 
@@ -338,7 +338,7 @@ def _packet(sc: dict, mass: float) -> WavePacket:
     return make_gaussian(grid, sc["packet_center"], sc["packet_width"], mass=mass)
 
 
-def _dilation_table(sc: dict, sys_: RelClockSystem, model: str) -> ResultTable:
+def _dilation_table(sc: dict, sys_: RelClockSystem) -> ResultTable:
     taus = np.asarray(sc["tau_grid"], dtype=float)
     s = proper_time_stats(sys_, taus)
     mc = itertools.repeat((None,) * 4)
@@ -353,19 +353,18 @@ def _dilation_table(sc: dict, sys_: RelClockSystem, model: str) -> ResultTable:
                ("mc_mean", "time"), ("mc_variance", "time^2"),
                ("mc_stderr_mean", "time"), ("mc_stderr_variance", "time^2"))
     return ResultTable(sc["name"], columns, rows,
-                       {"model": model, "alpha_i": sys_.alpha_i})
+                       {"model": s.model, "alpha_i": sys_.alpha_i})
 
 
 def _run_rotator_dilation(sc: dict) -> ResultTable:
     clock = rotator_init(sc["j_z"], sc["omega"])
-    sys_ = RelClockSystem(sc["rest_mass"], _packet(sc, sc["rest_mass"]), clock)
-    return _dilation_table(sc, sys_, "rotator")
+    return _dilation_table(sc, RelClockSystem(sc["rest_mass"], _packet(sc, sc["rest_mass"]), clock))
 
 
 def _run_freeclock_dilation(sc: dict) -> ResultTable:
     mass = sc["m_a"] + sc["m_b"]
     clock = FreeClockState(sc["m_a"], sc["m_b"], sc["p_bar"], sc["a_x"])
-    return _dilation_table(sc, RelClockSystem(mass, _packet(sc, mass), clock), "freeclock")
+    return _dilation_table(sc, RelClockSystem(mass, _packet(sc, mass), clock))
 
 
 def _run_entangled(sc: dict) -> ResultTable:

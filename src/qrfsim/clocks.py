@@ -2,8 +2,8 @@
 
 Two clocks: a rotator whose hand angle tracks time with N^-2 dispersion, and
 a free-particle clock reading time off a path length.  The rotator's angular
-moments are computed exactly from coefficient autocorrelations (the density's
-Fourier modes), never by angular quadrature; only the main-lobe variance uses
+moments are computed exactly as one weighted lag sum over the coefficients'
+correlation, never by angular quadrature; only the main-lobe variance uses
 a short Gauss-Legendre rule.
 """
 
@@ -40,10 +40,11 @@ class RotatorClockState:
     elapsed: float = 0.0
 
     def __post_init__(self):
-        if self.j_z < 1 or int(self.j_z) != self.j_z:
+        if not (1 <= self.j_z < np.inf and int(self.j_z) == self.j_z):
             raise ConfigError(f"J_z must be a positive integer, got {self.j_z}")
-        if not self.omega > 0:
-            raise NonPositiveWidth(f"rotation frequency must be positive, got {self.omega}")
+        if not 0 < self.omega < np.inf:
+            raise NonPositiveWidth(f"rotation frequency must be positive and finite, "
+                                   f"got {self.omega}")
         c = np.asarray(self.coefficients, dtype=complex)
         object.__setattr__(self, "coefficients", c)
         if c.shape != (2 * self.j_z + 1,):
@@ -74,12 +75,12 @@ class FreeClockState:
     a_x: float
 
     def __post_init__(self):
-        if not (self.m_a > 0 and self.m_b > 0):
-            raise NonPositiveWidth("constituent masses must be positive")
-        if self.p_bar == 0.0:
-            raise ZeroMeanMomentum("free-particle clock needs a nonzero mean momentum")
-        if not self.a_x > 0:
-            raise NonPositiveWidth("position width a_x must be positive")
+        if not (0 < self.m_a < np.inf and 0 < self.m_b < np.inf):
+            raise NonPositiveWidth("constituent masses must be positive and finite")
+        if not (self.p_bar != 0.0 and np.isfinite(self.p_bar)):
+            raise ZeroMeanMomentum("free-particle clock needs a finite nonzero mean momentum")
+        if not 0 < self.a_x < np.inf:
+            raise NonPositiveWidth("position width a_x must be positive and finite")
 
     @property
     def mu_ab(self) -> float:
@@ -134,9 +135,16 @@ class AngleMoments:
     lobe_mass: float      # probability captured by the main lobe
 
 
-def _autocorrelations(c: np.ndarray) -> np.ndarray:
-    n = c.size
-    return np.array([np.sum(np.conj(c[: n - k]) * c[k:]) for k in range(n)])
+def branch_forms(x: np.ndarray, y: np.ndarray) -> tuple[complex, complex]:
+    """(x^H u y, x^H u^2 y) for the branch angle u in (-pi, pi], x and y in the
+    m basis: one correlation over the lags k = m - m', weighted by the closed-form
+    elements (-1)^k/(ik) of u (0 at k = 0) and 2(-1)^k/k^2 of u^2 (pi^2/3 at 0)."""
+    r = np.correlate(y, x, "full")
+    k = np.arange(1 - x.size, x.size)
+    sign, k_safe = (-1.0) ** k, np.where(k == 0, 1, k)
+    u = np.where(k == 0, 0.0, sign / (1j * k_safe))
+    u2 = np.where(k == 0, np.pi ** 2 / 3.0, 2.0 * sign / k_safe ** 2)
+    return complex(r @ u), complex(r @ u2)
 
 
 def recenter(state: RotatorClockState) -> tuple[float, RotatorClockState]:
@@ -156,16 +164,12 @@ def recenter(state: RotatorClockState) -> tuple[float, RotatorClockState]:
 
 
 def angle_moments(state: RotatorClockState) -> AngleMoments:
-    n = state.n_states
     peak, centered = recenter(state)
-    a = _autocorrelations(centered.coefficients)
-    k = np.arange(1, n)
-    sign = (-1.0) ** k
-    mean_u = float(np.sum(sign * 2.0 * a[1:].imag / k))
-    m2_u = float(np.pi ** 2 / 3.0 + np.sum(sign * 4.0 * a[1:].real / k ** 2))
+    c = centered.coefficients
+    mean_u, m2_u = (f.real for f in branch_forms(c, c))
     var_full = max(m2_u - mean_u ** 2, 0.0)
 
-    half = 2.0 * np.pi / n
+    half = 2.0 * np.pi / state.n_states
     nodes, weights = np.polynomial.legendre.leggauss(_LOBE_NODES)
     u = nodes * half
     w = weights * half
@@ -210,8 +214,6 @@ def freeclock_packet(state: FreeClockState, n: int = 2048) -> WavePacket:
 
 def freeclock_read(packet: WavePacket, state: FreeClockState, t: float) -> ClockReadout:
     """Path-length time estimate mu*x(t)/p_bar from the emitted particle."""
-    if state.p_bar == 0.0:
-        raise ZeroMeanMomentum("free-particle clock needs a nonzero mean momentum")
     mu, pbar = state.mu_ab, state.p_bar
     p_mean = expectation(packet, lambda p: p).real
     p_var = variance(packet, lambda p: p)

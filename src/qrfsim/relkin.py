@@ -23,12 +23,11 @@ from .clocks import (
     ClockReadout,
     FreeClockState,
     RotatorClockState,
-    angle_moments,
     angular_density,
+    branch_forms,
     freeclock_packet,
     recenter,
     rotator_evolve_rest,
-    theta_matrix,
 )
 from .errors import (
     ClockModelMismatch,
@@ -190,16 +189,14 @@ class RelClockSystem:
             b_mode, slope, d_b = _boost_moments(p, w_p, _rotator_mode_masses(self.rest_mass, clock),
                                                 np.abs(clock.coefficients) ** 2)
             # theta = phi + u on the peak-centred branch; phi is a constant, so the
-            # boost-angle covariance is that of u in the recentred coefficients
+            # boost-angle covariance is that of u in the recentred coefficients:
+            # <{B - slope, u}> = 2 Re <c|u (B - slope)|c>, as u is Hermitian
             scale = 2 * np.pi * clock.omega
-            d0 = angle_moments(clock).variance_full / scale ** 2
             phi, centered = recenter(clock)
             c = centered.coefficients
-            theta = theta_matrix(clock.n_states)
-            u_bar = float(np.real(np.conj(c) @ theta @ c))
-            overlap = np.conj(c)[:, None] * c[None, :] * theta
-            anticom = float(np.real(np.sum(overlap * (b_mode[:, None] + b_mode[None, :]))))
-            g2 = (anticom - 2 * slope * u_bar) / scale
+            u_bar, u2 = (f.real for f in branch_forms(c, c))
+            d0 = max(u2 - u_bar ** 2, 0.0) / scale ** 2
+            g2 = 2 * branch_forms(c, (b_mode - slope) * c)[0].real / scale
             return TimeOperatorStats(slope, (phi + u_bar) / scale, d_b, g2, d0, "rotator")
         pk_x = self.clock_packet
         px = pk_x.grid.points
@@ -317,9 +314,11 @@ def _ensemble(sys: RelClockSystem, n: int, seed: int, stream: int
     if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
         us = np.linspace(-np.pi, np.pi, ANGLE_TABLE_POINTS)
-        m = clock.m_values[choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
+        # index the mode masses at once: the drawn indices are not held beside B_2
+        m2 = _rotator_mode_masses(sys.rest_mass, clock)[
+            choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
         theta = phi + inverse_cdf_sample(us, angular_density(centered, us), n, rng)
-        b = time_boost(p, _rotator_mode_masses(sys.rest_mass, clock)[m + clock.j_z])
+        b = time_boost(p, m2)
         return b, theta / (2 * np.pi * clock.omega)
     pk_x = sys.clock_packet
     px = inverse_cdf_sample(pk_x.grid.points, pk_x.density(), n, rng)
@@ -363,10 +362,9 @@ def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, see
     slope, offset = _ensemble(sys, n, seed, stream)
     taus = np.asarray(tau0, dtype=float)
     # reduce each tau0's draws before the next: one row is held beside S and T
-    moments = [sample_moments(slope * float(t) + offset) for t in taus.flat]
-    if taus.ndim == 0:
-        return EnsembleCheck(*moments[0])
-    return EnsembleCheck(*(np.reshape(col, taus.shape) for col in zip(*moments)))
+    moments = np.reshape([sample_moments(slope * float(t) + offset) for t in taus.flat],
+                         taus.shape + (4,))
+    return EnsembleCheck(*(col[()] for col in np.moveaxis(moments, -1, 0)))
 
 
 # --- two-body kinematics -----------------------------------------------------

@@ -201,7 +201,8 @@ def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
     (_edited("freeclock-dilation", grid_points=1024, mc_samples=0), cli._freeclock_bytes),
     (_edited("rotator-dilation", grid_points=256, mc_samples=200000, tau_grid=[1.0]),
      cli._rotator_bytes),
-], ids=["freeclock-mesh", "rotator-mc"])
+    (_edited("rotator-dilation", j_z=1000, omega=1e-5, mc_samples=0), cli._rotator_bytes),
+], ids=["freeclock-mesh", "rotator-mc", "rotator-modes"])
 def test_working_set_estimate_tracks_the_traced_peak(payload, estimate):
     tracemalloc.start()
     try:

@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 
 from qrfsim.clocks import (
     FreeClockState,
+    RotatorClockState,
     angle_moments,
     angular_density,
+    branch_forms,
     freeclock_packet,
     freeclock_read,
     rotator_evolve_rest,
@@ -17,7 +19,7 @@ from qrfsim.clocks import (
     rotator_read,
     theta_matrix,
 )
-from qrfsim.errors import NonPositiveWidth, ZeroMeanMomentum
+from qrfsim.errors import ConfigError, NonPositiveWidth, ZeroMeanMomentum
 from qrfsim.packets import evolve_free, position_variance, variance
 
 
@@ -147,6 +149,19 @@ def test_angle_matrix_against_quadrature():
             assert_allclose(mat[a, b], val, atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [3, 4, 9, 17, 40, 41])
+def test_branch_forms_match_dense_products(n):
+    # dense oracle: theta_matrix for u, and u^2 from its own closed form
+    # <m'|u^2|m> = pi^2/3 on the diagonal, 2 (-1)^k / k^2 at k = m - m' != 0
+    rng = np.random.default_rng(n)
+    x, y = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    k = np.arange(n)[None, :] - np.arange(n)[:, None]
+    u2 = np.where(k == 0, np.pi ** 2 / 3, 2.0 * (-1.0) ** k / np.where(k == 0, 1, k) ** 2)
+    got_u, got_u2 = branch_forms(x, y)
+    assert_allclose(got_u, np.conj(x) @ theta_matrix(n) @ y, rtol=1e-12)
+    assert_allclose(got_u2, np.conj(x) @ u2 @ y, rtol=1e-12)
+
+
 # --- free-particle clock ----------------------------------------------------
 
 def test_freeclock_reduced_mass_and_packet():
@@ -189,16 +204,22 @@ def test_freeclock_growth_matches_heisenberg_evolution():
 
 
 def test_freeclock_rejects_zero_momentum():
-    with pytest.raises(ZeroMeanMomentum):
-        FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.0, a_x=10.0)
+    for p_bar in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ZeroMeanMomentum):
+            FreeClockState(m_a=1.0, m_b=1.0, p_bar=p_bar, a_x=10.0)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: rotator_init(4, np.nan),
-    lambda: FreeClockState(m_a=np.nan, m_b=1.0, p_bar=0.2, a_x=25.0),
-    lambda: FreeClockState(m_a=1.0, m_b=np.nan, p_bar=0.2, a_x=25.0),
-    lambda: FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.2, a_x=np.nan),
-], ids=["omega", "m_a", "m_b", "a_x"])
-def test_nan_parameters_are_rejected(build):
-    with pytest.raises(NonPositiveWidth):
+@pytest.mark.parametrize("build, error", [
+    (lambda: rotator_init(4, np.nan), NonPositiveWidth),
+    (lambda: FreeClockState(m_a=np.nan, m_b=1.0, p_bar=0.2, a_x=25.0), NonPositiveWidth),
+    (lambda: FreeClockState(m_a=1.0, m_b=np.nan, p_bar=0.2, a_x=25.0), NonPositiveWidth),
+    (lambda: FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.2, a_x=np.nan), NonPositiveWidth),
+    (lambda: rotator_init(4, np.inf), NonPositiveWidth),
+    (lambda: FreeClockState(m_a=np.inf, m_b=1.0, p_bar=0.2, a_x=25.0), NonPositiveWidth),
+    (lambda: FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.2, a_x=np.inf), NonPositiveWidth),
+    (lambda: RotatorClockState(np.inf, 0.1, np.array([0.0, 1.0, 0.0])), ConfigError),
+    (lambda: RotatorClockState(np.nan, 0.1, np.array([0.0, 1.0, 0.0])), ConfigError),
+], ids=["omega", "m_a", "m_b", "a_x", "omega-inf", "m_a-inf", "a_x-inf", "j_z-inf", "j_z"])
+def test_nan_parameters_are_rejected(build, error):
+    with pytest.raises(error):
         build()

@@ -1,5 +1,6 @@
 """Relativistic layer: time dilation statistics, boosts, frame changes."""
 
+import tracemalloc
 from dataclasses import replace
 
 import hypothesis as hyp
@@ -213,6 +214,13 @@ class TestTauGrid:
         for field in ("mean", "variance", "stderr_mean", "stderr_variance"):
             assert np.array_equal(getattr(shared, field), getattr(expected, field))
 
+    @pytest.mark.parametrize("taus", [np.array([]), np.zeros((0, 3)), 2.5])
+    def test_monte_carlo_keeps_the_shape_of_tau0(self, build, taus):
+        chk = mc_variance_check(build(), taus, 500, seed=2)
+        for field in ("mean", "variance", "stderr_mean", "stderr_variance"):
+            got = getattr(chk, field)
+            assert isinstance(got, float) if np.ndim(taus) == 0 else got.shape == taus.shape
+
     @pytest.mark.parametrize("n", [0, 1, 2.5])
     def test_monte_carlo_needs_two_draws(self, build, n):
         with pytest.raises(ConfigError, match="2 draws"):
@@ -239,6 +247,19 @@ def test_blocked_boost_mesh_matches_the_full_mesh(n, rtol):
     full = (b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0))
     for got, want in zip(blocked, full):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+def test_rotator_coefficients_need_no_mode_by_mode_array():
+    # 2001 modes: a (modes x modes) complex array alone would be 61 MiB
+    packet = make_gaussian(default_grid(0.75, 0.1, 2048), 0.75, 0.1, mass=1.0)
+    sys = RelClockSystem(1.0, packet, rotator_init(1000, 1e-5))
+    tracemalloc.start()
+    try:
+        proper_time_stats(sys, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 class TestDispersionQuadratic:
