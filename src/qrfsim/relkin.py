@@ -57,6 +57,9 @@ ALPHA_I_WARN = 0.1
 #: Angles at which the rotator's Monte-Carlo sampler tabulates its density.
 ANGLE_TABLE_POINTS = 16385
 
+#: Positions at which the free clock's Monte-Carlo sampler tabulates |psi(x)|^2.
+POSITION_TABLE_POINTS = 16384
+
 #: Internal modes per block of the boost mesh that _boost_moments holds at once.
 BOOST_BLOCK_ROWS = 256
 
@@ -324,7 +327,7 @@ def _ensemble(sys: RelClockSystem, n: int, seed: int, stream: int
     px = inverse_cdf_sample(pk_x.grid.points, pk_x.density(), n, rng)
     sig_x = np.sqrt(position_variance(pk_x))
     x0 = position_mean(pk_x)
-    xs = np.linspace(x0 - 10 * sig_x, x0 + 10 * sig_x, 16384)
+    xs = np.linspace(x0 - 10 * sig_x, x0 + 10 * sig_x, POSITION_TABLE_POINTS)
     x = inverse_cdf_sample(xs, np.abs(position_wavefunction(pk_x, xs)) ** 2, n, rng)
     b = time_boost(p, _freeclock_mass_operator(clock, px))
     return px * b / clock.p_bar, clock.mu_ab * x / clock.p_bar

@@ -1,0 +1,125 @@
+"""Sampling layer: inverse-CDF draws against plain inversion, and input guards."""
+
+import tracemalloc
+
+import hypothesis as hyp
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+
+from qrfsim.errors import ConfigError
+from qrfsim.sampling import INTERP_BLOCK, choice_from_weights, inverse_cdf_sample, make_rng
+
+
+def plain_inversion(xs, density, n, rng):
+    """The oracle: np.interp of n uniforms, in stream order, on the sampler's CDF."""
+    xs = np.asarray(xs, dtype=float)
+    d = np.clip(np.asarray(density, dtype=float), 0.0, None)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.abs(np.diff(xs)))))
+    cdf /= cdf[-1]
+    return np.interp(rng.random(n), cdf, xs)
+
+
+def _flat_stretches():
+    """Zero density at both edges and in the middle: the CDF is flat there."""
+    xs = np.linspace(-3.0, 3.0, 401)
+    d = np.exp(-xs ** 2)
+    d[(np.abs(xs) > 2.0) | (np.abs(xs) < 0.5)] = 0.0
+    return xs, d
+
+
+def _one_segment():
+    """Two grid points, so all the mass lies in one trapezoid segment."""
+    return np.array([-1.0, 2.0]), np.array([0.0, 3.0])
+
+
+def _descending():
+    xs = np.linspace(4.0, -4.0, 2048)
+    return xs, np.exp(-(xs - 1.0) ** 2) + 0.5 * np.exp(-(xs + 2.0) ** 2 / 0.1)
+
+
+def _angle_table():
+    """A table the size of the rotator's angle table, with a peaked density."""
+    us = np.linspace(-np.pi, np.pi, 16385)
+    return us, 1.0 + np.cos(us) ** 8
+
+
+DENSITIES = {"flat-stretches": _flat_stretches, "one-segment": _one_segment,
+             "descending": _descending, "angle-table": _angle_table}
+COUNTS = (0, 1, 2, INTERP_BLOCK - 1, INTERP_BLOCK, INTERP_BLOCK + 1, 200_003)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("table", sorted(DENSITIES))
+@hyp.settings(max_examples=4, deadline=None)
+@hyp.given(seed=st.integers(0, 2 ** 32 - 1), stream=st.integers(0, 2 ** 16))
+def test_draws_are_bit_identical_to_plain_inversion(table, n, seed, stream):
+    xs, d = DENSITIES[table]()
+    got = inverse_cdf_sample(xs, d, n, make_rng(seed, stream))
+    want = plain_inversion(xs, d, n, make_rng(seed, stream))
+    assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_draws_leave_the_stream_where_plain_inversion_does():
+    xs, d = _descending()
+    rng, ref = make_rng(5, 1), make_rng(5, 1)
+    inverse_cdf_sample(xs, d, 1000, rng)
+    plain_inversion(xs, d, 1000, ref)
+    assert rng.random(4).tobytes() == ref.random(4).tobytes()
+
+
+def test_draws_hold_no_second_array_of_draws():
+    n = 10 ** 6
+    xs, d = _angle_table()
+    tracemalloc.start()
+    try:
+        inverse_cdf_sample(xs, d, n, make_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * n
+
+
+@pytest.mark.parametrize("xs, d", [
+    (np.zeros((2, 3)), np.ones((2, 3))),                  # 2D grid
+    (np.array([1.0]), np.array([1.0])),                   # one point
+    (np.float64(1.0), np.float64(1.0)),                   # scalar grid
+    (np.linspace(0.0, 1.0, 101), np.ones(2)),             # short density
+    (np.linspace(0.0, 1.0, 101), np.ones(102)),           # long density
+    (np.linspace(0.0, 1.0, 4), np.ones((4, 1))),          # 2D density
+    (np.array([0.0, 1.0, 0.5, 2.0]), np.ones(4)),         # not monotone
+    (np.array([0.0, 1.0, 1.0, 2.0]), np.ones(4)),         # repeated point
+    (np.array([0.0, np.nan, 2.0]), np.ones(3)),           # NaN point
+], ids=["grid-2d", "grid-1pt", "grid-scalar", "density-short", "density-long",
+        "density-2d", "grid-zigzag", "grid-repeat", "grid-nan"])
+def test_inverse_cdf_rejects_bad_tables(xs, d):
+    with pytest.raises(ConfigError):
+        inverse_cdf_sample(xs, d, 10, make_rng(0))
+
+
+BAD_COUNTS = [-1, 2.5, 3.0, np.float64(3.0), "3", None, True]
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS, ids=repr)
+def test_inverse_cdf_rejects_bad_counts(n):
+    with pytest.raises(ConfigError):
+        inverse_cdf_sample(np.linspace(0.0, 1.0, 5), np.ones(5), n, make_rng(0))
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS, ids=repr)
+def test_choice_rejects_bad_counts(n):
+    with pytest.raises(ConfigError):
+        choice_from_weights(np.ones(3), n, make_rng(0))
+
+
+@pytest.mark.parametrize("w", [np.ones((2, 3)), np.float64(1.0)], ids=["2d", "scalar"])
+def test_choice_rejects_non_1d_weights(w):
+    with pytest.raises(ConfigError):
+        choice_from_weights(w, 4, make_rng(0))
+
+
+def test_numpy_integer_counts_are_accepted():
+    xs = np.linspace(0.0, 1.0, 5)
+    assert inverse_cdf_sample(xs, np.ones(5), np.int64(3), make_rng(0)).shape == (3,)
+    assert choice_from_weights(np.ones(3), np.int32(4), make_rng(0)).shape == (4,)
