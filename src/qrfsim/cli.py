@@ -27,7 +27,6 @@ from .errors import ConfigError, NumericalError, ScenarioParseError
 from .frames import FrameSystem, build_chart, compose_transform, exchange_chain
 from .packets import MomentumGrid, WavePacket, default_grid, expectation, make_gaussian
 from .relkin import (
-    ANGLE_TABLE_POINTS,
     BOOST_BLOCK_ROWS,
     ModeSuperposition,
     RelClockSystem,
@@ -189,15 +188,17 @@ def _betas_nonrelativistic(sc):
 
 # Working-set estimates: bytes of the arrays a runner holds at once, keyed by
 # the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
-# per packet grid point, 16 per boost-mesh entry held (B_2 and B_2^2), 32 per
-# tabulated angle per rotator mode, and 40-48 per Monte-Carlo draw.
+# per packet grid point or histogram bin, 16 per boost-mesh entry held (B_2 and
+# B_2^2), 40-48 per Monte-Carlo draw, and per rotator mode 216 (lag sums), up to
+# 1830 with a Monte-Carlo angle table, or 48 per entangled clock's external mode.
 _PER_POINT, _PER_DRAW = 160, 48
+_PER_MODE, _PER_SAMPLED_MODE, _PER_STATE_MODE = 240, 1600, 48
 
 
 def _rotator_bytes(sc):
     modes, n, mc = 2 * int(sc["j_z"]) + 1, int(sc["grid_points"]), int(sc["mc_samples"])
     return {"grid_points": 16 * min(modes, BOOST_BLOCK_ROWS) * n + _PER_POINT * n,
-            "j_z": 32 * ANGLE_TABLE_POINTS * modes if mc > 0 else 0,
+            "j_z": (_PER_SAMPLED_MODE if mc > 0 else _PER_MODE) * modes,
             "mc_samples": _PER_DRAW * mc}
 
 
@@ -207,8 +208,9 @@ def _freeclock_bytes(sc):
             "mc_samples": _PER_DRAW * int(sc["mc_samples"])}
 
 
-def _histogram_bytes(sc):
-    return {"histogram_bins": 32 * int(sc["histogram_bins"]) * (2 * int(sc["j_z"]) + 1)}
+def _entangled_bytes(sc):
+    return {"j_z": _PER_STATE_MODE * (2 * int(sc["j_z"]) + 1) * len(sc["mode_momenta"]),
+            "histogram_bins": _PER_POINT * int(sc["histogram_bins"])}
 
 
 def _packet_bytes(sc):
@@ -435,7 +437,7 @@ SCENARIOS = {
         (Field("rest_mass", bound="positive"), Field("mode_momenta", "list"),
          Field("mode_weights", "list", "positive"), *_ROTATOR, Field("tau0", bound=0),
          Field("histogram_bins", "integer", 8)),
-        (_modes_match, _mass_operator_stays_positive, _under_cap(_histogram_bytes)),
+        (_modes_match, _mass_operator_stays_positive, _under_cap(_entangled_bytes)),
         _run_entangled),
     "frame-transform": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"), *_PACKET,

@@ -54,7 +54,7 @@ from .sampling import choice_from_weights, inverse_cdf_sample, make_rng, sample_
 #: Above this internal-to-rest energy ratio the factorized boost drifts.
 ALPHA_I_WARN = 0.1
 
-#: Angles at which the rotator's Monte-Carlo sampler tabulates its density.
+#: Fewest angles at which the rotator's Monte-Carlo sampler tabulates its density.
 ANGLE_TABLE_POINTS = 16385
 
 #: Positions at which the free clock's Monte-Carlo sampler tabulates |psi(x)|^2.
@@ -316,7 +316,9 @@ def _ensemble(sys: RelClockSystem, n: int, seed: int, stream: int
         p = ext.points[choice_from_weights(ext.probabilities, n, rng)]
     if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
-        us = np.linspace(-np.pi, np.pi, ANGLE_TABLE_POINTS)
+        # lobes are 2 pi / N wide: the table is the smallest 2^k + 1 >= 16 N if larger
+        table = max(ANGLE_TABLE_POINTS, (1 << (16 * clock.n_states - 2).bit_length()) + 1)
+        us = np.linspace(-np.pi, np.pi, table)
         # index the mode masses at once: the drawn indices are not held beside B_2
         m2 = _rotator_mode_masses(sys.rest_mass, clock)[
             choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]

@@ -1,5 +1,7 @@
 """Rotator and free-particle clock models."""
 
+import tracemalloc
+
 import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
@@ -21,6 +23,22 @@ from qrfsim.clocks import (
 )
 from qrfsim.errors import ConfigError, NonPositiveWidth, ZeroMeanMomentum
 from qrfsim.packets import evolve_free, position_variance, variance
+
+
+def _dense_density(state, thetas):
+    """Reference |phi|^2 from the (angles x modes) kernel e^{i m theta}, built
+    256 angles at a time."""
+    thetas = np.asarray(thetas, dtype=float)
+    flat = thetas.ravel()
+    phi = np.concatenate([np.exp(1j * np.outer(t, state.m_values)) @ state.coefficients
+                          for t in np.split(flat, range(256, flat.size, 256))])
+    return (np.abs(phi) ** 2 / (2.0 * np.pi)).reshape(thetas.shape)
+
+
+def _chirped(j_z):
+    m = np.arange(-j_z, j_z + 1)
+    c = np.exp(1j * (0.7 * m ** 2 / m.size + 0.4 * m))
+    return RotatorClockState(j_z, 0.2, c / np.linalg.norm(c))
 
 
 def _dense_moments(state, n_grid=32769):
@@ -84,17 +102,46 @@ def test_series_moments_match_dense_quadrature():
 
 
 def test_lobe_moments_match_dense_quadrature():
-    clock = rotator_init(6, 0.2)
-    mom = angle_moments(clock)
-    half = 2 * np.pi / clock.n_states
-    u = np.linspace(-half, half, 16385)
-    rho = angular_density(clock, u)
-    w = np.full(u.size, u[1] - u[0])
-    w[0] = w[-1] = w[0] / 2
-    mass = np.sum(w * rho)
-    var = np.sum(w * rho * u ** 2) / mass - (np.sum(w * rho * u) / mass) ** 2
-    assert_allclose(mom.lobe_mass, mass, rtol=1e-8)
-    assert_allclose(mom.variance_lobe, var, rtol=1e-6)
+    for j_z in (6, 1000):
+        clock = rotator_init(j_z, 0.2)
+        mom = angle_moments(clock)
+        half = 2 * np.pi / clock.n_states
+        u = np.linspace(-half, half, 16385)
+        rho = angular_density(clock, u)
+        w = np.full(u.size, u[1] - u[0])
+        w[0] = w[-1] = w[0] / 2
+        mass = np.sum(w * rho)
+        var = np.sum(w * rho * u ** 2) / mass - (np.sum(w * rho * u) / mass) ** 2
+        assert_allclose(mom.lobe_mass, mass, rtol=1e-8)
+        assert_allclose(mom.variance_lobe, var, rtol=1e-6)
+
+
+@pytest.mark.parametrize("j_z", [1, 4, 200, 1000])
+@pytest.mark.parametrize("thetas", [
+    np.linspace(-np.pi, np.pi, 16385),
+    np.polynomial.legendre.leggauss(96)[0] * 2 * np.pi / 9,
+    (np.arange(720) + 0.5) * 2 * np.pi / 720,
+    np.linspace(2 * np.pi, -np.pi, 1001),
+    np.float64(0.3),
+    np.empty(0),
+], ids=["uniform", "gauss-legendre", "midpoints", "descending", "0-d", "empty"])
+def test_density_matches_dense_kernel(j_z, thetas):
+    clock = _chirped(j_z)
+    got, want = angular_density(clock, thetas), _dense_density(clock, thetas)
+    assert got.shape == np.shape(thetas)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.max(want, initial=0.0))
+
+
+def test_density_needs_no_angle_by_mode_array():
+    # 401 modes x 16385 angles: the complex kernel alone would be 100 MiB
+    clock, thetas = _chirped(200), np.linspace(-np.pi, np.pi, 16385)
+    tracemalloc.start()
+    try:
+        angular_density(clock, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_moments_are_evolution_invariant():

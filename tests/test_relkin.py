@@ -262,6 +262,31 @@ def test_rotator_coefficients_need_no_mode_by_mode_array():
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("j_z, points", [(4, 16385), (1000, 32769)])
+def test_angle_table_holds_the_clock_variance(j_z, points, monkeypatch):
+    # the sampler's angle law: uniform within each table step, with the step's
+    # trapezoid mass; its exact variance must be the closed-form d0
+    tables = []
+    original = relkin.inverse_cdf_sample
+
+    def recorded(xs, density, n, rng):
+        tables.append((xs, density))
+        return original(xs, density, n, rng)
+
+    monkeypatch.setattr(relkin, "inverse_cdf_sample", recorded)
+    packet = make_gaussian(default_grid(0.75, 0.1, 256), 0.75, 0.1, mass=1.0)
+    sys = RelClockSystem(1.0, packet, rotator_init(j_z, 1e-5))
+    sample_proper_times(sys, 1.0, 2, seed=0)
+    us, d = tables[-1]  # momenta first, then the angles
+    assert us.size == points
+    a, b = us[:-1], us[1:]
+    mass = 0.5 * (d[1:] + d[:-1]) * (b - a)
+    mass /= mass.sum()
+    mean = mass @ ((a + b) / 2)
+    var = mass @ ((a * a + a * b + b * b) / 3) - mean ** 2
+    assert var == pytest.approx(sys.time_operator.d0 * (2 * np.pi * 1e-5) ** 2, rel=1e-5)
+
+
 class TestDispersionQuadratic:
     def test_assembled_from_coefficients(self):
         sys = gaussian_system()
