@@ -451,6 +451,8 @@ SCENARIOS = {
 
 
 def run_scenario(sc: dict) -> ResultTable:
+    """Validate and run one scenario; any floating-point failure is a NumericalError
+    (the errstate is set here, so sweep worker threads get it too)."""
     diags = validate_scenario(sc)
     if diags:
         raise ConfigError("; ".join(str(d) for d in diags))
@@ -459,7 +461,11 @@ def run_scenario(sc: dict) -> ResultTable:
     for spec in _COMMON + kind.fields:
         if spec.type == "integer":
             typed[spec.name] = int(sc[spec.name])
-    return kind.runner(typed)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return kind.runner(typed)
+    except ArithmeticError as e:
+        raise NumericalError(f"{type(e).__name__}: {e}") from e
 
 
 def write_results(sc: dict, table: ResultTable, out_dir: str) -> str:

@@ -221,14 +221,21 @@ def freeclock_packet(state: FreeClockState, n: int = 2048) -> WavePacket:
                          center=state.p_bar, width=state.sigma_p, mass=state.mu_ab)
 
 
-def freeclock_read(packet: WavePacket, state: FreeClockState, t: float) -> ClockReadout:
-    """Path-length time estimate mu*x(t)/p_bar from the emitted particle."""
+def freeclock_terms(packet: WavePacket, state: FreeClockState) -> tuple[float, ...]:
+    """The free clock's tau0-free terms from the emitted packet, at B = 1: mu<x>/p_bar,
+    (mu/p_bar)^2 Var x, (mu/p_bar^2) 2cov(x, p) and Var p/p_bar^2.  A moving clock
+    scales the third by <B> and the fourth by <B>^2 (RelClockSystem.time_operator)."""
     mu, pbar = state.mu_ab, state.p_bar
-    p_mean = expectation(packet, lambda p: p).real
-    p_var = variance(packet, lambda p: p)
-    mean = (mu * position_mean(packet) + p_mean * t) / pbar
-    cross = 2.0 * sym_xp_covariance(packet)
-    disp = ((mu / pbar) ** 2 * position_variance(packet)
-            + p_var * t ** 2 / pbar ** 2
-            + (mu * t / pbar ** 2) * cross)
+    return (mu * position_mean(packet) / pbar,
+            (mu / pbar) ** 2 * position_variance(packet),
+            (mu / pbar ** 2) * 2.0 * sym_xp_covariance(packet),
+            variance(packet, lambda q: q) / pbar ** 2)
+
+
+def freeclock_read(packet: WavePacket, state: FreeClockState, t: float) -> ClockReadout:
+    """Path-length time estimate mu*x(t)/p_bar from the emitted particle at rest:
+    freeclock_terms at B = 1, with mean offset + <p> t/p_bar."""
+    offset, d0, cross, v = freeclock_terms(packet, state)
+    mean = offset + expectation(packet, lambda p: p).real * t / state.p_bar
+    disp = d0 + cross * t + v * t ** 2
     return ClockReadout(float(mean), float(max(disp, 0.0)), "freeclock", False)

@@ -241,18 +241,23 @@ def derivative_roughness(packet: WavePacket) -> float:
     return float(np.linalg.norm(d4 - d2) / scale)
 
 
+def apply_x(values: np.ndarray, spacing: float) -> np.ndarray:
+    """x_hat values = +i d(values)/dp: the one place the position operator is applied."""
+    return 1j * _derivative(values, spacing)
+
+
 def position_mean(packet: WavePacket) -> float:
-    """<x> = Re Integral Phi* (i dPhi/dp) dp  (phase-derivative centroid)."""
+    """<x> = Re Integral Phi* (x_hat Phi) dp  (phase-derivative centroid)."""
     w = packet.grid.quad_weights()
-    d = _derivative(packet.amplitudes, packet.grid.spacing)
-    return float(np.sum(w * np.conj(packet.amplitudes) * 1j * d).real)
+    xphi = apply_x(packet.amplitudes, packet.grid.spacing)
+    return float(np.sum(w * np.conj(packet.amplitudes) * xphi).real)
 
 
 def position_variance(packet: WavePacket) -> float:
-    """Var x via <x^2> = Integral |dPhi/dp|^2 dp."""
+    """Var x via <x^2> = Integral |x_hat Phi|^2 dp."""
     w = packet.grid.quad_weights()
-    d = _derivative(packet.amplitudes, packet.grid.spacing)
-    x2 = float(np.sum(w * np.abs(d) ** 2).real)
+    xphi = apply_x(packet.amplitudes, packet.grid.spacing)
+    x2 = float(np.sum(w * np.abs(xphi) ** 2).real)
     var = x2 - position_mean(packet) ** 2
     if var < 0 and var > -1e-12:
         var = 0.0
@@ -263,8 +268,7 @@ def sym_xp_covariance(packet: WavePacket) -> float:
     """Symmetrised covariance <{x,p}>/2 - <x><p>; zero for real amplitudes."""
     w = packet.grid.quad_weights()
     p = packet.grid.points
-    d = _derivative(packet.amplitudes, packet.grid.spacing)
-    xphi = 1j * d
+    xphi = apply_x(packet.amplitudes, packet.grid.spacing)
     sym = float(np.sum(w * np.conj(xphi) * p * packet.amplitudes).real)
     pbar = expectation(packet, lambda q: q).real
     return sym - position_mean(packet) * pbar

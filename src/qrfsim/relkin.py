@@ -26,6 +26,7 @@ from .clocks import (
     angular_density,
     branch_forms,
     freeclock_packet,
+    freeclock_terms,
     recenter,
     rotator_evolve_rest,
 )
@@ -38,7 +39,7 @@ from .errors import (
 from .packets import (
     MomentumGrid,
     WavePacket,
-    _derivative,
+    apply_x,
     derivative_roughness,
     evolve_free,
     expectation,
@@ -46,8 +47,6 @@ from .packets import (
     position_mean,
     position_variance,
     position_wavefunction,
-    sym_xp_covariance,
-    variance,
 )
 from .sampling import choice_from_weights, inverse_cdf_sample, make_rng, sample_moments
 
@@ -65,12 +64,20 @@ BOOST_BLOCK_ROWS = 256
 
 
 def time_boost(p: np.ndarray, m2: float | np.ndarray) -> np.ndarray:
-    """B_2 = m_2 / sqrt(m_2^2 + p^2), the operator-valued inverse Lorentz factor."""
+    """B_2 = 1 / sqrt(1 + (p/m_2)^2), the operator-valued inverse Lorentz factor, in
+    one buffer (a float for scalars): no m_2^2 to overflow, no temporaries.  Where
+    (p/m_2)^2 overflows, B_2 < 1e-154 flushes to 0, as an underflow would."""
     m2 = np.asarray(m2, dtype=float)
     if not np.all(m2 > 0):
         raise NonPositiveWidth("time boost needs a positive mass")
     p = np.asarray(p, dtype=float)
-    return m2 / np.sqrt(m2 ** 2 + p ** 2)
+    with np.errstate(over="ignore"):
+        b = np.divide(p, m2, out=np.empty(np.broadcast_shapes(p.shape, m2.shape)))
+        b *= b
+    b += 1.0
+    np.sqrt(b, out=b)
+    np.reciprocal(b, out=b)
+    return b[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,16 +211,12 @@ class RelClockSystem:
         pk_x = self.clock_packet
         px = pk_x.grid.points
         wx = pk_x.grid.quad_weights() * pk_x.density()
-        pbar, mu = clock.p_bar, clock.mu_ab
         b_ext, slope, d_b = _boost_moments(p, w_p, _freeclock_mass_operator(clock, px), wx,
-                                           px / pbar)
+                                           px / clock.p_bar)
         b_bar = float(wx @ b_ext)
-        cross = 2.0 * sym_xp_covariance(pk_x)
-        d0 = (mu / pbar) ** 2 * position_variance(pk_x)
-        g2 = (mu / pbar ** 2) * b_bar * cross
-        v = (variance(pk_x, lambda q: q) / pbar ** 2) * b_bar ** 2  # velocity spread
-        return TimeOperatorStats(slope, mu * position_mean(pk_x) / pbar, d_b, g2, d0,
-                                 "freeclock", v)
+        offset, d0, cross, v = freeclock_terms(pk_x, clock)
+        return TimeOperatorStats(slope, offset, d_b, b_bar * cross, d0, "freeclock",
+                                 v * b_bar ** 2)
 
 
 def _rotator_mode_masses(rest_mass: float, clock: RotatorClockState) -> np.ndarray:
@@ -478,37 +481,27 @@ def cluster_hamiltonian(m1: float, packet_g2: WavePacket, packet_g3: WavePacket)
 
 # --- Newton-Wigner coordinate ------------------------------------------------
 
-def _nw_apply(packet: WavePacket) -> np.ndarray:
-    """x12 Phi with x12 = i d/dp - i p / (2 E^2)."""
-    p = packet.grid.points
-    e2 = packet.mass ** 2 + p ** 2
-    return (1j * _derivative(packet.amplitudes, packet.grid.spacing)
-            - 1j * p / (2.0 * e2) * packet.amplitudes)
-
-
-def _covariant_weights(packet: WavePacket) -> np.ndarray:
-    e = np.sqrt(packet.mass ** 2 + packet.grid.points ** 2)
-    return packet.grid.quad_weights() / (2.0 * e)
+def _nw_packet(packet: WavePacket) -> WavePacket:
+    """Psi = Phi / sqrt(2E) renormalised, on which Newton-Wigner's x12 is x_hat."""
+    psi = packet.amplitudes / np.sqrt(2.0 * np.sqrt(packet.mass ** 2 + packet.grid.points ** 2))
+    return packet.with_amplitudes(psi / np.sqrt(packet.grid.quad_weights() @ np.abs(psi) ** 2))
 
 
 def newton_wigner_x(packet: WavePacket) -> float:
-    """<x12> under the covariant measure dp/2E, where the operator is Hermitian."""
+    """<x12> as position_mean of Psi = Phi / sqrt(2E) (Newton & Wigner 1949); on Phi
+    under dp/2E it reads i d/dp - i p/(2E^2).  RoughState past 1% stencil roughness."""
     rough = derivative_roughness(packet)
     if rough > 0.01:
         raise RoughState(f"derivative stencils disagree by {rough:.2%}; refine the grid")
-    w = _covariant_weights(packet)
-    num = np.sum(w * np.conj(packet.amplitudes) * _nw_apply(packet))
-    den = np.sum(w * packet.density())
-    return float((num / den).real)
+    return position_mean(_nw_packet(packet))
 
 
 def nw_commutator_residual(packet: WavePacket) -> float:
-    """Relative deviation of [x12, p12] from i, spectrally on the grid interior."""
-    p = packet.grid.points
-    h = packet.grid.spacing
-    amp = packet.amplitudes
-    comm = 1j * (_derivative(p * amp, h) - p * _derivative(amp, h))
-    w = _covariant_weights(packet)
+    """Relative deviation of [x_hat, p] Psi from i Psi, Psi = Phi / sqrt(2E),
+    under the plain quadrature weights on the grid interior."""
+    p, h, amp = packet.grid.points, packet.grid.spacing, _nw_packet(packet).amplitudes
+    comm = apply_x(p * amp, h) - p * apply_x(amp, h)
+    w = packet.grid.quad_weights()
     inner = slice(2, -2)  # edges use lower-order one-sided stencils
     err = np.sum(w[inner] * np.abs(comm[inner] - 1j * amp[inner]) ** 2)
     norm = np.sum(w[inner] * np.abs(amp[inner]) ** 2)

@@ -193,6 +193,44 @@ def test_one_monte_carlo_draw_fails_closed(tmp_path, capsys, name):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload, field", [
+    (_edited("rotator-dilation", tau_grid=[1e200], mc_samples=0, grid_points=256), "tau_grid"),
+    (_edited("rotator-dilation", tau_grid=[1e200], mc_samples=4000, grid_points=256),
+     "tau_grid"),
+    (_edited("freeclock-dilation", tau_grid=[1e200], mc_samples=0, grid_points=256),
+     "tau_grid"),
+    (_edited("freeclock-dilation", tau_grid=[1e200], mc_samples=4000, grid_points=256),
+     "tau_grid"),
+    (_edited("rotator-dilation", omega=1e-200, mc_samples=0, grid_points=256), "omega"),
+    (_edited("freeclock-dilation", p_bar=1e-200, mc_samples=0, grid_points=256), "p_bar"),
+    (_edited("freeclock-dilation", a_x=1e-200, mc_samples=0, grid_points=256), "a_x"),
+    (_edited("nonrel-limit", m1=1e-300, grid_points=256), "m1"),
+], ids=["rotator-tau-1e200", "rotator-tau-1e200-mc", "freeclock-tau-1e200",
+        "freeclock-tau-1e200-mc", "omega-1e-200", "p_bar-1e-200", "a_x-1e-200", "m1-1e-300"])
+def test_floating_point_failure_exits_3(tmp_path, capsys, payload, field):
+    # valid scenarios whose arithmetic overflows or divides by zero: inf/nan
+    # columns with exit 0, or a traceback with exit 1, before run_scenario's errstate
+    path = write_scenario(tmp_path, payload)
+    sweep = write_scenario(tmp_path, dict(payload, sweep={field: [payload[field]]}),
+                           "sweep.json")
+    out = tmp_path / "out"
+    for argv in (["run", "--scenario", path], ["sweep", "--scenario", sweep]):
+        assert cli.main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+        assert not out.exists()
+
+
+def test_heavy_rotator_runs_at_its_rest_rate(tmp_path):
+    # at rest_mass 1e300, m2^2 used to overflow and every tau_mean read 0
+    path = write_scenario(tmp_path, _edited("rotator-dilation", rest_mass=1e300,
+                                            mc_samples=0, grid_points=256))
+    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "rotator-dilation.csv")
+    tau0 = np.array([float(r["tau0"]) for r in rows])
+    assert_allclose([float(r["tau_mean"]) for r in rows], tau0, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("payload", [
     _edited("freeclock-dilation", mc_samples=0),
     *(_edited("rotator-dilation", mc_samples=0, j_z=j_z, omega=0.004) for j_z in (4, 12, 24)),

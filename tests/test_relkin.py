@@ -24,8 +24,11 @@ from qrfsim.packets import (
     default_grid,
     evolve_free,
     expectation,
+    from_function,
     make_gaussian,
     position_mean,
+    position_wavefunction,
+    simpson_weights,
     variance,
 )
 from qrfsim.relkin import (
@@ -116,6 +119,18 @@ class TestTimeBoost:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(Exception):
             time_boost(0.5, 0.0)
+
+    def test_heavy_body_keeps_its_clock_rate(self):
+        # m2^2 overflows above ~1.3e154; B must still read 1, not m2/inf = 0
+        assert time_boost(0.75, 1e300) == 1.0
+        b = time_boost(np.array([-0.75, 0.0, 0.75]), 1e300)
+        assert b.shape == (3,) and np.all(b == 1.0)
+
+    def test_light_body_flushes_to_zero_without_overflow(self):
+        # (p/m2)^2 overflows below m2 ~ 7.5e-155 p: B < 1e-154 is an underflow, not an error
+        with np.errstate(over="raise"):
+            assert 0.0 <= time_boost(0.75, 1e-160) < 1e-154
+            assert time_boost(0.75, 1e-150) == pytest.approx(1e-150 / 0.75, rel=1e-15)
 
 
 @pytest.mark.parametrize("build", [
@@ -599,6 +614,29 @@ class TestNewtonWigner:
     def test_translation_phase_moves_the_coordinate(self):
         g = make_gaussian(default_grid(0.5, 0.05), 0.5, 0.05, mass=0.7, x0=2.3)
         assert newton_wigner_x(g) == pytest.approx(2.3, abs=1e-8)
+
+    @pytest.mark.parametrize("chirp", [-2.0, 3.0])
+    @pytest.mark.parametrize("x0", [-2.5, 0.7, 4.0])
+    @pytest.mark.parametrize("mass", [0.3, 0.6, 1.0])
+    def test_chirped_shifted_packet_matches_position_space_oracle(self, chirp, x0, mass):
+        # Psi = Phi / sqrt(2E): its |psi(x)|^2, from the chirp-z sum on a wide x
+        # lattice, has centroid <x12>.  The chirp a (p - c)^2 and the 1/2E weight
+        # move that centroid off x0.  Measured agreement is <= 9.4e-10 (the 4th-order
+        # stencil at 2048 points); the bound is 5e-9.
+        c, s = 0.4, 0.2
+
+        def amp(p):
+            return np.exp(-(p - c) ** 2 / (4 * s * s) + 1j * chirp * (p - c) ** 2 - 1j * p * x0)
+
+        grid = default_grid(c, s)
+        phi = from_function(grid, amp, mass)
+        psi = from_function(grid, lambda p: amp(p) / np.sqrt(2 * np.hypot(mass, p)), mass)
+        xs = np.linspace(x0 - 60.0, x0 + 60.0, 8193)
+        rho = np.abs(position_wavefunction(psi, xs)) ** 2
+        w = simpson_weights(xs.size, xs[1] - xs[0])
+        oracle = np.sum(w * xs * rho) / np.sum(w * rho)
+        assert abs(oracle - x0) > 1e-2
+        assert newton_wigner_x(phi) == pytest.approx(oracle, abs=5e-9)
 
     def test_commutator_is_canonical(self):
         g = make_gaussian(default_grid(0.5, 0.05), 0.5, 0.05, mass=0.7)
