@@ -30,7 +30,7 @@ from .packets import ProductState, position_mean, position_variance, position_wa
 #: Mass ratio used to realize the infinite-mass frame body numerically.
 ARF_MASS_RATIO = 1e8
 
-#: Uniform x points per body where measurement_reduce samples psi(x) to interpolate.
+#: Points per body of the uniform psi(x) table measurement_reduce interpolates onto its mesh.
 _FINE_POINTS = 4096
 
 
@@ -230,16 +230,23 @@ def arf_limit_chart(system: FrameSystem, mass_ratio: float = ARF_MASS_RATIO) -> 
 
 @dataclass(frozen=True, eq=False)
 class ChartGaussian:
-    """Amplitude norm * exp(-|q @ factor - center|^2) over chart coordinates q."""
+    """norm * exp(-|q @ factor - center|^2) at chart points q (..., N), of shape q.shape[:-1];
+    evaluated coordinate-major: z = factor^T q^T is one (N, M) temporary, loops run over points."""
 
     factor: np.ndarray
     center: np.ndarray
     norm: float
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
-        z = np.asarray(q, dtype=float) @ self.factor  # the one (..., N) temporary
-        z -= self.center
-        return self.norm * np.exp(-np.einsum("...i,...i->...", z, z))
+        q = np.asarray(q, dtype=float)
+        if q.shape[-1:] != self.center.shape:
+            raise ConfigError(f"points need a last axis of N = {self.center.size}, got {q.shape}")
+        z = self.factor.T @ q.reshape(-1, self.center.size).T
+        z -= self.center[:, None]
+        r = np.einsum("ij,ij->j", z, z)
+        np.exp(np.negative(r, out=r), out=r)
+        r *= self.norm
+        return r.reshape(q.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,27 +342,27 @@ class ReducedDensityMatrix:
         return float(np.sum(np.diag(self.matrix)).real * self.delta_spacing)
 
 
-def _project(kernel: np.ndarray, delta: np.ndarray, bins):
-    """Keep the kernel's diagonal blocks of half-open bins (e_{j-1}, e_j], the
-    first closed on the left: (edges, matrix, masks, weights, dropped), with the
-    kept bins' probabilities read off the projected diagonal."""
+def _project(delta: np.ndarray, bins, diag: np.ndarray, fill):
+    """Keep the diagonal blocks of half-open bins (e_{j-1}, e_j], the first closed on the
+    left: (edges, matrix, kept row ranges, weights, dropped).  On the sorted mesh bin j is
+    rows a:b and weighs diag[a:b].sum(); fill(view, a, b) writes a kept bin's block."""
     edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ConfigError("bins must be a strictly increasing edge array of length >= 2")
     if not (edges[0] <= delta[0] and delta[-1] <= edges[-1]):
         raise ConfigError(f"bins [{edges[0]}, {edges[-1]}] do not cover the "
                           f"relative-coordinate range [{delta[0]}, {delta[-1]}]")
-    idx = np.searchsorted(edges, delta, side="left") - 1
-    idx[delta <= edges[0]] = 0
-    masks = [idx == j for j in range(len(edges) - 1)]
-    matrix = np.where(idx[:, None] == idx[None, :], kernel, 0.0)
-    diag = np.diag(matrix).real * (delta[1] - delta[0])
-    weights = np.array([diag[m].sum() for m in masks])
+    bounds = [0, *np.searchsorted(delta, edges[1:], side="right").tolist()]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    weights = np.array([diag[a:b].sum() for a, b in ranges])
     keep = weights > 1e-14
     if not keep.any():
         raise EmptyBin("every bin captured zero probability")
-    return (edges, matrix, tuple(m for m, k in zip(masks, keep) if k), weights[keep],
-            tuple(int(j) for j in np.flatnonzero(~keep)))
+    kept = [r for r, k in zip(ranges, keep) if k]
+    matrix = np.zeros((delta.size, delta.size), dtype=complex)
+    for a, b in kept:
+        fill(matrix[a:b, a:b], a, b)
+    return edges, matrix, kept, weights[keep], tuple(int(j) for j in np.flatnonzero(~keep))
 
 
 def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
@@ -364,14 +371,16 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
 
     The relative coordinate is delta = x_n - x_1 with the measured particle
     first and the frame body second.  Each bin's projector keeps its block of
-    the (delta, cm) amplitude; cross-bin coherences are erased.  Bins that
-    capture no probability are dropped and recorded, not errors, unless every
-    bin is empty.
+    the (delta, cm) amplitude; cross-bin coherences are erased, so only each kept
+    bin's own block of rho(delta_a, delta_b) is ever formed.  Bins that capture no
+    probability are dropped and recorded, not errors, unless every bin is empty.
     """
     if not (isinstance(mesh_points, (int, np.integer)) and mesh_points >= 2):
         raise ConfigError(f"mesh_points must be an integer of at least 2, got {mesh_points!r}")
     if isinstance(state, ReducedDensityMatrix):
-        edges, matrix, _, weights, dropped = _project(state.matrix, state.delta_grid, bins)
+        edges, matrix, _, weights, dropped = _project(
+            state.delta_grid, bins, np.diag(state.matrix).real * state.delta_spacing,
+            lambda out, a, b: np.copyto(out, state.matrix[a:b, a:b]))
         same = edges.size == state.bin_edges.size and np.allclose(edges, state.bin_edges)
         return ReducedDensityMatrix(state.delta_grid, edges, weights, matrix,
                                     state.widths if same else np.array([]), dropped)
@@ -385,34 +394,29 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     xbar_1, sig_1 = position_mean(pk_1), np.sqrt(position_variance(pk_1))
     sig_d = np.hypot(sig_n, sig_1)
     sig_x = np.hypot(m_n * sig_n, m_1 * sig_1) / m_tot
-
-    delta = np.linspace(xbar_n - xbar_1 - 8 * sig_d, xbar_n - xbar_1 + 8 * sig_d, mesh_points)
-    xbar_cm = (m_n * xbar_n + m_1 * xbar_1) / m_tot
-    xcm = np.linspace(xbar_cm - 8 * sig_x, xbar_cm + 8 * sig_x, mesh_points)
-    dd = delta[1] - delta[0]
-    dx = xcm[1] - xcm[0]
-
-    # body positions on the (delta, cm) mesh; jacobian of (x_n, x_1) -> (delta, cm) is 1
-    xn_mesh = xcm[None, :] + (m_1 / m_tot) * delta[:, None]
-    x1_mesh = xcm[None, :] - (m_n / m_tot) * delta[:, None]
+    xbar_d, xbar_cm = xbar_n - xbar_1, (m_n * xbar_n + m_1 * xbar_1) / m_tot
+    delta, dd = np.linspace(xbar_d - 8 * sig_d, xbar_d + 8 * sig_d, mesh_points, retstep=True)
+    xcm, dx = np.linspace(xbar_cm - 8 * sig_x, xbar_cm + 8 * sig_x, mesh_points, retstep=True)
 
     def on_mesh(packet, mesh):
         fine = np.linspace(mesh.min() - 1e-9, mesh.max() + 1e-9, _FINE_POINTS)
-        psi = position_wavefunction(packet, fine)
-        return (np.interp(mesh, fine, psi.real) + 1j * np.interp(mesh, fine, psi.imag))
+        return np.interp(mesh, fine, position_wavefunction(packet, fine))
 
-    chi = on_mesh(pk_n, xn_mesh) * on_mesh(pk_1, x1_mesh)
-    norm2 = np.sum(np.abs(chi) ** 2) * dd * dx
+    # body positions on the (delta, cm) mesh; jacobian of (x_n, x_1) -> (delta, cm) is 1
+    chi = on_mesh(pk_n, xcm + (m_1 / m_tot) * delta[:, None])
+    chi *= on_mesh(pk_1, xcm - (m_n / m_tot) * delta[:, None])
+    prob = np.abs(chi) ** 2
+    norm2 = np.sum(prob) * dd * dx
     if norm2 <= 0:
         raise EmptyBin("joint amplitude vanishes on the mesh")
-    chi = chi / np.sqrt(norm2)  # trace is now exactly 1 on the mesh
+    chi *= np.sqrt(dx / norm2)  # rho's blocks are chi's Gram blocks; its trace is 1 on the mesh
+    prob *= dd * dx / norm2
 
-    gram = (chi @ chi.conj().T) * dx  # rho(delta_a, delta_b) before projection
-    edges, matrix, masks, weights, dropped = _project(gram, delta, bins)
-    prob = np.abs(chi) ** 2 * dd * dx
+    edges, matrix, kept, weights, dropped = _project(
+        delta, bins, prob.sum(axis=1),
+        lambda out, a, b: np.matmul(chi[a:b], chi[a:b].conj().T, out=out))
     widths = []
-    for m, w in zip(masks, weights):
-        pj = prob[m, :] / w
-        mean = np.sum(pj * xn_mesh[m, :])
-        widths.append(np.sqrt(max(np.sum(pj * (xn_mesh[m, :] - mean) ** 2), 0.0)))
+    for (a, b), w in zip(kept, weights):
+        pj, xn = prob[a:b] / w, xcm + (m_1 / m_tot) * delta[a:b, None]
+        widths.append(np.sqrt(max(np.sum(pj * (xn - np.sum(pj * xn)) ** 2), 0.0)))
     return ReducedDensityMatrix(delta, edges, weights, matrix, np.array(widths), dropped)

@@ -246,32 +246,30 @@ def apply_x(values: np.ndarray, spacing: float) -> np.ndarray:
     return 1j * _derivative(values, spacing)
 
 
-def position_mean(packet: WavePacket) -> float:
-    """<x> = Re Integral Phi* (x_hat Phi) dp  (phase-derivative centroid)."""
+def _x_moment(packet: WavePacket) -> tuple[np.ndarray, np.ndarray, float]:
+    """(weights, x_hat Phi, <x>): the one stencil pass every position moment shares."""
     w = packet.grid.quad_weights()
     xphi = apply_x(packet.amplitudes, packet.grid.spacing)
-    return float(np.sum(w * np.conj(packet.amplitudes) * xphi).real)
+    return w, xphi, float(np.sum(w * np.conj(packet.amplitudes) * xphi).real)
+
+
+def position_mean(packet: WavePacket) -> float:
+    """<x> = Re Integral Phi* (x_hat Phi) dp  (phase-derivative centroid)."""
+    return _x_moment(packet)[2]
 
 
 def position_variance(packet: WavePacket) -> float:
     """Var x via <x^2> = Integral |x_hat Phi|^2 dp."""
-    w = packet.grid.quad_weights()
-    xphi = apply_x(packet.amplitudes, packet.grid.spacing)
-    x2 = float(np.sum(w * np.abs(xphi) ** 2).real)
-    var = x2 - position_mean(packet) ** 2
-    if var < 0 and var > -1e-12:
-        var = 0.0
-    return var
+    w, xphi, mean = _x_moment(packet)
+    var = float(np.sum(w * np.abs(xphi) ** 2).real) - mean ** 2
+    return 0.0 if -1e-12 < var < 0 else var
 
 
 def sym_xp_covariance(packet: WavePacket) -> float:
     """Symmetrised covariance <{x,p}>/2 - <x><p>; zero for real amplitudes."""
-    w = packet.grid.quad_weights()
-    p = packet.grid.points
-    xphi = apply_x(packet.amplitudes, packet.grid.spacing)
-    sym = float(np.sum(w * np.conj(xphi) * p * packet.amplitudes).real)
-    pbar = expectation(packet, lambda q: q).real
-    return sym - position_mean(packet) * pbar
+    w, xphi, mean = _x_moment(packet)
+    sym = float(np.sum(w * np.conj(xphi) * packet.grid.points * packet.amplitudes).real)
+    return sym - mean * expectation(packet, lambda q: q).real
 
 
 def position_wavefunction(packet: WavePacket, xs: np.ndarray) -> np.ndarray:

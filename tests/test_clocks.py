@@ -16,13 +16,16 @@ from qrfsim.clocks import (
     branch_forms,
     freeclock_packet,
     freeclock_read,
+    freeclock_terms,
     rotator_evolve_rest,
     rotator_init,
     rotator_read,
     theta_matrix,
 )
+from qrfsim import packets
 from qrfsim.errors import ConfigError, NonPositiveWidth, ZeroMeanMomentum
-from qrfsim.packets import evolve_free, position_variance, variance
+from qrfsim.frames import measurement_reduce
+from qrfsim.packets import ProductState, evolve_free, position_variance, variance
 
 
 def _dense_density(state, thetas):
@@ -248,6 +251,25 @@ def test_freeclock_growth_matches_heisenberg_evolution():
         growth = variance(packet, lambda p: p) * t ** 2 / pbar ** 2
         assert_allclose(read.dispersion - freeclock_read(packet, clock, 0.0).dispersion,
                         growth, rtol=1e-6)
+
+
+def test_position_moments_share_one_stencil_pass(monkeypatch):
+    # each moment differentiates Phi once and reads <x> off the x_hat Phi it holds
+    calls = []
+    derivative = packets._derivative
+
+    def counted(values, h):
+        calls.append(h)
+        return derivative(values, h)
+
+    monkeypatch.setattr(packets, "_derivative", counted)
+    clock = FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.2, a_x=25.0)
+    packet = freeclock_packet(clock)
+    freeclock_terms(packet, clock)
+    assert len(calls) == 3
+    calls.clear()
+    measurement_reduce(ProductState((packet, freeclock_packet(clock, 256))), [-np.inf, np.inf])
+    assert len(calls) == 4  # <x> and Var x of each body
 
 
 def test_freeclock_rejects_zero_momentum():

@@ -25,7 +25,14 @@ from qrfsim.frames import (
     internal_hamiltonian,
     measurement_reduce,
 )
-from qrfsim.packets import ProductState, default_grid, make_gaussian
+from qrfsim.packets import (
+    ProductState,
+    default_grid,
+    make_gaussian,
+    position_mean,
+    position_variance,
+    position_wavefunction,
+)
 
 masses_strategy = st.lists(st.floats(0.1, 10.0, allow_nan=False), min_size=2, max_size=5)
 
@@ -168,6 +175,36 @@ def test_chart_amplitude_holds_one_temporary():
     u = compose_transform(system, 1, 8).matrix
     back = state.amplitude(q @ np.linalg.inv(u).T) / np.sqrt(abs(np.linalg.det(u)))
     assert_allclose(pushed.amplitude(q), back, rtol=1e-10, atol=0.0)
+
+
+def test_chart_amplitude_shape_and_layout_contract():
+    n = 3
+    means, widths = np.array([0.3, -0.2, 0.5]), np.array([0.4, 0.9, 1.6])
+    state = gaussian_chart_state(build_chart(FrameSystem.from_masses([1.0, 2.0, 4.0]), 1),
+                                 means, widths)
+    norm = np.prod((2.0 * np.pi * widths ** 2) ** -0.25)
+
+    def closed_form(q):
+        return norm * np.exp(-np.sum((q - means) ** 2 / (4.0 * widths ** 2), axis=-1))
+
+    grid = np.random.default_rng(5).normal(0.0, 1.5, (6, 10, n))
+    cases = {
+        "point": grid[0, 0],
+        "batch": grid,
+        "rows": grid.reshape(-1, n),
+        "fortran": np.asfortranarray(grid),
+        "sliced": grid[::2, 1::3],
+        "strided-rows": grid.reshape(-1, 2 * n)[:, ::2],
+        "integer": np.arange(-8, 10).reshape(2, 3, n),
+    }
+    for name, q in cases.items():
+        got = state.amplitude(q)
+        assert got.shape == q.shape[:-1], name
+        assert_allclose(got, closed_form(np.asarray(q, dtype=float)), rtol=1e-12, atol=0.0,
+                        err_msg=name)
+    for q in (np.zeros((5, n + 1)), np.zeros((n, 2)), np.zeros(n - 1), np.float64(0.0)):
+        with pytest.raises(ConfigError, match=f"N = {n}"):
+            state.amplitude(q)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -390,3 +427,112 @@ def test_bins_must_cover_support():
     # infinite outer edges cover any range
     rho = measurement_reduce(_position_pair(), np.array([-np.inf, 0.0, np.inf]))
     assert_allclose(rho.weights, [0.5, 0.5], atol=1e-6)
+
+
+def _dense_reduce(state, bins, mesh_points=384):
+    """Reference reduction by the dense path: the full 2D Gram over the cm
+    coordinate, then every cross-bin entry zeroed; a ReducedDensityMatrix input
+    is projected the same way.  (edges, matrix, weights, widths, dropped)."""
+    edges = np.asarray(bins, dtype=float)
+    if isinstance(state, ProductState):
+        pk_n, pk_1 = state.factors
+        m_n, m_1 = pk_n.mass, pk_1.mass
+        m_tot = m_n + m_1
+        xbar_n, sig_n = position_mean(pk_n), math.sqrt(position_variance(pk_n))
+        xbar_1, sig_1 = position_mean(pk_1), math.sqrt(position_variance(pk_1))
+        sig_d, sig_x = math.hypot(sig_n, sig_1), math.hypot(m_n * sig_n, m_1 * sig_1) / m_tot
+        delta = np.linspace(xbar_n - xbar_1 - 8 * sig_d, xbar_n - xbar_1 + 8 * sig_d, mesh_points)
+        xbar_cm = (m_n * xbar_n + m_1 * xbar_1) / m_tot
+        xcm = np.linspace(xbar_cm - 8 * sig_x, xbar_cm + 8 * sig_x, mesh_points)
+        dd, dx = delta[1] - delta[0], xcm[1] - xcm[0]
+        xn = xcm[None, :] + (m_1 / m_tot) * delta[:, None]
+        x1 = xcm[None, :] - (m_n / m_tot) * delta[:, None]
+
+        def on_mesh(packet, mesh):
+            fine = np.linspace(mesh.min() - 1e-9, mesh.max() + 1e-9, 4096)
+            psi = position_wavefunction(packet, fine)
+            return np.interp(mesh, fine, psi.real) + 1j * np.interp(mesh, fine, psi.imag)
+
+        chi = on_mesh(pk_n, xn) * on_mesh(pk_1, x1)
+        chi /= np.sqrt(np.sum(np.abs(chi) ** 2) * dd * dx)
+        kernel = (chi @ chi.conj().T) * dx
+    else:
+        delta, dd, kernel = state.delta_grid, state.delta_spacing, state.matrix
+    idx = np.searchsorted(edges, delta, side="left") - 1
+    idx[delta <= edges[0]] = 0
+    matrix = np.where(idx[:, None] == idx[None, :], kernel, 0.0)
+    diag = np.diag(matrix).real * dd
+    weights = np.array([diag[idx == j].sum() for j in range(edges.size - 1)])
+    keep = weights > 1e-14
+    widths = []
+    if isinstance(state, ProductState):
+        prob = np.abs(chi) ** 2 * dd * dx
+        for j in np.flatnonzero(keep):
+            pj, x = prob[idx == j] / weights[j], xn[idx == j]
+            widths.append(math.sqrt(np.sum(pj * (x - np.sum(pj * x)) ** 2)))
+    return edges, matrix, weights[keep], np.array(widths), tuple(np.flatnonzero(~keep).tolist())
+
+
+def _assert_matches_dense(rho, dense, widths=True):
+    edges, matrix, weights, dense_widths, dropped = dense
+    assert rho.dropped_bins == dropped
+    assert_allclose(rho.bin_edges, edges, rtol=0.0, atol=0.0)
+    scale = np.max(np.abs(matrix))
+    assert_allclose(rho.matrix, matrix, rtol=0.0, atol=1e-12 * scale)
+    assert_allclose(rho.weights, weights, rtol=0.0, atol=1e-12)
+    if widths:
+        assert_allclose(rho.widths, dense_widths, rtol=0.0,
+                        atol=1e-12 * np.max(dense_widths))
+
+
+@pytest.mark.parametrize("sig_n, sig_1, x_n, x_1, m_n, m_1", [
+    (0.05, 1.0, 0.0, 0.0, 1.0, 1.0),
+    (0.3, 0.4, 1.2, -0.7, 0.6, 3.1),
+    (0.09, 0.6, -1.5, 1.8, 2.4, 0.7),
+    (0.8, 0.8, 0.4, 0.4, 3.9, 0.5),
+])
+def test_block_reduction_matches_dense_gram(sig_n, sig_1, x_n, x_1, m_n, m_1):
+    # pool-like two-body states on coarse bins (edges at -8.5..8.5 sigma_d, as the
+    # benchmark's reduce pool uses), then re-reduced onto finer and onto the same bins
+    state = _position_pair(sig_n, sig_1, x_n, x_1, m_n, m_1)
+    center, sig_d = x_n - x_1, math.hypot(sig_n, sig_1)
+    coarse = center + sig_d * np.array([-8.5, -1.0, 0.0, 1.0, 8.5])
+    fine = center + sig_d * np.linspace(-8.5, 8.5, 13)
+    rho = measurement_reduce(state, coarse)
+    _assert_matches_dense(rho, _dense_reduce(state, coarse))
+    for bins in (fine, coarse):
+        _assert_matches_dense(measurement_reduce(rho, bins), _dense_reduce(rho, bins),
+                              widths=False)
+    assert_allclose(measurement_reduce(rho, coarse).widths, rho.widths, rtol=0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("bins", [
+    [-30.0, -20.0, 20.0, 30.0],           # outer bins far in the tails are dropped
+    [-np.inf, -0.5, 0.0, 0.5, np.inf],    # infinite outer edges
+    [-12.0, 12.0],                        # a single bin keeps the full coherence
+], ids=["dropped", "inf-edges", "single-bin"])
+def test_block_reduction_matches_dense_gram_edge_cases(bins):
+    state = _position_pair(sig_n=0.1, sig_1=0.3, x_n=0.2, m_n=2.0)
+    rho = measurement_reduce(state, bins)
+    _assert_matches_dense(rho, _dense_reduce(state, bins))
+    again = bins if np.isinf(bins[0]) else np.linspace(-12.0, 12.0, 9)  # same or finer bins
+    _assert_matches_dense(measurement_reduce(rho, again), _dense_reduce(rho, again), widths=False)
+
+
+@pytest.mark.parametrize("units", [[-20.0, 20.0], [-8.5, -1.0, 0.0, 1.0, 8.5]],
+                         ids=["single-bin", "pool-like"])
+def test_reduction_memory_is_bounded_by_kept_blocks(units):
+    # peak traced memory at mesh_points 384, in units of the returned matrix's bytes;
+    # measured 4.00 (single bin) and 3.16 (pool-like) against 5.51 and 4.94 for the
+    # dense path, which holds the full Gram, its conjugate and the np.where copy at once
+    state = _position_pair(sig_n=0.3, sig_1=0.5)
+    bins = math.hypot(0.3, 0.5) * np.array(units)  # in units of the relative-coordinate width
+    measurement_reduce(state, bins)
+    tracemalloc.start()
+    try:
+        rho = measurement_reduce(state, bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.matrix.shape == (384, 384)
+    assert peak < 4.5 * rho.matrix.nbytes

@@ -1,7 +1,8 @@
 """Source rules that keep each rule in one home: no module reaches into
-another module's private names."""
+another module's private names, and the library needs nothing beyond numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,45 @@ def test_the_rule_sees_private_imports(tmp_path):
                      "packets._derivative\nclk._LOBE_NODES\npackets.__doc__\n")
     assert private_imports(probe) == ["2: _derivative", "3: _nw_packet",
                                       "5: packets._derivative", "6: clk._LOBE_NODES"]
+
+
+#: Top-level packages src/ may import besides the standard library (pyproject's dependencies).
+DEPENDENCIES = {"numpy", "qrfsim"}
+
+
+def third_party_imports(path: Path) -> list[str]:
+    """'line: module' for every absolute import, at any depth, whose top-level
+    package is neither in the standard library nor a declared dependency."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | DEPENDENCIES]
+    return found
+
+
+def test_src_imports_only_numpy_and_stdlib():
+    # scipy is installed alongside numpy but is not a dependency of the package
+    found = {p.relative_to(SRC).as_posix(): third_party_imports(p) for p in SRC.rglob("*.py")}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_the_rule_sees_third_party_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os.path, numpy as np\n"
+                     "import scipy.linalg\n"
+                     "from numpy.linalg import inv\n"
+                     "from scipy import special\n"
+                     "from . import packets\n"
+                     "from qrfsim.frames import Body\n"
+                     "import json, hypothesis\n"
+                     "def f():\n"
+                     "    import pandas as pd\n")
+    assert third_party_imports(probe) == ["3: scipy.linalg", "5: scipy", "8: hypothesis",
+                                          "10: pandas"]
