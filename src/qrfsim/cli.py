@@ -25,7 +25,8 @@ from . import __version__
 from .clocks import FreeClockState, rotator_init
 from .errors import ConfigError, NumericalError, ScenarioParseError
 from .frames import FrameSystem, build_chart, compose_transform, exchange_chain
-from .packets import MomentumGrid, WavePacket, default_grid, expectation, make_gaussian
+from .packets import (MIN_HALF_WIDTH_SIGMAS, MomentumGrid, WavePacket, default_grid,
+                      expectation, make_gaussian)
 from .relkin import (
     BOOST_BLOCK_ROWS,
     ModeSuperposition,
@@ -93,7 +94,7 @@ _BOUNDS = {
     "positive": (lambda x: x > 0, "NonPositiveWidth", "> 0"),
     "nonzero": (lambda x: x != 0, "ZeroMeanMomentum", "nonzero"),
     "nonnegative": (lambda x: x >= 0, "ConfigError", ">= 0"),
-    # make_rng keys stream s of seed n as n + (s << 32): larger seeds alias other streams
+    # 32 bits, as np.random.seed and most seeders take; the Philox key itself takes 64
     "seed": (lambda x: 0 <= x < 2 ** 32, "ConfigError", "in [0, 2**32)"),
     # a sample variance needs two draws
     "mc_samples": (lambda x: x == 0 or x >= 2, "ConfigError", "0 (off) or >= 2"),
@@ -142,6 +143,14 @@ def _check_field(spec: Field, v) -> Diagnostic | None:
     return None
 
 
+def _check_name(name) -> Diagnostic | None:
+    """The name is the output file stem: one nonempty path component."""
+    if isinstance(name, str) and name not in ("", ".", "..") and not set(name) & set("/\\\0"):
+        return None
+    return Diagnostic("name", "ConfigError",
+                      f"must be a file name without '/', '\\' or NUL, got {name!r}")
+
+
 _SEED = Field("seed", "integer", "seed")
 _COMMON = (Field("grid_points", "integer", 16), Field("mc_samples", "integer", "mc_samples"), _SEED)
 _PACKET = (Field("packet_center"), Field("packet_width", bound="positive"),
@@ -155,10 +164,10 @@ def _explicit_grid_covers_packet(sc):
         yield Diagnostic("grid_max" if hi is None else "grid_min", "ConfigError",
                          "give both grid_min and grid_max, or neither")
     elif lo is not None:
-        center, width = sc["packet_center"], sc["packet_width"]
-        if lo > center - 6 * width or hi < center + 6 * width:
-            yield Diagnostic("grid_min", "GridTooNarrow",
-                             "explicit grid must cover packet_center +- 6 packet_width")
+        center, half = sc["packet_center"], MIN_HALF_WIDTH_SIGMAS * sc["packet_width"]
+        if lo > center - half or hi < center + half:
+            yield Diagnostic("grid_min", "GridTooNarrow", "explicit grid must cover "
+                             f"packet_center +- {MIN_HALF_WIDTH_SIGMAS:g} packet_width")
 
 
 def _mass_operator_stays_positive(sc):
@@ -235,8 +244,9 @@ def validate_scenario(sc: dict) -> list[Diagnostic]:
     kind = SCENARIOS.get(name) if isinstance(name, str) else None
     if kind is None:
         return [Diagnostic("kind", "ConfigError", f"must be one of {', '.join(SCENARIOS)}")]
-    diags = [d for spec in _COMMON + kind.fields
-             if (d := _check_field(spec, sc.get(spec.name))) is not None]
+    checked = [_check_name(sc.get("name"))] + [_check_field(spec, sc.get(spec.name))
+                                               for spec in _COMMON + kind.fields]
+    diags = [d for d in checked if d is not None]
     if not diags:
         diags = [d for check in kind.checks for d in check(sc)]
     return diags
@@ -395,11 +405,12 @@ def _run_frame_transform(sc: dict) -> ResultTable:
     back = frame_to_frame(mapped, m2, m1, sc["tau2"], sc["tau1"])
     b_12 = expectation(packet, lambda p: time_boost(p, m2)).real
     b_21 = expectation(mapped, lambda p: time_boost(p, m1)).real
+    center = -(m1 / m2) * sc["packet_center"]  # nominal, as is the width: packets store neither
     rows = [
         ("input_center", sc["packet_center"]),
-        ("mapped_center", mapped.center),
-        ("expected_center", -(m1 / m2) * sc["packet_center"]),
-        ("mapped_width", mapped.width),
+        ("mapped_center", center),
+        ("expected_center", center),
+        ("mapped_width", (m1 / m2) * sc["packet_width"]),
         ("mapped_norm", mapped.norm()),
         ("boost_mean_frame1", b_12),
         ("boost_mean_frame2", b_21),
@@ -486,8 +497,9 @@ def expand_sweep(sc: dict) -> list[dict]:
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}: expected a nonempty list of values")
-    if (bad_seed := _check_field(_SEED, sc.get("seed"))) is not None:
-        raise ConfigError(str(bad_seed))
+    for bad in (_check_name(sc.get("name")), _check_field(_SEED, sc.get("seed"))):
+        if bad is not None:
+            raise ConfigError(str(bad))
     base = {k: v for k, v in sc.items() if k != "sweep"}
     keys = sorted(grid)
     out = []

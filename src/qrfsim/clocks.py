@@ -31,6 +31,14 @@ from .packets import (
 _LOBE_NODES = 96
 
 
+def _j_z(j_z) -> int:
+    """J_z as an int: a positive integral number and not a bool, else ConfigError."""
+    number = isinstance(j_z, (int, float, np.integer, np.floating)) and not isinstance(j_z, bool)
+    if not (number and 1 <= j_z < np.inf and int(j_z) == j_z):
+        raise ConfigError(f"J_z must be a positive integer, got {j_z!r}")
+    return int(j_z)
+
+
 @dataclass(frozen=True, eq=False)
 class RotatorClockState:
     """Rigid rotator clock; hand angle advances 2*pi*omega per unit time."""
@@ -41,8 +49,7 @@ class RotatorClockState:
     elapsed: float = 0.0
 
     def __post_init__(self):
-        if not (1 <= self.j_z < np.inf and int(self.j_z) == self.j_z):
-            raise ConfigError(f"J_z must be a positive integer, got {self.j_z}")
+        object.__setattr__(self, "j_z", _j_z(self.j_z))
         if not 0 < self.omega < np.inf:
             raise NonPositiveWidth(f"rotation frequency must be positive and finite, "
                                    f"got {self.omega}")
@@ -107,7 +114,7 @@ class ClockReadout:
 
 def rotator_init(j_z: int, omega: float) -> RotatorClockState:
     """Flat superposition over m; the angular analog of a Gaussian packet."""
-    n = 2 * j_z + 1
+    n = 2 * _j_z(j_z) + 1
     return RotatorClockState(j_z, omega, np.full(n, 1.0 / np.sqrt(n), dtype=complex))
 
 

@@ -60,7 +60,10 @@ class FrameSystem:
 
     @classmethod
     def from_masses(cls, masses: Sequence[float], roles: Sequence[str] | None = None) -> "FrameSystem":
-        roles = roles or ["frame"] * len(masses)
+        if roles is None:
+            roles = ["frame"] * len(masses)
+        elif len(roles) != len(masses):
+            raise ConfigError(f"{len(roles)} roles given for {len(masses)} masses")
         return cls(tuple(Body(m, r) for m, r in zip(masses, roles)))
 
     @property

@@ -113,13 +113,12 @@ class MomentumGrid:
 
 @dataclass(frozen=True, eq=False)
 class WavePacket:
-    """Complex amplitude Phi(p) sampled on a MomentumGrid, unit L2 norm."""
+    """Complex amplitude Phi(p) sampled on a MomentumGrid, unit L2 norm; every
+    moment, centre and width included, is measured from Phi."""
 
     grid: MomentumGrid
     amplitudes: np.ndarray
     mass: float
-    center: float = 0.0   # descriptive metadata, not re-derived after evolution
-    width: float = 0.0
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -166,7 +165,7 @@ def make_gaussian(grid: MomentumGrid, center: float, width: float, mass: float,
         amp = amp * np.exp(-1j * p * x0)
     w = grid.quad_weights()
     amp /= np.sqrt(np.sum(w * np.abs(amp) ** 2).real)
-    return WavePacket(grid, amp, mass, center=center, width=width)
+    return WavePacket(grid, amp, mass)
 
 
 def from_function(grid: MomentumGrid, fn: Callable[[np.ndarray], np.ndarray],
@@ -179,10 +178,7 @@ def from_function(grid: MomentumGrid, fn: Callable[[np.ndarray], np.ndarray],
     n2 = np.sum(w * np.abs(amp) ** 2).real
     if n2 <= 0:
         raise NonPositiveWidth("amplitude function vanishes on the grid")
-    d = np.abs(amp) ** 2 / n2
-    c = float(np.sum(w * d * grid.points))
-    s = float(np.sqrt(max(np.sum(w * d * (grid.points - c) ** 2), 0.0)))
-    return WavePacket(grid, amp / np.sqrt(n2), mass, center=c, width=s)
+    return WavePacket(grid, amp / np.sqrt(n2), mass)
 
 
 def default_grid(center: float, width: float, n: int = DEFAULT_GRID_POINTS) -> MomentumGrid:

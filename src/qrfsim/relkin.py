@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .clocks import (
-    ClockReadout,
     FreeClockState,
     RotatorClockState,
     angular_density,
@@ -159,9 +158,9 @@ class RelClockSystem:
             raise NonPositiveWidth("rest mass must be positive")
         _external_weights(self.external)  # type check
         if isinstance(self.clock, RotatorClockState):
-            # the mass operator m2' + 2 pi w m must stay positive on populated modes
-            populated = self.clock.m_values[np.abs(self.clock.coefficients) > 1e-15]
-            m_min = self.rest_mass + 2 * np.pi * self.clock.omega * populated.min()
+            # the mass operator must stay positive on populated modes
+            populated = np.abs(self.clock.coefficients) > 1e-15
+            m_min = _rotator_mode_masses(self.rest_mass, self.clock)[populated].min()
             if m_min <= 0:
                 raise ConfigError(
                     f"mass operator reaches {m_min}; lower omega*J_z below m2'/2pi")
@@ -300,9 +299,8 @@ def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:
 
 # --- Monte-Carlo oracle ------------------------------------------------------
 
-def _ensemble(sys: RelClockSystem, n: int, seed: int, stream: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """(S, T): n ensemble draws from stream (seed, stream) of the proper-time
+def _ensemble(sys: RelClockSystem, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, T): n ensemble draws, from the generator keyed by seed, of the proper-time
     observable's slope and offset, tau_2 = S tau0 + T, so one ensemble serves
     every tau0.
 
@@ -311,7 +309,7 @@ def _ensemble(sys: RelClockSystem, n: int, seed: int, stream: int
     whenever the boost-angle cross moment g2 vanishes.  Angles are drawn on the
     peak-centred branch theta = phi + u of `recenter`.
     """
-    rng = make_rng(seed, stream)
+    rng = make_rng(seed)
     ext, clock = sys.external, sys.clock
     if isinstance(ext, WavePacket):
         p = inverse_cdf_sample(ext.grid.points, ext.density(), n, rng)
@@ -338,10 +336,9 @@ def _ensemble(sys: RelClockSystem, n: int, seed: int, stream: int
     return px * b / clock.p_bar, clock.mu_ab * x / clock.p_bar
 
 
-def sample_proper_times(sys: RelClockSystem, tau0: float, n: int,
-                        seed: int, stream: int = 0) -> np.ndarray:
-    """n ensemble draws of the proper time at tau0 from stream (seed, stream)."""
-    slope, offset = _ensemble(sys, n, seed, stream)
+def sample_proper_times(sys: RelClockSystem, tau0: float, n: int, seed: int) -> np.ndarray:
+    """n ensemble draws of the proper time at tau0 from the generator keyed by seed."""
+    slope, offset = _ensemble(sys, n, seed)
     return slope * tau0 + offset
 
 
@@ -355,10 +352,10 @@ class EnsembleCheck:
     stderr_variance: float | np.ndarray
 
 
-def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, seed: int,
-                      stream: int = 0) -> EnsembleCheck:
+def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int,
+                      seed: int) -> EnsembleCheck:
     """Ensemble moments at tau0, a float or an array, from one ensemble of n >= 2
-    draws on stream (seed, stream) that serves every tau0: the entries are
+    draws keyed by seed that serves every tau0: the entries are
     correlated, and each entry's marginal is exact.  Refuses states with a
     boost-angle cross moment g2 it would miss."""
     if not (isinstance(n, (int, np.integer)) and n >= 2):
@@ -367,7 +364,7 @@ def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int, see
     if not abs(s.g2) <= 1e-6 * 2 * np.sqrt(s.d_b * s.d0):
         raise ConfigError(f"g2 = {s.g2:.6g} correlates boost and clock offset; "
                           "the Monte-Carlo ensemble cannot check this state")
-    slope, offset = _ensemble(sys, n, seed, stream)
+    slope, offset = _ensemble(sys, n, seed)
     taus = np.asarray(tau0, dtype=float)
     # reduce each tau0's draws before the next: one row is held beside S and T
     moments = np.reshape([sample_moments(slope * float(t) + offset) for t in taus.flat],
@@ -523,9 +520,7 @@ def frame_to_frame(packet: WavePacket, m1: float, m2: float,
     undone = evolve_free(packet, lambda p: m1 + np.sqrt(m2 ** 2 + p ** 2), -tau1)
     pts = -(m1 / m2) * packet.grid.points[::-1]
     amps = np.sqrt(m2 / m1) * undone.amplitudes[::-1]
-    mapped = WavePacket(MomentumGrid(pts), amps, m1,
-                        center=-(m1 / m2) * packet.center,
-                        width=(m1 / m2) * packet.width)
+    mapped = WavePacket(MomentumGrid(pts), amps, m1)
     return evolve_free(mapped, lambda p: m2 + np.sqrt(m1 ** 2 + p ** 2), tau2)
 
 
@@ -582,12 +577,3 @@ def nonrel_limit_report(m1: float, m2: float, betas, n: int = 2048) -> list[Nonr
         rows.append(NonrelRow(float(beta), float(h_ratio),
                               float((x_plus - x_minus) / (2 * delta))))
     return rows
-
-
-def rotator_readout_boosted(sys: RelClockSystem, tau0: float) -> ClockReadout:
-    """Read the clock hand after boosted evolution of a single-mode system."""
-    ent = boosted_evolve(sys, tau0)
-    if ent.modes.size != 1:
-        raise ConfigError("direct readout needs a single external mode")
-    from .clocks import rotator_read
-    return rotator_read(ent.internal_states[0])

@@ -2,8 +2,8 @@
 
 Sampling uses the inverse-CDF method on a piecewise-linear interpolant of the
 cumulative trapezoid integral (Devroye, Non-Uniform Random Variate Generation,
-1986, ch. II); generators are counter-based (Philox) so that independent
-streams derived from one seed never collide.
+1986, ch. II); generators are counter-based (Philox) and keyed by the seed
+alone: the key is the stream (Salmon et al., SC'11), so seeds never collide.
 
 Uniforms are interpolated in blocks, each visited in bucket order of its values'
 leading 16 bits, so the CDF lookups run nearly in order; each draw is still
@@ -20,9 +20,9 @@ from .errors import ConfigError, NonFiniteSample
 INTERP_BLOCK = 1 << 15
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Deterministic generator for (seed, stream); distinct streams independent."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) + (np.uint64(stream) << np.uint64(32))))
+def make_rng(seed: int) -> np.random.Generator:
+    """Deterministic Philox generator keyed by seed; distinct seeds are independent."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def _draw_count(n) -> int:

@@ -130,9 +130,12 @@ def _edited(name, **changes):
     _edited("rotator-dilation", mc_samples=1000, seed=2 ** 32),
     _edited("rotator-dilation", mc_samples=1000, seed=2 ** 64),
     _edited("rotator-dilation", mc_samples=1000, seed=1e300),
+    # the name is the output file stem: it must not leave --out, hide or break the file
+    *(dict(_edited("jacobi-demo"), name=name) for name in ("../escaped", "a\x00b", "", 42, ["x"])),
 ], ids=["rest_mass-nan", "tau_grid-nan", "j_z-nan", "grid_min-string", "grid_min-alone",
         "tau1-inf", "m1-nan", "kind-list", "seed-string", "seed-fraction", "seed-negative",
-        "seed-2^32", "seed-2^64", "seed-1e300"])
+        "seed-2^32", "seed-2^64", "seed-1e300", "name-parent", "name-nul", "name-empty",
+        "name-number", "name-list"])
 def test_bad_input_fails_closed(tmp_path, capsys, payload):
     path = write_scenario(tmp_path, payload)
     assert cli.main(["validate", "--scenario", path]) == 2
@@ -144,6 +147,7 @@ def test_bad_input_fails_closed(tmp_path, capsys, payload):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["scenario.json", "sweep.json"]
 
 
 @pytest.mark.parametrize("payload, field", [

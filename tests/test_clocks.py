@@ -25,7 +25,15 @@ from qrfsim.clocks import (
 from qrfsim import packets
 from qrfsim.errors import ConfigError, NonPositiveWidth, ZeroMeanMomentum
 from qrfsim.frames import measurement_reduce
-from qrfsim.packets import ProductState, evolve_free, position_variance, variance
+from qrfsim.packets import (
+    ProductState,
+    default_grid,
+    evolve_free,
+    make_gaussian,
+    position_variance,
+    variance,
+)
+from qrfsim.relkin import RelClockSystem, sample_proper_times
 
 
 def _dense_density(state, thetas):
@@ -292,3 +300,24 @@ def test_freeclock_rejects_zero_momentum():
 def test_nan_parameters_are_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_integral_float_j_z_is_an_int():
+    # a 4.0 clock is the J_z = 4 clock: its modes, and its Monte-Carlo draws
+    from_float, from_int = rotator_init(4.0, 0.02), rotator_init(4, 0.02)
+    assert type(from_float.j_z) is int and from_float.n_states == 9
+    assert from_float.coefficients.tobytes() == from_int.coefficients.tobytes()
+    packet = make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0)
+    clock = RotatorClockState(4.0, 0.02, from_int.coefficients)
+    draws = [sample_proper_times(RelClockSystem(1.0, packet, c), 10.0, 2000, seed=9)
+             for c in (clock, from_int)]
+    assert draws[0].tobytes() == draws[1].tobytes()
+
+
+@pytest.mark.parametrize("j_z", [True, np.True_, 4.5, np.nan, np.inf, "4", None],
+                         ids=repr)
+def test_j_z_must_be_a_positive_integral_number(j_z):
+    with pytest.raises(ConfigError, match="J_z"):
+        rotator_init(j_z, 0.02)
+    with pytest.raises(ConfigError, match="J_z"):
+        RotatorClockState(j_z, 0.02, np.full(9, 1 / 3))

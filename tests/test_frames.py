@@ -62,6 +62,12 @@ def test_bad_labels_rejected():
         build_chart(sys3, 2)  # particle cannot carry a frame
 
 
+
+@pytest.mark.parametrize("roles", [[], ["frame"], ["frame"] * 4], ids=["empty", "short", "long"])
+def test_roles_must_match_masses(roles):
+    with pytest.raises(ConfigError, match="roles"):
+        FrameSystem.from_masses([1.0, 2.0, 3.0], roles)
+
 @hyp.settings(max_examples=60, deadline=None)
 @hyp.given(masses=masses_strategy)
 def test_every_frame_chart_is_canonical(masses):

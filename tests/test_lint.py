@@ -58,6 +58,40 @@ def test_the_rule_sees_private_imports(tmp_path):
                                       "5: packets._derivative", "6: clk._LOBE_NODES"]
 
 
+
+def function_level_imports(path: Path) -> list[str]:
+    """'line: module' for every import inside a function or method body, nested
+    functions included: a module's imports all sit at its top."""
+    found = set()
+    for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Import):
+                    found |= {(node.lineno, alias.name) for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    found.add((node.lineno, "." * node.level + (node.module or "")))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_function_level_imports(path):
+    assert function_level_imports(path) == []
+
+
+def test_the_rule_sees_function_level_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "from . import packets\n"
+                     "def f():\n"
+                     "    from .clocks import rotator_read\n"
+                     "    def g():\n"
+                     "        import json, os\n"
+                     "class C:\n"
+                     "    import math\n"
+                     "    async def m(self):\n"
+                     "        from . import frames\n")
+    assert function_level_imports(probe) == ["4: .clocks", "6: json", "6: os", "10: ."]
+
 #: Top-level packages src/ may import besides the standard library (pyproject's dependencies).
 DEPENDENCIES = {"numpy", "qrfsim"}
 

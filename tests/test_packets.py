@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from qrfsim.clocks import FreeClockState, freeclock_packet
 from qrfsim.errors import GridTooNarrow, NonFiniteSample, NonPositiveWidth
 from qrfsim.packets import (
+    DELTA_WIDTH_FRACTION,
     MomentumGrid,
     WavePacket,
     default_grid,
@@ -123,8 +124,8 @@ def test_negative_width_rejected():
 
 def test_zero_width_gets_floor():
     pk = make_gaussian(default_grid(2.0, 0.0), center=2.0, width=0.0, mass=1.0)
-    assert pk.width == pytest.approx(2e-3)
-    assert_allclose(np.sqrt(variance(pk, lambda p: p)), 2e-3, rtol=1e-2)
+    floor = DELTA_WIDTH_FRACTION * max(abs(2.0), 1.0)
+    assert np.sqrt(variance(pk, lambda p: p)) == pytest.approx(floor)
 
 
 def test_evolve_zero_time_is_identity():
@@ -161,11 +162,11 @@ def test_position_variance_of_minimum_uncertainty_packet():
     assert_allclose(position_variance(pk), 1.0, rtol=1e-6)
 
 
-def test_from_function_recovers_meta():
+def test_from_function_recovers_moments():
     g = default_grid(0.3, 0.1)
     pk = from_function(g, lambda p: np.exp(-((p - 0.3) ** 2) / (4 * 0.1 ** 2)), mass=1.0)
-    assert_allclose(pk.center, 0.3, atol=1e-9)
-    assert_allclose(pk.width, 0.1, rtol=1e-6)
+    assert_allclose(expectation(pk, lambda p: p).real, 0.3, atol=1e-9)
+    assert_allclose(np.sqrt(variance(pk, lambda p: p)), 0.1, rtol=1e-6)
 
 
 @hyp.settings(max_examples=30, deadline=None)

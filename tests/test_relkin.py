@@ -16,6 +16,7 @@ from qrfsim.clocks import (
     angular_density,
     rotator_evolve_rest,
     rotator_init,
+    rotator_read,
 )
 from qrfsim.errors import ConfigError, NonPositiveWidth, RoughState
 from qrfsim.packets import (
@@ -47,7 +48,6 @@ from qrfsim.relkin import (
     nw_commutator_residual,
     pair_invariant_mass,
     proper_time_stats,
-    rotator_readout_boosted,
     sample_proper_times,
     time_boost,
     two_body_kinematics,
@@ -180,22 +180,22 @@ class TestTauGrid:
         assert grid.tau_mean.shape == grid.d_tau.shape == self.TAUS.shape
 
     def test_monte_carlo_on_array_equals_scalar_calls_per_stream(self, build):
-        # one ensemble serves every tau0: entry i is the scalar call on the same stream
+        # one ensemble serves every tau0: entry i is the scalar call on the same seed
         sys = build()
         taus = self.TAUS[1:4]
-        grid = mc_variance_check(sys, taus, 2000, seed=5, stream=3)
+        grid = mc_variance_check(sys, taus, 2000, seed=5)
         assert grid.mean.shape == taus.shape
         for i, tau0 in enumerate(taus):
-            s = mc_variance_check(sys, float(tau0), 2000, seed=5, stream=3)
+            s = mc_variance_check(sys, float(tau0), 2000, seed=5)
             assert (grid.mean[i], grid.variance[i], grid.stderr_mean[i],
                     grid.stderr_variance[i]) == (s.mean, s.variance, s.stderr_mean,
                                                  s.stderr_variance)
 
     def test_monte_carlo_rows_are_moments_of_sampled_proper_times(self, build):
         sys = build()
-        grid = mc_variance_check(sys, self.TAUS, 2000, seed=5, stream=3)
+        grid = mc_variance_check(sys, self.TAUS, 2000, seed=5)
         for i, tau0 in enumerate(self.TAUS):
-            t = sample_proper_times(sys, float(tau0), 2000, seed=5, stream=3)
+            t = sample_proper_times(sys, float(tau0), 2000, seed=5)
             assert (grid.mean[i], grid.variance[i], grid.stderr_mean[i],
                     grid.stderr_variance[i]) == sampling.sample_moments(t)
 
@@ -204,9 +204,9 @@ class TestTauGrid:
         draws = []
         ensemble = relkin._ensemble
 
-        def counted(sys, n, seed, stream):
+        def counted(sys, n, seed):
             draws.append(n)
-            return ensemble(sys, n, seed, stream)
+            return ensemble(sys, n, seed)
 
         monkeypatch.setattr(relkin, "_ensemble", counted)
         mc_variance_check(build(), np.linspace(0.0, 50.0, length), 500, seed=2)
@@ -381,6 +381,18 @@ class TestDispersionQuadratic:
         assert abs(chk.mean - stats.tau_mean) < 3 * chk.stderr_mean
         assert abs(chk.variance - stats.d_tau) < 3 * chk.stderr_variance
 
+    @pytest.mark.parametrize("clock", [rotator_init(4, 0.02), FreeClockState(0.5, 0.5, 0.2, 25.0)],
+                             ids=["rotator", "freeclock"])
+    def test_discrete_modes_match_monte_carlo(self, clock):
+        # the ensemble draws mode momenta by their weights, not from a packet's CDF table
+        modes = ModeSuperposition(np.array([0.0, 0.5, 1.2]), np.sqrt([0.2, 0.5, 0.3]))
+        sys = RelClockSystem(1.0, modes, clock)
+        taus = np.array([0.0, 8.0, 40.0, 200.0])
+        stats = proper_time_stats(sys, taus)
+        chk = mc_variance_check(sys, taus, 150_000, seed=13)
+        assert np.all(np.abs(chk.mean - stats.tau_mean) < 5 * chk.stderr_mean)
+        assert np.all(np.abs(chk.variance - stats.d_tau) < 5 * chk.stderr_variance)
+
     def test_freeclock_rest_dispersion(self):
         sys = freeclock_system()
         s = proper_time_stats(sys, 0.0)
@@ -411,10 +423,10 @@ class TestSampling:
         b = sample_proper_times(sys, 5.0, 1000, seed=42)
         assert np.array_equal(a, b)
 
-    def test_streams_are_independent(self):
+    def test_seeds_are_independent(self):
         sys = gaussian_system()
-        a = sample_proper_times(sys, 5.0, 1000, seed=42, stream=0)
-        b = sample_proper_times(sys, 5.0, 1000, seed=42, stream=1)
+        a = sample_proper_times(sys, 5.0, 1000, seed=42)
+        b = sample_proper_times(sys, 5.0, 1000, seed=43)
         assert not np.array_equal(a, b)
 
 
@@ -458,7 +470,7 @@ class TestBoostedEvolution:
     def test_single_mode_readout_shows_dilation(self):
         modes = ModeSuperposition(np.array([0.75]), np.array([1.0]))
         sys = RelClockSystem(1.0, modes, rotator_init(8, 0.01))
-        out = rotator_readout_boosted(sys, 30.0)
+        out = rotator_read(boosted_evolve(sys, 30.0).internal_states[0])
         # flat-state density is symmetric, so the circular mean sits on the peak
         assert out.mean == pytest.approx(0.8 * 30.0, abs=1e-9)
 
@@ -647,7 +659,7 @@ class TestNewtonWigner:
         rng = np.random.default_rng(0)
         amp = rng.normal(size=512) + 1j * rng.normal(size=512)
         amp /= np.sqrt(np.sum(grid.quad_weights() * np.abs(amp) ** 2))
-        jagged = WavePacket(grid, amp, 0.7, center=0.5, width=0.05)
+        jagged = WavePacket(grid, amp, 0.7)
         with pytest.raises(RoughState):
             newton_wigner_x(jagged)
 
@@ -665,7 +677,8 @@ class TestFrameToFrame:
         g = make_gaussian(default_grid(0.5, 0.05), 0.5, 0.05, mass=0.7)
         out = frame_to_frame(g, 1.3, 0.7, 0.0, 0.0)
         assert out.mass == 1.3
-        assert out.center == pytest.approx(-(1.3 / 0.7) * 0.5, rel=1e-12)
+        assert expectation(out, lambda p: p).real == pytest.approx(
+            -(1.3 / 0.7) * expectation(g, lambda p: p).real, rel=1e-12)
         assert expectation(out, lambda p: p).real == pytest.approx(
             -(1.3 / 0.7) * 0.5, rel=1e-6)
         assert out.norm() == pytest.approx(1.0, abs=1e-9)

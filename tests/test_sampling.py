@@ -52,18 +52,18 @@ COUNTS = (0, 1, 2, INTERP_BLOCK - 1, INTERP_BLOCK, INTERP_BLOCK + 1, 200_003)
 @pytest.mark.parametrize("n", COUNTS)
 @pytest.mark.parametrize("table", sorted(DENSITIES))
 @hyp.settings(max_examples=4, deadline=None)
-@hyp.given(seed=st.integers(0, 2 ** 32 - 1), stream=st.integers(0, 2 ** 16))
-def test_draws_are_bit_identical_to_plain_inversion(table, n, seed, stream):
+@hyp.given(seed=st.integers(0, 2 ** 48 + 2 ** 32 - 1))
+def test_draws_are_bit_identical_to_plain_inversion(table, n, seed):
     xs, d = DENSITIES[table]()
-    got = inverse_cdf_sample(xs, d, n, make_rng(seed, stream))
-    want = plain_inversion(xs, d, n, make_rng(seed, stream))
+    got = inverse_cdf_sample(xs, d, n, make_rng(seed))
+    want = plain_inversion(xs, d, n, make_rng(seed))
     assert got.dtype == want.dtype and got.shape == want.shape == (n,)
     assert got.tobytes() == want.tobytes()
 
 
 def test_draws_leave_the_stream_where_plain_inversion_does():
     xs, d = _descending()
-    rng, ref = make_rng(5, 1), make_rng(5, 1)
+    rng, ref = make_rng(5 + (1 << 32)), make_rng(5 + (1 << 32))
     inverse_cdf_sample(xs, d, 1000, rng)
     plain_inversion(xs, d, 1000, ref)
     assert rng.random(4).tobytes() == ref.random(4).tobytes()
