@@ -200,6 +200,8 @@ def _betas_nonrelativistic(sc):
 # per packet grid point or histogram bin, 16 per boost-mesh entry held (B_2 and
 # B_2^2), 40-48 per Monte-Carlo draw, and per rotator mode 216 (lag sums), up to
 # 1830 with a Monte-Carlo angle table, or 48 per entangled clock's external mode.
+# A jacobi-demo of n bodies holds its last frame's exchange chain, n - 1 exchanges
+# of three n x n arrays (24 n^3 bytes), and about 256 bytes per output row (n^2 rows).
 _PER_POINT, _PER_DRAW = 160, 48
 _PER_MODE, _PER_SAMPLED_MODE, _PER_STATE_MODE = 240, 1600, 48
 
@@ -220,6 +222,11 @@ def _freeclock_bytes(sc):
 def _entangled_bytes(sc):
     return {"j_z": _PER_STATE_MODE * (2 * int(sc["j_z"]) + 1) * len(sc["mode_momenta"]),
             "histogram_bins": _PER_POINT * int(sc["histogram_bins"])}
+
+
+def _jacobi_bytes(sc):
+    n = len(sc["masses"])
+    return {"masses": 24 * n ** 3 + 256 * n ** 2}
 
 
 def _packet_bytes(sc):
@@ -433,7 +440,7 @@ def _run_nonrel_limit(sc: dict) -> ResultTable:
 SCENARIOS = {
     "jacobi-demo": Kind(
         (Field("masses", "list", "positive"),),
-        (_two_or_more_masses,), _run_jacobi_demo),
+        (_two_or_more_masses, _under_cap(_jacobi_bytes)), _run_jacobi_demo),
     "rotator-dilation": Kind(
         (Field("rest_mass", bound="positive"), *_PACKET, *_ROTATOR,
          Field("tau_grid", "list", "nonnegative")),

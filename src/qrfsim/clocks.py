@@ -39,6 +39,13 @@ def _j_z(j_z) -> int:
     return int(j_z)
 
 
+def _reject_bools(state, *names: str) -> None:
+    """ConfigError if a named field holds a bool, which would pass a range check as 0 or 1."""
+    bools = [name for name in names if isinstance(getattr(state, name), (bool, np.bool_))]
+    if bools:
+        raise ConfigError(f"{', '.join(bools)}: expected a number, got a bool")
+
+
 @dataclass(frozen=True, eq=False)
 class RotatorClockState:
     """Rigid rotator clock; hand angle advances 2*pi*omega per unit time."""
@@ -50,6 +57,7 @@ class RotatorClockState:
 
     def __post_init__(self):
         object.__setattr__(self, "j_z", _j_z(self.j_z))
+        _reject_bools(self, "omega")
         if not 0 < self.omega < np.inf:
             raise NonPositiveWidth(f"rotation frequency must be positive and finite, "
                                    f"got {self.omega}")
@@ -83,6 +91,7 @@ class FreeClockState:
     a_x: float
 
     def __post_init__(self):
+        _reject_bools(self, "m_a", "m_b", "p_bar", "a_x")
         if not (0 < self.m_a < np.inf and 0 < self.m_b < np.inf):
             raise NonPositiveWidth("constituent masses must be positive and finite")
         if not (self.p_bar != 0.0 and np.isfinite(self.p_bar)):

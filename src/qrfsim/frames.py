@@ -140,14 +140,18 @@ def frame_ordering(n: int, label: int) -> tuple[int, ...]:
     return (label,) + tuple(j for j in range(1, n + 1) if j != label)
 
 
+def _check_frame_label(system: FrameSystem, label: int) -> None:
+    """BadLabel unless body `label` is in 1..N and can carry a frame."""
+    if not (1 <= label <= system.size):
+        raise BadLabel(f"frame label {label} outside 1..{system.size}")
+    if system.bodies[label - 1].role != "frame":
+        raise BadLabel(f"body {label} has role 'particle' and cannot carry a frame")
+
+
 def build_chart(system: FrameSystem, frame_label: int) -> JacobiChart:
     """Canonical chart attached to the given frame body."""
-    n = system.size
-    if not (1 <= frame_label <= n):
-        raise BadLabel(f"frame label {frame_label} outside 1..{n}")
-    if system.bodies[frame_label - 1].role != "frame":
-        raise BadLabel(f"body {frame_label} has role 'particle' and cannot carry a frame")
-    return chart_for_ordering(system, frame_ordering(n, frame_label))
+    _check_frame_label(system, frame_label)
+    return chart_for_ordering(system, frame_ordering(system.size, frame_label))
 
 
 def exchange_angle(m1: float, m2: float, m3: float) -> float:
@@ -175,8 +179,9 @@ class ChartTransform:
 def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) -> ChartTransform:
     """Exchange the bodies at ordering slots (position, position+1).
 
-    The map is dilatation * rotation * parity * dilatation on the two affected
-    coordinates; every other row is identity.
+    The map is dilatation * rotation(beta) * parity * dilatation on the two affected
+    coordinates, every other row identity; at the tail no mass lies beyond the pair,
+    so beta = 0 and the block is the pure parity of the relative coordinate.
     """
     n = chart.size
     if not (0 <= position <= n - 2):
@@ -188,25 +193,18 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
 
     pre = np.sqrt(chart.reduced_masses[position:position + 2])
     post = 1.0 / np.sqrt(target.reduced_masses[position:position + 2])
+    m_ord = system.masses[[l - 1 for l in chart.ordering]]
+    beta = exchange_angle(m_ord[position], m_ord[position + 1], float(m_ord[position + 2:].sum()))
+    rot = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
     full = np.eye(n)
-    if position == n - 2:
-        # tail pair: the single relative coordinate just flips sign
-        full[position, position] = -post[0] * pre[0]  # == -1, mu is pair-symmetric
-    else:
-        m_ord = system.masses[[l - 1 for l in chart.ordering]]
-        beta = exchange_angle(m_ord[position], m_ord[position + 1],
-                              float(m_ord[position + 2:].sum()))
-        rot = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
-        block = np.diag(post) @ rot @ np.diag([-1.0, 1.0]) @ np.diag(pre)
-        full[position:position + 2, position:position + 2] = block
+    full[position:position + 2, position:position + 2] = (
+        np.diag(post) @ rot @ np.diag([-1.0, 1.0]) @ np.diag(pre))
     return ChartTransform(chart, target, full)
 
 
 def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
     """Adjacent exchanges carrying frame 1's chart into frame `to_label`'s."""
-    n = system.size
-    if not (1 <= to_label <= n):
-        raise BadLabel(f"frame label {to_label} outside 1..{n}")
+    _check_frame_label(system, to_label)
     ops: list[ChartTransform] = []
     chart = build_chart(system, 1)
     for pos in range(to_label - 2, -1, -1):  # bubble the body to the front

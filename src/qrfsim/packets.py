@@ -76,9 +76,8 @@ class MomentumGrid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 3:
             raise NonPositiveWidth("grid must be a 1D array of at least 3 points")
-        if not np.all(np.diff(pts) > 0):
+        if not uniform_step(pts) > 0:
             raise NonPositiveWidth("grid points must be strictly increasing")
-        uniform_step(pts)
 
     @property
     def spacing(self) -> float:
@@ -150,27 +149,22 @@ def make_gaussian(grid: MomentumGrid, center: float, width: float, mass: float,
 
     width = 0 requests a delta-like packet and is replaced by the floor
     1e-3 * max(|center|, 1).  An optional position offset x0 is applied as the
-    translation phase exp(-i p x0).
+    translation phase exp(-i p x0).  from_function normalises it on the grid.
     """
     if width < 0:
         raise NonPositiveWidth("packet width must be >= 0")
     if width == 0.0:
         width = DELTA_WIDTH_FRACTION * max(abs(center), 1.0)
     if not grid.covers(center, MIN_HALF_WIDTH_SIGMAS * width):
-        raise GridTooNarrow(
-            f"grid {grid.extent} does not cover {center} +- 6*{width}")
-    p = grid.points
-    amp = np.exp(-((p - center) ** 2) / (4.0 * width ** 2)).astype(complex)
-    if x0 != 0.0:
-        amp = amp * np.exp(-1j * p * x0)
-    w = grid.quad_weights()
-    amp /= np.sqrt(np.sum(w * np.abs(amp) ** 2).real)
-    return WavePacket(grid, amp, mass)
+        raise GridTooNarrow(f"grid {grid.extent} does not cover "
+                            f"{center} +- {MIN_HALF_WIDTH_SIGMAS:g}*{width}")
+    return from_function(grid, lambda p: np.exp(-((p - center) ** 2) / (4.0 * width ** 2))
+                         * np.exp(-1j * p * x0), mass)
 
 
 def from_function(grid: MomentumGrid, fn: Callable[[np.ndarray], np.ndarray],
                   mass: float) -> WavePacket:
-    """Packet from an arbitrary amplitude function, normalised on the grid."""
+    """Packet from an amplitude function, normalised on the grid: the one packet normaliser."""
     amp = np.asarray(fn(grid.points), dtype=complex)
     if not np.all(np.isfinite(amp.view(float))):
         raise NonFiniteSample("amplitude function produced NaN/inf on the grid")

@@ -36,6 +36,7 @@ from .errors import (
     RoughState,
 )
 from .packets import (
+    MIN_HALF_WIDTH_SIGMAS,
     MomentumGrid,
     WavePacket,
     apply_x,
@@ -480,8 +481,8 @@ def cluster_hamiltonian(m1: float, packet_g2: WavePacket, packet_g3: WavePacket)
 
 def _nw_packet(packet: WavePacket) -> WavePacket:
     """Psi = Phi / sqrt(2E) renormalised, on which Newton-Wigner's x12 is x_hat."""
-    psi = packet.amplitudes / np.sqrt(2.0 * np.sqrt(packet.mass ** 2 + packet.grid.points ** 2))
-    return packet.with_amplitudes(psi / np.sqrt(packet.grid.quad_weights() @ np.abs(psi) ** 2))
+    return from_function(packet.grid, lambda p: packet.amplitudes / np.sqrt(
+        2.0 * np.sqrt(packet.mass ** 2 + p ** 2)), packet.mass)
 
 
 def newton_wigner_x(packet: WavePacket) -> float:
@@ -561,8 +562,8 @@ def nonrel_limit_report(m1: float, m2: float, betas, n: int = 2048) -> list[Nonr
         delta = 0.5 / sig_q
         qs = np.linspace(q_bar - 7 * sig_q, q_bar + 7 * sig_q, 16384)
         ps = _pair_momentum(m1, m2, qs)
-        grid = MomentumGrid.linspace(_pair_momentum(m1, m2, q_bar - 6 * sig_q),
-                                     _pair_momentum(m1, m2, q_bar + 6 * sig_q), n)
+        grid = MomentumGrid.linspace(_pair_momentum(m1, m2, q_bar - MIN_HALF_WIDTH_SIGMAS * sig_q),
+                                     _pair_momentum(m1, m2, q_bar + MIN_HALF_WIDTH_SIGMAS * sig_q), n)
 
         def shifted(sign: float) -> WavePacket:
             def amp(pvals):

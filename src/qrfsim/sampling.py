@@ -21,7 +21,10 @@ INTERP_BLOCK = 1 << 15
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic Philox generator keyed by seed; distinct seeds are independent."""
+    """Deterministic Philox generator keyed by seed, an integer in [0, 2**64) and not a
+    bool; distinct seeds are independent."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+        raise ConfigError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -321,3 +321,18 @@ def test_j_z_must_be_a_positive_integral_number(j_z):
         rotator_init(j_z, 0.02)
     with pytest.raises(ConfigError, match="J_z"):
         RotatorClockState(j_z, 0.02, np.full(9, 1 / 3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda flag: rotator_init(4, flag),
+    lambda flag: RotatorClockState(1, flag, np.array([0.0, 1.0, 0.0])),
+    lambda flag: FreeClockState(m_a=flag, m_b=1.0, p_bar=0.2, a_x=25.0),
+    lambda flag: FreeClockState(m_a=1.0, m_b=flag, p_bar=0.2, a_x=25.0),
+    lambda flag: FreeClockState(m_a=1.0, m_b=1.0, p_bar=flag, a_x=25.0),
+    lambda flag: FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.2, a_x=flag),
+], ids=["rotator_init-omega", "omega", "m_a", "m_b", "p_bar", "a_x"])
+@pytest.mark.parametrize("flag", [True, np.True_], ids=repr)
+def test_clock_parameters_reject_bools(build, flag):
+    # a bool passes 0 < x < inf as 1: the clock would run with a unit parameter
+    with pytest.raises(ConfigError, match="bool"):
+        build(flag)

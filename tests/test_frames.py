@@ -62,6 +62,16 @@ def test_bad_labels_rejected():
         build_chart(sys3, 2)  # particle cannot carry a frame
 
 
+@pytest.mark.parametrize("label", [0, 2, 4])
+def test_exchange_chain_rejects_what_build_chart_rejects(label):
+    sys3 = FrameSystem.from_masses([1.0, 2.0, 3.0], roles=["frame", "particle", "frame"])
+    for build in (lambda: build_chart(sys3, label), lambda: compose_transform(sys3, 1, label),
+                  lambda: exchange_chain(sys3, label)):
+        with pytest.raises(BadLabel):
+            build()
+    assert exchange_chain(sys3, 3)[-1].target.ordering == build_chart(sys3, 3).ordering
+
+
 
 @pytest.mark.parametrize("roles", [[], ["frame"], ["frame"] * 4], ids=["empty", "short", "long"])
 def test_roles_must_match_masses(roles):

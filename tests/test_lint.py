@@ -1,5 +1,6 @@
 """Source rules that keep each rule in one home: no module reaches into
-another module's private names, and the library needs nothing beyond numpy."""
+another module's private names, the library needs nothing beyond numpy, and
+no deletion leaves an unused import or an unread private name behind."""
 
 import ast
 import sys
@@ -132,3 +133,88 @@ def test_the_rule_sees_third_party_imports(tmp_path):
                      "    import pandas as pd\n")
     assert third_party_imports(probe) == ["3: scipy.linalg", "5: scipy", "8: hypothesis",
                                           "10: pandas"]
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """'line: name' for every name an import binds, at any depth, that the module
+    never reads; a name listed in `__all__` is read, `from __future__` binds none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = _read_names(tree)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            found += [f"{node.lineno}: {name}" for name in
+                      (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                      if name != "*" and name not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_the_rule_sees_unused_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os, sys\n"
+                     "import numpy as np\n"
+                     "import os.path\n"
+                     "from . import packets\n"
+                     "from .packets import apply_x as ax, make_gaussian\n"
+                     "from .errors import *\n"
+                     "__all__ = ['make_gaussian']\n"
+                     "def f():\n"
+                     "    import json\n"
+                     "    return np.pi + sys.maxsize\n")
+    assert unused_imports(probe) == ["2: os", "4: os", "5: packets", "6: ax", "10: json"]
+
+
+def unread_private_names(path: Path) -> list[str]:
+    """'line: name' for every single-underscore name that a top-level def, class or
+    assignment binds and that nothing in the module reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        bound += [(node.lineno, name) for name in names if _private(name)]
+    read = _read_names(tree)
+    return [f"{line}: {name}" for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path) == []
+
+
+def test_the_rule_sees_unread_private_names(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "_USED = 1\n"
+                     "_UNUSED = 2\n"
+                     "_a, (_b, c) = 1, (2, 3)\n"
+                     "_annotated: int = 4\n"
+                     "def _helper():\n"
+                     "    return _USED + _a\n"
+                     "class _Hidden:\n"
+                     "    _attr = 1\n"
+                     "def public():\n"
+                     "    return _helper()\n"
+                     "__version__ = '1'\n")
+    assert unread_private_names(probe) == ["3: _UNUSED", "4: _b", "5: _annotated", "8: _Hidden"]

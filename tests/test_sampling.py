@@ -123,3 +123,17 @@ def test_numpy_integer_counts_are_accepted():
     xs = np.linspace(0.0, 1.0, 5)
     assert inverse_cdf_sample(xs, np.ones(5), np.int64(3), make_rng(0)).shape == (3,)
     assert choice_from_weights(np.ones(3), np.int32(4), make_rng(0)).shape == (4,)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True, np.True_, np.float64(3.0), "3", None],
+                         ids=repr)
+def test_seeds_outside_the_philox_key_fail_closed(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        make_rng(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 5 + (1 << 32), 2 ** 64 - 1, np.uint64(7), np.int32(7)],
+                         ids=repr)
+def test_valid_seeds_key_the_same_stream(seed):
+    want = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(64)
+    assert make_rng(seed).random(64).tobytes() == want.tobytes()
