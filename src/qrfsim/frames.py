@@ -6,9 +6,9 @@ them (dilatation * rotation * parity * dilatation), the infinite-mass
 density matrix for a relative-position measurement.
 
 Charts are plain linear maps over body indices: q = A r and pi = B p with
-A B^T = 1 (canonical pairing).  Chart states are Gaussians: a unitary frame
-change pushes one through these maps with the |det|^(-1/2) Jacobian factor by
-updating its linear map and norm, so any chain of pushes leaves one Gaussian.
+A B^T = 1 (canonical pairing), so A^-1 = B^T.  Chart states are Gaussians: a
+unitary frame change pushes one through these maps by updating its linear
+map, so any chain of pushes leaves one Gaussian.
 """
 
 from __future__ import annotations
@@ -103,36 +103,32 @@ class JacobiChart:
         return self.coord_map @ self.momentum_map.T
 
 
+def _reduced_masses(m_ord: np.ndarray) -> np.ndarray:
+    """Chart weights for masses in slot order: 1 / (1/m_i + 1/tail_i), then the total."""
+    tails = np.cumsum(m_ord[::-1])[::-1][1:]  # mass beyond each slot but the last
+    return np.append(1.0 / (1.0 / m_ord[:-1] + 1.0 / tails), float(m_ord.sum()))
+
+
 def chart_for_ordering(system: FrameSystem, ordering: Sequence[int]) -> JacobiChart:
     """Jacobi chart for an explicit body ordering (1-based labels)."""
     n = system.size
     ordering = tuple(int(l) for l in ordering)
     if sorted(ordering) != list(range(1, n + 1)):
         raise BadLabel(f"ordering {ordering} is not a permutation of 1..{n}")
-    masses = system.masses
-    m_ord = masses[[l - 1 for l in ordering]]
-    tails = np.concatenate((np.cumsum(m_ord[::-1])[::-1][1:], [0.0]))  # mass after position i
-    total = float(m_ord.sum())
+    m_ord = system.masses[[l - 1 for l in ordering]]
+    tails = np.cumsum(m_ord[::-1])[::-1][1:]  # mass beyond each slot but the last
+    mu = _reduced_masses(m_ord)
 
-    a_ord = np.zeros((n, n))
-    b_ord = np.zeros((n, n))
-    mu = np.zeros(n)
+    a_ord, b_ord = np.zeros((2, n, n))
     for i in range(n - 1):
-        mu[i] = 1.0 / (1.0 / m_ord[i] + 1.0 / tails[i])
         a_ord[i, i] = -1.0
         a_ord[i, i + 1:] = m_ord[i + 1:] / tails[i]
         b_ord[i, i] = -mu[i] / m_ord[i]
         b_ord[i, i + 1:] = mu[i] / tails[i]
-    mu[n - 1] = total
-    a_ord[n - 1, :] = m_ord / total
+    a_ord[n - 1, :] = m_ord / mu[-1]
     b_ord[n - 1, :] = 1.0
-
-    cols = [l - 1 for l in ordering]
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    a[:, cols] = a_ord
-    b[:, cols] = b_ord
-    return JacobiChart(ordering, a, b, mu)
+    cols = np.argsort(ordering)  # column k holds body k + 1
+    return JacobiChart(ordering, a_ord[:, cols], b_ord[:, cols], mu)
 
 
 def frame_ordering(n: int, label: int) -> tuple[int, ...]:
@@ -161,8 +157,9 @@ def exchange_angle(m1: float, m2: float, m3: float) -> float:
     pair (0 when the pair sits at the tail, giving a pure parity).  Always
     in [-pi/2, 0].
     """
-    if m1 <= 0 or m2 <= 0 or m3 < 0:
-        raise NonPositiveWidth("exchange angle needs positive pair masses, nonnegative rest mass")
+    if not (np.isfinite([m1, m2, m3]).all() and m1 > 0 and m2 > 0 and m3 >= 0):
+        raise NonPositiveWidth("exchange angle needs finite positive pair masses and a finite "
+                               "nonnegative rest mass")
     c = np.sqrt(m2 * m1 / ((m3 + m2) * (m1 + m3)))
     return float(-np.arccos(np.clip(c, -1.0, 1.0)))
 
@@ -181,25 +178,36 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
 
     The map is dilatation * rotation(beta) * parity * dilatation on the two affected
     coordinates, every other row identity; at the tail no mass lies beyond the pair,
-    so beta = 0 and the block is the pure parity of the relative coordinate.
+    so beta = 0 and the block is the pure parity of the relative coordinate.  Only the
+    pair's chart rows move: A rows by the block, B rows by its inverse transpose.
     """
     n = chart.size
     if not (0 <= position <= n - 2):
         raise BadLabel(f"swap position {position} outside 0..{n - 2}")
-    new_ordering = list(chart.ordering)
-    new_ordering[position], new_ordering[position + 1] = (
-        new_ordering[position + 1], new_ordering[position])
-    target = chart_for_ordering(system, new_ordering)
-
-    pre = np.sqrt(chart.reduced_masses[position:position + 2])
-    post = 1.0 / np.sqrt(target.reduced_masses[position:position + 2])
-    m_ord = system.masses[[l - 1 for l in chart.ordering]]
+    if n != system.size:
+        raise ChartMismatch(f"chart of {n} bodies given for a system of {system.size}")
+    masses = system.masses
+    m_ord = masses[[l - 1 for l in chart.ordering]]
+    mu = chart.reduced_masses
+    # the c.m. row times the total mass holds the body masses the chart was built for
+    if not (np.all(np.abs(mu - _reduced_masses(m_ord)) <= 1e-12 * mu)
+            and np.all(np.abs(chart.coord_map[-1] * mu[-1] - masses) <= 1e-12 * masses)):
+        raise ChartMismatch("chart was built for other body masses than this system's")
+    pair = slice(position, position + 2)
     beta = exchange_angle(m_ord[position], m_ord[position + 1], float(m_ord[position + 2:].sum()))
-    rot = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
+    ordering = list(chart.ordering)
+    ordering[pair], m_ord[pair] = ordering[pair][::-1], m_ord[pair][::-1]
+    target_mu = _reduced_masses(m_ord)
+    pre, root = np.sqrt(mu[pair]), np.sqrt(target_mu[pair])
+    c, s = np.cos(beta), np.sin(beta)
+    turn = np.array([[-c, -s], [-s, c]])  # rotation(beta) times the parity diag(-1, 1)
+    block = (1.0 / root)[:, None] * turn * pre
+    a, b = chart.coord_map.copy(), chart.momentum_map.copy()
+    # block^-T is the same turn with the two dilatations swapped
+    a[pair], b[pair] = block @ a[pair], (root[:, None] * turn / pre) @ b[pair]
     full = np.eye(n)
-    full[position:position + 2, position:position + 2] = (
-        np.diag(post) @ rot @ np.diag([-1.0, 1.0]) @ np.diag(pre))
-    return ChartTransform(chart, target, full)
+    full[pair, pair] = block
+    return ChartTransform(chart, JacobiChart(tuple(ordering), a, b, target_mu), full)
 
 
 def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
@@ -215,11 +223,10 @@ def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
 
 
 def compose_transform(system: FrameSystem, from_label: int, to_label: int) -> ChartTransform:
-    """Coordinate map q^to = U q^from between frame charts."""
+    """Coordinate map q^to = U q^from between frame charts: U = A_to B_from^T."""
     src = build_chart(system, from_label)
     dst = build_chart(system, to_label)
-    u = dst.coord_map @ np.linalg.inv(src.coord_map)
-    return ChartTransform(src, dst, u)
+    return ChartTransform(src, dst, dst.coord_map @ src.momentum_map.T)
 
 
 def arf_limit_chart(system: FrameSystem, mass_ratio: float = ARF_MASS_RATIO) -> JacobiChart:
@@ -274,13 +281,15 @@ def gaussian_chart_state(chart: JacobiChart, means: Sequence[float],
 
 
 def apply_transform(state: ChartState, op: ChartTransform) -> ChartState:
-    """Push through q' = U q: the factor becomes U^-T factor, the norm gains |det U|^(-1/2)."""
+    """Push through q' = U q: the factor becomes U^-T factor = B_target A_source^T factor.
+    The norm is kept: maps between one system's Jacobi charts have |det U| = 1 (each exchange
+    turns between dilatations whose determinants cancel), so |det U|^(-1/2) is exactly 1."""
     if state.chart is not op.source and tuple(state.chart.ordering) != tuple(op.source.ordering):
         raise ChartMismatch(
             f"state on ordering {state.chart.ordering} fed to a transform from {op.source.ordering}")
     g = state.amplitude
-    return ChartState(op.target, ChartGaussian(np.linalg.inv(op.matrix).T @ g.factor, g.center,
-                                               g.norm * abs(np.linalg.det(op.matrix)) ** -0.5))
+    factor = op.target.momentum_map @ (op.source.coord_map.T @ g.factor)
+    return ChartState(op.target, ChartGaussian(factor, g.center, g.norm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +315,7 @@ class InternalHamiltonian:
         return np.sum(pi ** 2 / (2.0 * mu), axis=-1)
 
 
-def internal_hamiltonian(system: FrameSystem, chart: JacobiChart) -> InternalHamiltonian:
+def internal_hamiltonian(chart: JacobiChart) -> InternalHamiltonian:
     pairing = chart.pairing_matrix()
     if np.max(np.abs(pairing - np.eye(chart.size))) > 1e-10:
         raise ChartMismatch("chart is not canonical; refusing to build a Hamiltonian on it")

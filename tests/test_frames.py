@@ -96,13 +96,22 @@ def test_exchange_angle_closed_form():
     assert exchange_angle(5.0, 3.0, 0.0) == 0.0  # tail pair: pure parity
 
 
+@pytest.mark.parametrize("masses", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                    (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
+                                    (1.0, 1.0, math.inf)])
+def test_exchange_angle_rejects_non_finite_masses(masses):
+    with pytest.raises(NonPositiveWidth):
+        exchange_angle(*masses)
+
+
 def test_exchange_matrix_matches_direct_chart_change():
     # the exchange angles of both mass sets are checked in closed form above
     for masses in ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]):
         system = FrameSystem.from_masses(masses)
         chart = build_chart(system, 1)
         op = adjacent_exchange(system, chart, 0)
-        direct = op.target.coord_map @ np.linalg.inv(chart.coord_map)
+        direct = chart_for_ordering(system, op.target.ordering).coord_map @ np.linalg.inv(
+            chart.coord_map)
         assert_allclose(op.matrix, direct, atol=1e-12)
         assert_allclose(abs(np.linalg.det(op.matrix)), 1.0, atol=1e-12)
 
@@ -132,6 +141,52 @@ def test_double_exchange_is_identity(masses, data):
     op1 = adjacent_exchange(system, chart, position)
     op2 = adjacent_exchange(system, op1.target, position)
     assert_allclose(op2.matrix @ op1.matrix, np.eye(system.size), atol=1e-12)
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(masses=masses_strategy, data=st.data())
+def test_exchange_target_is_the_directly_built_chart(masses, data):
+    # the target's rows are derived from the exchange block; chart_for_ordering is the oracle
+    system = FrameSystem.from_masses(masses)
+    n = system.size
+    chart = chart_for_ordering(system, data.draw(st.permutations(range(1, n + 1))))
+    for position in range(n - 1):
+        target = adjacent_exchange(system, chart, position).target
+        direct = chart_for_ordering(system, target.ordering)
+        assert_allclose(target.coord_map, direct.coord_map, rtol=0, atol=1e-12)
+        assert_allclose(target.momentum_map, direct.momentum_map, rtol=0, atol=1e-12)
+        assert target.reduced_masses.tobytes() == direct.reduced_masses.tobytes()
+    for label in range(2, n + 1):
+        end, built = exchange_chain(system, label)[-1].target, build_chart(system, label)
+        assert end.ordering == built.ordering
+        assert_allclose(end.coord_map, built.coord_map, rtol=0, atol=1e-12)
+        assert_allclose(end.momentum_map, built.momentum_map, rtol=0, atol=1e-12)
+        assert end.reduced_masses.tobytes() == built.reduced_masses.tobytes()
+
+
+@hyp.settings(max_examples=40, deadline=None)
+@hyp.given(masses=masses_strategy)
+def test_every_frame_change_has_unit_determinant(masses):
+    # why apply_transform keeps the norm: the |det U|^(-1/2) Jacobian factor is 1
+    system = FrameSystem.from_masses(masses)
+    labels = range(1, system.size + 1)
+    for j in labels:
+        for k in labels:
+            det = np.linalg.det(compose_transform(system, j, k).matrix)
+            assert abs(abs(det) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("masses, chart_masses", [
+    ([5.0, 2.0, 3.0], [1.0, 2.0]),
+    ([5.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+    ([5.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, 3.0], [3.0, 1.0]),  # equal reduced masses; only the c.m. row tells them apart
+], ids=["fewer-bodies", "more-bodies", "other-masses", "mirrored-masses"])
+def test_exchange_rejects_a_chart_of_another_system(masses, chart_masses):
+    system = FrameSystem.from_masses(masses)
+    chart = build_chart(FrameSystem.from_masses(chart_masses), 1)
+    with pytest.raises(ChartMismatch):
+        adjacent_exchange(system, chart, 0)
 
 
 def test_two_body_exchange_is_parity_on_amplitudes():
@@ -336,7 +391,7 @@ def test_arf_chart_limits():
 def test_two_body_internal_hamiltonian_is_reduced_mass_freedom():
     system = FrameSystem.from_masses([1.0, 3.0])
     chart = build_chart(system, 1)
-    ham = internal_hamiltonian(system, chart)
+    ham = internal_hamiltonian(chart)
     pi = np.array([[0.7], [1.3], [-0.2]])
     assert_allclose(ham.mode_energies(pi), pi[:, 0] ** 2 / (2 * 0.75), atol=1e-15)
 
@@ -346,7 +401,7 @@ def test_two_body_internal_hamiltonian_is_reduced_mass_freedom():
 def test_kinetic_energy_decomposition(masses, data):
     system = FrameSystem.from_masses(masses)
     label = data.draw(st.integers(1, system.size))
-    ham = internal_hamiltonian(system, build_chart(system, label))
+    ham = internal_hamiltonian(build_chart(system, label))
     free = np.diag(1.0 / (2.0 * system.masses))
     assert_allclose(ham.internal_form + ham.cm_form, free, atol=1e-12)
     # internal part is invariant under a global boost p_j -> p_j + m_j v
@@ -356,7 +411,7 @@ def test_kinetic_energy_decomposition(masses, data):
 def test_internal_energy_is_diagonal_in_chart_momenta():
     system = FrameSystem.from_masses([1.0, 1.0, 1.0])
     chart = build_chart(system, 1)
-    ham = internal_hamiltonian(system, chart)
+    ham = internal_hamiltonian(chart)
     rng = np.random.default_rng(3)
     pi = rng.normal(size=(20, 2))
     p_total = rng.normal(size=20)

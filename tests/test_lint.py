@@ -1,6 +1,7 @@
 """Source rules that keep each rule in one home: no module reaches into
-another module's private names, the library needs nothing beyond numpy, and
-no deletion leaves an unused import or an unread private name behind."""
+another module's private names, the library needs nothing beyond numpy, no
+deletion leaves an unused import or an unread private name behind, and no
+matrix is inverted numerically."""
 
 import ast
 import sys
@@ -218,3 +219,49 @@ def test_the_rule_sees_unread_private_names(tmp_path):
                      "    return _helper()\n"
                      "__version__ = '1'\n")
     assert unread_private_names(probe) == ["3: _UNUSED", "4: _b", "5: _annotated", "8: _Hidden"]
+
+
+#: numpy.linalg routines that invert a matrix, solve with it or take its determinant.
+MATRIX_INVERSIONS = {"inv", "pinv", "solve", "lstsq", "det", "slogdet"}
+
+
+def matrix_inversions(path: Path) -> list[str]:
+    """'line: call' for every numpy.linalg inversion or determinant the module uses,
+    as `np.linalg.inv`, through a `numpy.linalg` alias, or imported by name.  Chart
+    maps are canonical, A B^T = 1, so each inverse is a transpose of a known map."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, found = {"linalg"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names if alias.name == "numpy.linalg"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "linalg"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in MATRIX_INVERSIONS]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in MATRIX_INVERSIONS and (
+                getattr(node.value, "attr", None) == "linalg"
+                or getattr(node.value, "id", None) in aliases):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_matrix_is_inverted(path):
+    assert matrix_inversions(path) == []
+
+
+def test_the_rule_sees_matrix_inversions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "import numpy.linalg as la\n"
+                     "from numpy import linalg\n"
+                     "from numpy.linalg import det, norm\n"
+                     "np.linalg.inv(a) @ np.linalg.norm(a)\n"
+                     "la.solve(a, b), linalg.pinv(a), la.eigh(a)\n"
+                     "def f(x):\n"
+                     "    return x.inv, numpy.linalg.slogdet(x)\n")
+    assert matrix_inversions(probe) == ["4: det", "5: np.linalg.inv", "6: la.solve",
+                                        "6: linalg.pinv", "8: numpy.linalg.slogdet"]
