@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .clocks import FreeClockState, rotator_init
 from .errors import ConfigError, NumericalError, ScenarioParseError
-from .frames import FrameSystem, build_chart, compose_transform, exchange_chain
+from .frames import FrameSystem, build_chart, exchange_chain
 from .packets import (MIN_HALF_WIDTH_SIGMAS, MomentumGrid, WavePacket, default_grid,
                       expectation, make_gaussian)
 from .relkin import (
@@ -201,9 +201,9 @@ def _betas_nonrelativistic(sc):
 # B_2^2), 40-48 per Monte-Carlo draw, and per rotator mode 216 (lag sums), up to
 # 1830 with a Monte-Carlo angle table, or 48 per entangled clock's external mode.
 # A jacobi-demo of n bodies holds its last frame's exchange chain: n - 1 exchanges,
-# each a matrix and its target chart's two maps, three n x n arrays (24 n^3 bytes),
-# and about 256 bytes per output row (n^2 rows).  At 80 bodies the traced peak is
-# 13.4 MB against 13.9 MB estimated.
+# each its target chart's two maps, two n x n arrays (16 n^3 bytes), and about 256
+# bytes per output row (n^2 rows).  At 80 and 120 bodies the traced peaks are 9.3 and
+# 30.4 MB against 9.8 and 31.3 MB estimated.
 _PER_POINT, _PER_DRAW = 160, 48
 _PER_MODE, _PER_SAMPLED_MODE, _PER_STATE_MODE = 240, 1600, 48
 
@@ -228,7 +228,7 @@ def _entangled_bytes(sc):
 
 def _jacobi_bytes(sc):
     n = len(sc["masses"])
-    return {"masses": 24 * n ** 3 + 256 * n ** 2}
+    return {"masses": 16 * n ** 3 + 256 * n ** 2}
 
 
 def _packet_bytes(sc):
@@ -331,15 +331,15 @@ def _atomic_write(path: str, data: str) -> None:
 def _run_jacobi_demo(sc: dict) -> ResultTable:
     system = FrameSystem.from_masses(sc["masses"])
     n = system.size
+    first = build_chart(system, 1)
     rows = []
     for label in range(1, n + 1):
         chart = build_chart(system, label)
         pairing = float(np.max(np.abs(chart.pairing_matrix() - np.eye(n))))
-        product = np.eye(n)
+        end = first  # the exchanges move frame 1's rows here: their product is A_end B_1^T
         for op in exchange_chain(system, label):
-            product = op.matrix @ product
-        chain_res = float(np.max(np.abs(
-            product - compose_transform(system, 1, label).matrix)))
+            end = op.target
+        chain_res = float(np.max(np.abs((end.coord_map - chart.coord_map) @ first.momentum_map.T)))
         for i, mu in enumerate(chart.reduced_masses):
             rows.append((label, i, float(mu), pairing, chain_res))
     columns = (("frame", "1"), ("coord", "1"), ("reduced_mass", "mass"),

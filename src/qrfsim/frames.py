@@ -166,11 +166,15 @@ def exchange_angle(m1: float, m2: float, m3: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ChartTransform:
-    """Linear coordinate map q^target = matrix q^source between two charts of one system."""
+    """Linear coordinate map q^target = matrix q^source between two charts of one system;
+    both charts are canonical, so the map is theirs: matrix = A_target B_source^T."""
 
     source: JacobiChart
     target: JacobiChart
-    matrix: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.target.coord_map @ self.source.momentum_map.T
 
 
 def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) -> ChartTransform:
@@ -205,9 +209,7 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
     a, b = chart.coord_map.copy(), chart.momentum_map.copy()
     # block^-T is the same turn with the two dilatations swapped
     a[pair], b[pair] = block @ a[pair], (root[:, None] * turn / pre) @ b[pair]
-    full = np.eye(n)
-    full[pair, pair] = block
-    return ChartTransform(chart, JacobiChart(tuple(ordering), a, b, target_mu), full)
+    return ChartTransform(chart, JacobiChart(tuple(ordering), a, b, target_mu))
 
 
 def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
@@ -224,9 +226,7 @@ def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
 
 def compose_transform(system: FrameSystem, from_label: int, to_label: int) -> ChartTransform:
     """Coordinate map q^to = U q^from between frame charts: U = A_to B_from^T."""
-    src = build_chart(system, from_label)
-    dst = build_chart(system, to_label)
-    return ChartTransform(src, dst, dst.coord_map @ src.momentum_map.T)
+    return ChartTransform(build_chart(system, from_label), build_chart(system, to_label))
 
 
 def arf_limit_chart(system: FrameSystem, mass_ratio: float = ARF_MASS_RATIO) -> JacobiChart:
@@ -321,9 +321,9 @@ def internal_hamiltonian(chart: JacobiChart) -> InternalHamiltonian:
         raise ChartMismatch("chart is not canonical; refusing to build a Hamiltonian on it")
     b = chart.momentum_map
     mu = chart.reduced_masses
-    internal = sum(np.outer(b[i], b[i]) / (2.0 * mu[i]) for i in range(chart.size - 1))
+    internal = (b[:-1].T / (2.0 * mu[:-1])) @ b[:-1]
     cm = np.outer(b[-1], b[-1]) / (2.0 * mu[-1])
-    return InternalHamiltonian(chart, np.asarray(internal), cm)
+    return InternalHamiltonian(chart, internal, cm)
 
 
 # --- measurement reduction -------------------------------------------------

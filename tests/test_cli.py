@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrfsim import cli, relkin
-from qrfsim.errors import ConfigError, NumericalError, ScenarioParseError
+from qrfsim import cli, frames, relkin
+from qrfsim.errors import ChartMismatch, ConfigError, NumericalError, ScenarioParseError
 
 SCENARIO_DIR = Path(cli.__file__).parent / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -156,9 +156,9 @@ def test_bad_input_fails_closed(tmp_path, capsys, payload):
     (_edited("rotator-dilation", j_z=10 ** 9, omega=1e-11, mc_samples=0), "j_z"),
     (_edited("entangled-clock", j_z=10 ** 9, omega=1e-11), "j_z"),
     (_edited("entangled-clock", histogram_bins=10 ** 8), "histogram_bins"),
-    (_edited("jacobi-demo", masses=[1.0] * 500), "masses"),
+    (_edited("jacobi-demo", masses=[1.0] * 600), "masses"),
 ], ids=["freeclock-grid_points-2^20", "mc_samples-1e10", "rotator-j_z-1e9",
-        "entangled-j_z-1e9", "histogram_bins-1e8", "jacobi-masses-500"])
+        "entangled-j_z-1e9", "histogram_bins-1e8", "jacobi-masses-600"])
 def test_working_set_over_the_cap_fails_closed(tmp_path, capsys, monkeypatch, payload, field):
     def never(sc):
         raise AssertionError("a scenario over the cap reached its runner")
@@ -266,6 +266,26 @@ def test_working_set_estimate_tracks_the_traced_peak(payload, estimate):
     finally:
         tracemalloc.stop()
     assert 0.5 < sum(estimate(payload).values()) / peak < 2.0
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["inner-angles", "every-angle"])
+def test_jacobi_chain_residual_sees_a_wrong_exchange(monkeypatch, tail):
+    def chain_residuals():
+        table = cli.run_scenario(_edited("jacobi-demo", grid_points=2048, mc_samples=0))
+        col = [name for name, _ in table.columns].index("chain_residual")
+        return {row[0]: row[col] for row in table.rows}
+
+    assert max(chain_residuals().values()) <= 1e-15
+    original = frames.exchange_angle
+    monkeypatch.setattr(frames, "exchange_angle", lambda m1, m2, m3: original(m1, m2, m3)
+                        + (1e-9 if m3 > 0 or tail else 0.0))
+    if tail:  # a tail exchange turns the c.m. row, which the next exchange refuses
+        with pytest.raises(ChartMismatch):
+            chain_residuals()
+    else:
+        residuals = chain_residuals()
+        assert residuals[1] == 0.0  # frame 1's chain is empty
+        assert all(residuals[label] > 1e-10 for label in (2, 3, 4))
 
 
 def test_freeclock_table_builds_its_position_table_once(tmp_path, monkeypatch):

@@ -40,16 +40,16 @@ masses_strategy = st.lists(st.floats(0.1, 10.0, allow_nan=False), min_size=2, ma
 def test_two_body_chart_rows():
     sys2 = FrameSystem.from_masses([1.0, 3.0])
     c1 = build_chart(sys2, 1)
-    assert_allclose(c1.coord_map[0], [-1.0, 1.0], atol=1e-15)          # q1 = r2 - r1
-    assert_allclose(c1.coord_map[1], [0.25, 0.75], atol=1e-15)         # c.m. row
+    assert_allclose(c1.coord_map[0], [-1.0, 1.0], rtol=0, atol=1e-15)  # q1 = r2 - r1
+    assert_allclose(c1.coord_map[1], [0.25, 0.75], rtol=0, atol=1e-15)  # c.m. row
     c2 = build_chart(sys2, 2)
-    assert_allclose(c2.coord_map[0], [1.0, -1.0], atol=1e-15)          # space reflection
-    assert_allclose(c2.coord_map[1], c1.coord_map[1], atol=1e-15)
+    assert_allclose(c2.coord_map[0], [1.0, -1.0], rtol=0, atol=1e-15)  # space reflection
+    assert_allclose(c2.coord_map[1], c1.coord_map[1], rtol=0, atol=1e-15)
 
 
 def test_equal_mass_three_body_reduced_masses():
     chart = build_chart(FrameSystem.from_masses([1.0, 1.0, 1.0]), 1)
-    assert_allclose(chart.reduced_masses, [2.0 / 3.0, 0.5, 3.0], atol=1e-15)
+    assert_allclose(chart.reduced_masses, [2.0 / 3.0, 0.5, 3.0], rtol=0, atol=1e-15)
 
 
 def test_bad_labels_rejected():
@@ -84,15 +84,16 @@ def test_every_frame_chart_is_canonical(masses):
     system = FrameSystem.from_masses(masses)
     for label in range(1, system.size + 1):
         chart = build_chart(system, label)
-        assert_allclose(chart.pairing_matrix(), np.eye(system.size), atol=1e-12)
+        assert_allclose(chart.pairing_matrix(), np.eye(system.size), rtol=0, atol=1e-12)
         # c.m. row is the mass-weighted average regardless of ordering
-        assert_allclose(chart.coord_map[-1], system.masses / system.total_mass, atol=1e-12)
+        assert_allclose(chart.coord_map[-1], system.masses / system.total_mass, rtol=0, atol=1e-12)
 
 
 def test_exchange_angle_closed_form():
-    assert_allclose(exchange_angle(1.0, 1.0, 1.0), -np.pi / 3, atol=1e-15)
-    assert_allclose(exchange_angle(1.0, 2.0, 3.0), -np.arccos(np.sqrt(2.0 / 20.0)), atol=1e-15)
-    assert_allclose(exchange_angle(1.0, 2.0, 1e12), -np.pi / 2, atol=1e-6)
+    assert_allclose(exchange_angle(1.0, 1.0, 1.0), -np.pi / 3, rtol=0, atol=1e-15)
+    assert_allclose(exchange_angle(1.0, 2.0, 3.0), -np.arccos(np.sqrt(2.0 / 20.0)),
+                    rtol=0, atol=1e-15)
+    assert_allclose(exchange_angle(1.0, 2.0, 1e12), -np.pi / 2, rtol=0, atol=1e-6)
     assert exchange_angle(5.0, 3.0, 0.0) == 0.0  # tail pair: pure parity
 
 
@@ -112,8 +113,8 @@ def test_exchange_matrix_matches_direct_chart_change():
         op = adjacent_exchange(system, chart, 0)
         direct = chart_for_ordering(system, op.target.ordering).coord_map @ np.linalg.inv(
             chart.coord_map)
-        assert_allclose(op.matrix, direct, atol=1e-12)
-        assert_allclose(abs(np.linalg.det(op.matrix)), 1.0, atol=1e-12)
+        assert_allclose(op.matrix, direct, rtol=0, atol=1e-12)
+        assert_allclose(abs(np.linalg.det(op.matrix)), 1.0, rtol=0, atol=1e-12)
 
 
 def test_equal_mass_exchange_has_pi_third_block():
@@ -122,13 +123,13 @@ def test_equal_mass_exchange_has_pi_third_block():
     op = adjacent_exchange(system, chart, 0)
     # in mass-scaled coordinates sqrt(mu) q the block is rotation(-pi/3) * parity
     scale = np.sqrt(chart.reduced_masses[:2])
-    assert_allclose(op.target.reduced_masses[:2], chart.reduced_masses[:2], atol=1e-15)
+    assert_allclose(op.target.reduced_masses[:2], chart.reduced_masses[:2], rtol=0, atol=1e-15)
     scaled_block = np.diag(scale) @ op.matrix[:2, :2] @ np.diag(1.0 / scale)
     beta = -np.pi / 3
     rot = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
-    assert_allclose(scaled_block, rot @ np.diag([-1.0, 1.0]), atol=1e-12)
-    assert_allclose(op.matrix[2:, 2:], np.eye(1), atol=1e-15)
-    assert_allclose(op.matrix[:2, 2:], 0.0, atol=1e-15)
+    assert_allclose(scaled_block, rot @ np.diag([-1.0, 1.0]), rtol=0, atol=1e-12)
+    assert_allclose(op.matrix[2:, 2:], np.eye(1), rtol=0, atol=1e-15)
+    assert_allclose(op.matrix[:2, 2:], 0.0, rtol=0, atol=1e-15)
 
 
 @hyp.settings(max_examples=40, deadline=None)
@@ -140,7 +141,7 @@ def test_double_exchange_is_identity(masses, data):
     chart = build_chart(system, 1)
     op1 = adjacent_exchange(system, chart, position)
     op2 = adjacent_exchange(system, op1.target, position)
-    assert_allclose(op2.matrix @ op1.matrix, np.eye(system.size), atol=1e-12)
+    assert_allclose(op2.matrix @ op1.matrix, np.eye(system.size), rtol=0, atol=1e-12)
 
 
 @hyp.settings(max_examples=60, deadline=None)
@@ -151,7 +152,12 @@ def test_exchange_target_is_the_directly_built_chart(masses, data):
     n = system.size
     chart = chart_for_ordering(system, data.draw(st.permutations(range(1, n + 1))))
     for position in range(n - 1):
-        target = adjacent_exchange(system, chart, position).target
+        op = adjacent_exchange(system, chart, position)
+        # the matrix derived from the two charts is identity outside the pair's 2x2 block
+        moved = op.matrix - np.eye(n)
+        moved[position:position + 2, position:position + 2] = 0.0
+        assert_allclose(moved, 0.0, rtol=0, atol=2e-15)
+        target = op.target
         direct = chart_for_ordering(system, target.ordering)
         assert_allclose(target.coord_map, direct.coord_map, rtol=0, atol=1e-12)
         assert_allclose(target.momentum_map, direct.momentum_map, rtol=0, atol=1e-12)
@@ -197,11 +203,11 @@ def test_two_body_exchange_is_parity_on_amplitudes():
     once = apply_transform(state, op1)
     twice = apply_transform(once, adjacent_exchange(system, op1.target, 0))
     pts = np.random.default_rng(7).normal(size=(50, 2))
-    assert_allclose(twice.amplitude(pts), state.amplitude(pts), atol=1e-12)
+    assert_allclose(twice.amplitude(pts), state.amplitude(pts), rtol=0, atol=1e-12)
     # single application reflects the relative coordinate
     flipped = pts.copy()
     flipped[:, 0] *= -1
-    assert_allclose(once.amplitude(flipped), state.amplitude(pts), atol=1e-12)
+    assert_allclose(once.amplitude(flipped), state.amplitude(pts), rtol=0, atol=1e-12)
 
 
 def test_gaussian_pushforward_center():
@@ -219,9 +225,9 @@ def test_gaussian_pushforward_center():
     dens = np.abs(pushed.amplitude(mesh)) ** 2
     dv = np.prod([a[1] - a[0] for a in axes])
     total = dens.sum() * dv
-    assert_allclose(total, 1.0, atol=1e-9)  # norm preserved by the jacobian factor
+    assert_allclose(total, 1.0, rtol=0, atol=1e-9)  # norm preserved by the jacobian factor
     centroid = [float((dens * mesh[..., k]).sum() * dv / total) for k in range(3)]
-    assert_allclose(centroid, op.matrix @ means, atol=1e-6)
+    assert_allclose(centroid, op.matrix @ means, rtol=0, atol=1e-6)
 
 
 def test_chart_amplitude_holds_one_temporary():
@@ -325,10 +331,10 @@ def test_transform_rejects_wrong_chart():
 
 def test_compose_identity_and_inverse_pair():
     system = FrameSystem.from_masses([1.0, 2.0, 3.0])
-    assert_allclose(compose_transform(system, 2, 2).matrix, np.eye(3), atol=1e-12)
+    assert_allclose(compose_transform(system, 2, 2).matrix, np.eye(3), rtol=0, atol=1e-12)
     u12 = compose_transform(system, 2, 1)
     u21 = compose_transform(system, 1, 2)
-    assert_allclose(u12.matrix @ u21.matrix, np.eye(3), atol=1e-12)
+    assert_allclose(u12.matrix @ u21.matrix, np.eye(3), rtol=0, atol=1e-12)
 
 
 def test_exchange_chain_reproduces_composed_transform():
@@ -338,7 +344,7 @@ def test_exchange_chain_reproduces_composed_transform():
         product = np.eye(4)
         for op in chain:
             product = op.matrix @ product
-        assert_allclose(product, compose_transform(system, 1, k).matrix, atol=1e-12)
+        assert_allclose(product, compose_transform(system, 1, k).matrix, rtol=0, atol=1e-12)
         assert chain[-1].target.ordering == build_chart(system, k).ordering
 
 
@@ -352,7 +358,7 @@ def test_composition_coherence(masses, data):
     k = data.draw(st.integers(1, n))
     l = data.draw(st.integers(1, n))
     left = compose_transform(system, k, l).matrix @ compose_transform(system, j, k).matrix
-    assert_allclose(left, compose_transform(system, j, l).matrix, atol=1e-12)
+    assert_allclose(left, compose_transform(system, j, l).matrix, rtol=0, atol=1e-12)
 
 
 @hyp.settings(max_examples=25, deadline=None)
@@ -365,22 +371,22 @@ def test_relative_positions_recoverable_from_chart_rows(masses):
         target = np.zeros(n)
         target[j], target[0] = 1.0, -1.0  # r_{j+1} - r_1
         coeffs = np.linalg.solve(chart.coord_map.T, target)
-        assert_allclose(coeffs[-1], 0.0, atol=1e-12)  # no c.m. admixture
-        assert_allclose(coeffs @ chart.coord_map, target, atol=1e-12)
+        assert_allclose(coeffs[-1], 0.0, rtol=0, atol=1e-12)  # no c.m. admixture
+        assert_allclose(coeffs @ chart.coord_map, target, rtol=0, atol=1e-12)
 
 
 def test_arf_chart_limits():
     # single particle: relative row tends to r_1 - r_A
     solo = FrameSystem.from_masses([2.0])
     chart = arf_limit_chart(solo)
-    assert_allclose(chart.coord_map[0], [1.0, -1.0], atol=1e-8)
-    assert_allclose(chart.coord_map[-1], [0.0, 1.0], atol=1e-7)  # c.m. -> frame body
+    assert_allclose(chart.coord_map[0], [1.0, -1.0], rtol=0, atol=1e-8)
+    assert_allclose(chart.coord_map[-1], [0.0, 1.0], rtol=0, atol=1e-7)  # c.m. -> frame body
 
     sys2 = FrameSystem.from_masses([1.0, 2.0])
     rows = arf_limit_chart(sys2).coord_map
     direct = build_chart(
         FrameSystem.from_masses([1.0, 2.0, 1e8 * 2.0]), 3).coord_map
-    assert_allclose(rows, direct, atol=1e-12)
+    assert_allclose(rows, direct, rtol=0, atol=1e-12)
     # halving 1/m_A halves the distance to the strict limit
     exact = np.array([[1 / 3, 2 / 3, -1.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     err1 = np.max(np.abs(arf_limit_chart(sys2, 1e6).coord_map - exact))
@@ -393,7 +399,15 @@ def test_two_body_internal_hamiltonian_is_reduced_mass_freedom():
     chart = build_chart(system, 1)
     ham = internal_hamiltonian(chart)
     pi = np.array([[0.7], [1.3], [-0.2]])
-    assert_allclose(ham.mode_energies(pi), pi[:, 0] ** 2 / (2 * 0.75), atol=1e-15)
+    assert_allclose(ham.mode_energies(pi), pi[:, 0] ** 2 / (2 * 0.75), rtol=0, atol=1e-15)
+
+
+def test_one_body_has_no_internal_energy():
+    # a lone body is all centre of mass: its internal form is a 1x1 zero, not a 0-d array
+    ham = internal_hamiltonian(build_chart(FrameSystem.from_masses([2.0]), 1))
+    assert ham.internal_form.shape == (1, 1)
+    assert_allclose(ham.internal_energy(np.array([[1.5], [-0.5]])), 0.0, rtol=0, atol=0)
+    assert_allclose(ham.cm_form, [[0.25]], rtol=0, atol=1e-15)
 
 
 @hyp.settings(max_examples=40, deadline=None)
@@ -403,9 +417,9 @@ def test_kinetic_energy_decomposition(masses, data):
     label = data.draw(st.integers(1, system.size))
     ham = internal_hamiltonian(build_chart(system, label))
     free = np.diag(1.0 / (2.0 * system.masses))
-    assert_allclose(ham.internal_form + ham.cm_form, free, atol=1e-12)
+    assert_allclose(ham.internal_form + ham.cm_form, free, rtol=0, atol=1e-12)
     # internal part is invariant under a global boost p_j -> p_j + m_j v
-    assert_allclose(ham.internal_form @ system.masses, np.zeros(system.size), atol=1e-12)
+    assert_allclose(ham.internal_form @ system.masses, np.zeros(system.size), rtol=0, atol=1e-12)
 
 
 def test_internal_energy_is_diagonal_in_chart_momenta():
@@ -417,7 +431,7 @@ def test_internal_energy_is_diagonal_in_chart_momenta():
     p_total = rng.normal(size=20)
     chart_momenta = np.concatenate([pi, p_total[:, None]], axis=1)
     p = chart_momenta @ np.linalg.inv(chart.momentum_map).T
-    assert_allclose(ham.internal_energy(p), ham.mode_energies(pi), atol=1e-12)
+    assert_allclose(ham.internal_energy(p), ham.mode_energies(pi), rtol=0, atol=1e-12)
 
 
 # --- measurement reduction -------------------------------------------------
@@ -436,14 +450,14 @@ def test_reduction_preserves_trace_and_structure():
     rho = measurement_reduce(state, bins)
     assert abs(rho.trace() - 1.0) < 1e-9
     m = rho.matrix * rho.delta_spacing
-    assert_allclose(m, m.conj().T, atol=1e-12)
+    assert_allclose(m, m.conj().T, rtol=0, atol=1e-12)
     assert np.linalg.eigvalsh(m).min() > -1e-9
 
 
 def test_symmetric_split_gives_half_half():
     state = _position_pair(sig_n=0.3, sig_1=0.4)
     rho = measurement_reduce(state, np.array([-12.0, 0.0, 12.0]))
-    assert_allclose(rho.weights, [0.5, 0.5], atol=1e-6)
+    assert_allclose(rho.weights, [0.5, 0.5], rtol=0, atol=1e-6)
 
 
 def test_offset_split_matches_gaussian_overlap():
@@ -451,7 +465,7 @@ def test_offset_split_matches_gaussian_overlap():
     state = _position_pair(sig_n=sig_n, sig_1=sig_1)
     rho = measurement_reduce(state, np.array([-12.0, shift, 12.0]), mesh_points=1536)
     expected = 0.5 * (1.0 + math.erf(shift / np.sqrt(2.0 * (sig_n ** 2 + sig_1 ** 2))))
-    assert_allclose(rho.weights[0], expected, atol=2e-3)
+    assert_allclose(rho.weights[0], expected, rtol=0, atol=2e-3)
 
 
 def test_sharp_packet_conditions_to_its_own_width():
@@ -464,7 +478,7 @@ def test_sharp_packet_conditions_to_its_own_width():
 def test_single_bin_reduction_keeps_everything():
     state = _position_pair(sig_n=0.3, sig_1=0.5)
     rho = measurement_reduce(state, np.array([-12.0, 12.0]))
-    assert_allclose(rho.weights, [1.0], atol=1e-12)
+    assert_allclose(rho.weights, [1.0], rtol=0, atol=1e-12)
     gram = rho.matrix
     assert np.count_nonzero(gram) == gram.size  # no coherence erased
 
@@ -474,8 +488,8 @@ def test_reduction_is_idempotent():
     bins = np.linspace(-12.0, 12.0, 5)
     rho1 = measurement_reduce(state, bins)
     rho2 = measurement_reduce(rho1, bins)
-    assert_allclose(rho2.matrix, rho1.matrix, atol=1e-9)
-    assert_allclose(rho2.weights, rho1.weights, atol=1e-9)
+    assert_allclose(rho2.matrix, rho1.matrix, rtol=0, atol=1e-9)
+    assert_allclose(rho2.weights, rho1.weights, rtol=0, atol=1e-9)
 
 
 def test_empty_bins_dropped_and_recorded():
@@ -483,7 +497,7 @@ def test_empty_bins_dropped_and_recorded():
     bins = np.array([-30.0, -20.0, 20.0, 30.0])  # outer bins far in the tails
     rho = measurement_reduce(state, bins)
     assert rho.dropped_bins == (0, 2)
-    assert_allclose(rho.weights.sum(), 1.0, atol=1e-9)
+    assert_allclose(rho.weights.sum(), 1.0, rtol=0, atol=1e-9)
 
 
 def test_bins_must_cover_support():
@@ -497,7 +511,7 @@ def test_bins_must_cover_support():
             measurement_reduce(_position_pair(), np.array([-50.0, 50.0]), mesh_points)
     # infinite outer edges cover any range
     rho = measurement_reduce(_position_pair(), np.array([-np.inf, 0.0, np.inf]))
-    assert_allclose(rho.weights, [0.5, 0.5], atol=1e-6)
+    assert_allclose(rho.weights, [0.5, 0.5], rtol=0, atol=1e-6)
 
 
 def _dense_reduce(state, bins, mesh_points=384):

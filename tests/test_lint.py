@@ -1,7 +1,7 @@
 """Source rules that keep each rule in one home: no module reaches into
 another module's private names, the library needs nothing beyond numpy, no
-deletion leaves an unused import or an unread private name behind, and no
-matrix is inverted numerically."""
+deletion leaves an unused import or an unread private name behind, no
+matrix is inverted numerically, and no frames tolerance is relative by default."""
 
 import ast
 import sys
@@ -265,3 +265,34 @@ def test_the_rule_sees_matrix_inversions(tmp_path):
                      "    return x.inv, numpy.linalg.slogdet(x)\n")
     assert matrix_inversions(probe) == ["4: det", "5: np.linalg.inv", "6: la.solve",
                                         "6: linalg.pinv", "8: numpy.linalg.slogdet"]
+
+
+def atol_without_rtol(path: Path) -> list[str]:
+    """'line: call' for every assert_allclose call that passes atol but not rtol:
+    numpy's default rtol=1e-7 would then pass errors far above the stated atol."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and "assert_allclose" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            given = {kw.arg for kw in node.keywords}
+            if "atol" in given and "rtol" not in given:
+                found.append(f"{node.lineno}: {ast.unparse(node.func)}")
+    return found
+
+
+def test_frames_tolerances_are_absolute_when_stated_so():
+    assert atol_without_rtol(Path(__file__).parent / "test_frames.py") == []
+
+
+def test_the_rule_sees_atol_without_rtol(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "from numpy.testing import assert_allclose\n"
+                     "assert_allclose(a, b, atol=1e-12)\n"
+                     "assert_allclose(a, b, rtol=0, atol=1e-12)\n"
+                     "np.testing.assert_allclose(a, b,\n"
+                     "                           atol=0.1)\n"
+                     "assert_allclose(a, b, 1e-7, 1e-12)\n"
+                     "assert_allclose(a, b, rtol=1e-10)\n"
+                     "np.allclose(a, b, atol=1e-12)\n")
+    assert atol_without_rtol(probe) == ["3: assert_allclose", "5: np.testing.assert_allclose"]
