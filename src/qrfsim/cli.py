@@ -197,27 +197,30 @@ def _betas_nonrelativistic(sc):
 
 # Working-set estimates: bytes of the arrays a runner holds at once, keyed by
 # the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
-# per packet grid point or histogram bin, 16 per boost-mesh entry held (B_2 and
-# B_2^2), 40-48 per Monte-Carlo draw, and per rotator mode 216 (lag sums), up to
-# 1830 with a Monte-Carlo angle table, or 48 per entangled clock's external mode.
+# per packet grid point or histogram bin, 40-48 per Monte-Carlo draw, and per
+# rotator mode 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per
+# entangled clock's external mode.  The boost moments hold B_2 for BOOST_BLOCK_ROWS
+# masses at a time, 8 bytes per momentum each, however many Chebyshev nodes K they
+# take, and sum their interpolant in arrays the size of the modes; only their K x K
+# DCT matrices grow with K, to about 6 MB at 513 nodes.
 # A jacobi-demo of n bodies holds its last frame's exchange chain: n - 1 exchanges,
 # each its target chart's two maps, two n x n arrays (16 n^3 bytes), and about 256
 # bytes per output row (n^2 rows).  At 80 and 120 bodies the traced peaks are 9.3 and
 # 30.4 MB against 9.8 and 31.3 MB estimated.
 _PER_POINT, _PER_DRAW = 160, 48
+_PER_BOOST_POINT = _PER_POINT + 8 * BOOST_BLOCK_ROWS
 _PER_MODE, _PER_SAMPLED_MODE, _PER_STATE_MODE = 240, 1600, 48
 
 
 def _rotator_bytes(sc):
     modes, n, mc = 2 * int(sc["j_z"]) + 1, int(sc["grid_points"]), int(sc["mc_samples"])
-    return {"grid_points": 16 * min(modes, BOOST_BLOCK_ROWS) * n + _PER_POINT * n,
+    return {"grid_points": _PER_BOOST_POINT * n,
             "j_z": (_PER_SAMPLED_MODE if mc > 0 else _PER_MODE) * modes,
             "mc_samples": _PER_DRAW * mc}
 
 
 def _freeclock_bytes(sc):
-    n = int(sc["grid_points"])  # the boost mesh is n x n, held in blocks of rows
-    return {"grid_points": 16 * min(n, BOOST_BLOCK_ROWS) * n + _PER_POINT * n,
+    return {"grid_points": _PER_BOOST_POINT * int(sc["grid_points"]),
             "mc_samples": _PER_DRAW * int(sc["mc_samples"])}
 
 

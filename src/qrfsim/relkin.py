@@ -6,9 +6,10 @@ frames are realized as per-mode variable substitutions with Jacobian
 amplitude factors, never as exponentiated generators.  The proper-time
 observable of a moving clock decomposes as tau_2 = B_2 tau_0 + theta(0)/2piw
 (rotator) or (p_x B_2 / pbar_x) tau_0 + mu x(0)/pbar_x (free clock), and all
-reported statistics are exact quadrature moments of those operators.  Their
-tau_0-free coefficients belong to the system: RelClockSystem.time_operator
-computes them once, and proper_time_stats and mc_variance_check share them.
+reported statistics are quadrature moments of those operators, B_2's momentum
+averages interpolated in the mass to 1e-13.  Their tau_0-free coefficients
+belong to the system: RelClockSystem.time_operator computes them once, and
+proper_time_stats and mc_variance_check share them.
 """
 
 from __future__ import annotations
@@ -59,8 +60,14 @@ ANGLE_TABLE_POINTS = 16385
 #: Positions at which the free clock's Monte-Carlo sampler tabulates |psi(x)|^2.
 POSITION_TABLE_POINTS = 16384
 
-#: Internal modes per block of the boost mesh that _boost_moments holds at once.
-BOOST_BLOCK_ROWS = 256
+#: Chebyshev nodes of the boost moments' first level, and the most any level may have.
+BOOST_FIRST_NODES, BOOST_MAX_NODES = 9, 513
+
+#: Masses per block of the B_2 mesh that _mode_averages holds at once.
+BOOST_BLOCK_ROWS = 16
+
+#: Relative size below which the upper half of the Chebyshev coefficients ends the doubling.
+BOOST_TAIL = 1e-14
 
 
 def time_boost(p: np.ndarray, m2: float | np.ndarray) -> np.ndarray:
@@ -209,8 +216,7 @@ class RelClockSystem:
             g2 = 2 * branch_forms(c, (b_mode - slope) * c)[0].real / scale
             return TimeOperatorStats(slope, (phi + u_bar) / scale, d_b, g2, d0, "rotator")
         pk_x = self.clock_packet
-        px = pk_x.grid.points
-        wx = pk_x.grid.quad_weights() * pk_x.density()
+        px, wx = _external_weights(pk_x)
         b_ext, slope, d_b = _boost_moments(p, w_p, _freeclock_mass_operator(clock, px), wx,
                                            px / clock.p_bar)
         b_bar = float(wx @ b_ext)
@@ -227,17 +233,80 @@ def _freeclock_mass_operator(clock: FreeClockState, px: np.ndarray) -> np.ndarra
     return clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab)
 
 
+def _cos_pi(num: np.ndarray, den: int) -> np.ndarray:
+    """cos(pi num / den) for integers, reduced mod 2 den first so large num loses no digits."""
+    return np.cos(np.pi * (num % (2 * den)) / den)
+
+
+def _chebyshev_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c[:, k] T_k(x), one row per coefficient set, by Clenshaw's recurrence:
+    it holds a few arrays the size of x, never one T_k(x) per k."""
+    b1 = b2 = np.zeros((c.shape[0], x.size))
+    for ck in c[:, :0:-1].T:
+        b1, b2 = ck[:, None] + 2 * x * b1 - b2, b1
+    return c[:, :1] + x * b1 - b2
+
+
+def _mode_averages(p, w_p, m_op) -> np.ndarray:
+    """F = sum_p w_p B_2(p, m) and G = sum_p w_p B_2^2 at every mass of m_op (rows 0
+    and 1), from B_2 at K masses.
+
+    F and G are analytic in s = log m within |Im s| < pi/2 (B_2 is singular at
+    m = +-i p), whatever the momenta, so they are interpolated in s at the nested
+    Chebyshev points s_j = cos(pi j / N) of [log m_min, log m_max], j = 0..N.  N
+    doubles, each level evaluating only its new points, until the upper half of both
+    coefficient sets is below BOOST_TAIL of its largest (Trefethen, Approximation
+    Theory and Approximation Practice, 2013, ch. 8).  B_2 is evaluated at the masses
+    themselves instead, which is exact, when their span is zero or a level would
+    have as many points as there are masses or more than BOOST_MAX_NODES.  Either way
+    the mesh is held BOOST_BLOCK_ROWS masses at a time, so the working set does not
+    grow with K."""
+    if not np.all(m_op > 0):
+        raise NonPositiveWidth("time boost needs a positive mass")
+
+    def at(m):  # F and G at the masses m
+        out = np.empty((2, m.size))
+        for i in range(0, m.size, BOOST_BLOCK_ROWS):
+            rows = slice(i, i + BOOST_BLOCK_ROWS)
+            b = time_boost(p[None, :], m[rows, None])
+            out[0, rows] = b @ w_p
+            out[1, rows] = np.square(b, out=b) @ w_p  # squared in place: one mesh
+        return out
+
+    def scale(m):  # B_2 and B_2^2 at the rms momentum: F and G over them stay near 1
+        b = 1.0 / np.hypot(1.0, p_rms / m)
+        return np.stack((b, b * b))
+
+    def at_nodes(j, n):  # F and G over their scale at the Chebyshev points j of level n
+        m = np.exp(lo + 0.5 * (hi - lo) * (1.0 + _cos_pi(j, n)))
+        return at(m) / scale(m)
+
+    s = np.log(m_op)
+    lo, hi = float(s.min()), float(s.max())
+    p_rms = np.sqrt((w_p @ p ** 2) / w_p.sum())
+    n, values = BOOST_FIRST_NODES - 1, None
+    while lo < hi and n + 1 < m_op.size and n + 1 <= BOOST_MAX_NODES:
+        if values is None:
+            values = at_nodes(np.arange(n + 1), n)
+        else:  # level n's even points are the last level's
+            doubled = np.empty((2, n + 1))
+            doubled[:, ::2] = values
+            doubled[:, 1::2] = at_nodes(np.arange(1, n, 2), n)
+            values = doubled
+        k = np.arange(n + 1)
+        half = np.where((k == 0) | (k == n), 1.0, 2.0) / n  # DCT-I by a cosine matrix
+        c = (values * half) @ _cos_pi(np.outer(k, k), n)
+        c[:, [0, n]] /= 2
+        if np.all(np.abs(c[:, n // 2 + 1:]).max(axis=1) <= BOOST_TAIL * np.abs(c).max(axis=1)):
+            return _chebyshev_sum(c, (2 * s - lo - hi) / (hi - lo)) * scale(m_op)
+        n *= 2
+    return at(m_op)
+
+
 def _boost_moments(p, w_p, m_op, w_m, f=1.0) -> tuple[np.ndarray, float, float]:
-    """B_2 on the (internal mode x momentum) mesh: its per-mode average over
-    the momenta, and the mean and variance of f B_2 (f: 1 or one per mode).
-    The mesh is held BOOST_BLOCK_ROWS modes at a time."""
-    b_mode, b2_mode = np.empty(m_op.size), np.empty(m_op.size)
-    for i in range(0, m_op.size, BOOST_BLOCK_ROWS):
-        rows = slice(i, i + BOOST_BLOCK_ROWS)
-        b = time_boost(p[None, :], m_op[rows, None])
-        b_mode[rows] = b @ w_p
-        b2_mode[rows] = (b * b) @ w_p
-        del b  # else the next block is built while this one is still held
+    """B_2's per-mode average over the momenta, F(m) of _mode_averages, and the mean
+    and variance of f B_2 (f: 1 or one per mode)."""
+    b_mode, b2_mode = _mode_averages(p, w_p, m_op)
     s_bar = float(w_m @ (f * b_mode))
     s2_bar = float(w_m @ (f ** 2 * b2_mode))
     return b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0)

@@ -5,9 +5,11 @@ cumulative trapezoid integral (Devroye, Non-Uniform Random Variate Generation,
 1986, ch. II); generators are counter-based (Philox) and keyed by the seed
 alone: the key is the stream (Salmon et al., SC'11), so seeds never collide.
 
-Uniforms are interpolated in blocks, each visited in bucket order of its values'
-leading 16 bits, so the CDF lookups run nearly in order; each draw is still
-`np.interp` of its own uniform, bit-identical to plain inversion on the stream.
+Both samplers invert one uniform per draw with a guide table (Chen & Asau 1974;
+Devroye 1986, section III.2.4): a power-of-two table of the first CDF index above
+k/K starts each lookup at most a step or two from its answer, in O(1) expected
+time.  The index is searchsorted(cdf, u, "right") bit for bit, so a discrete draw
+is `Generator.choice`'s and a continuous one `np.interp`'s on the same stream.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteSample
 
-#: Uniforms interpolated per bucket-ordered block: the block and its order fit in L2.
+#: Uniforms inverted per block: the block and its lookup temporaries fit in L2.
 INTERP_BLOCK = 1 << 15
 
 
@@ -32,6 +34,29 @@ def _draw_count(n) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ConfigError(f"a draw count must be a nonnegative integer, got {n!r}")
     return int(n)
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide entry k of K, a power of two at least the table size: the first index
+    with cdf > k/K.  Built before the uniforms are drawn, so its temporaries are
+    freed by then."""
+    size = 1 << (cdf.size - 1).bit_length()
+    return np.searchsorted(cdf, np.arange(size) / size, "right")
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray):
+    """Yield (rows, searchsorted(cdf, u[rows], "right")) block by block, for uniforms u
+    in [0, 1) and a nondecreasing CDF that ends at exactly 1.  As K is a power of
+    two, u K is exact, so guide entry floor(u K) never passes the answer; one step
+    and a binary search of the few still short of it finish the lookup."""
+    for i in range(0, u.size, INTERP_BLOCK):
+        rows = slice(i, i + INTERP_BLOCK)
+        block = u[rows]
+        j = guide[(block * guide.size).astype(np.intp)]
+        j += cdf[j] <= block
+        short = np.flatnonzero(cdf[j] <= block)
+        j[short] = np.searchsorted(cdf, block[short], "right")
+        yield rows, j
 
 
 def inverse_cdf_sample(xs: np.ndarray, density: np.ndarray, n: int,
@@ -51,17 +76,23 @@ def inverse_cdf_sample(xs: np.ndarray, density: np.ndarray, n: int,
         raise NonFiniteSample("density must be finite and nonnegative")
     d = np.clip(d, 0.0, None)
     # cumulative trapezoid, zero-anchored; a descending grid integrates like an ascending one
-    seg = 0.5 * (d[1:] + d[:-1]) * np.abs(dx)
-    cdf = np.concatenate(([0.0], np.cumsum(seg)))
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.abs(dx))))
     total = cdf[-1]
-    if total <= 0:
-        raise NonFiniteSample("density integrates to zero")
+    if not 0 < total < np.inf:
+        raise NonFiniteSample(f"density integrates to {total}, not a positive finite number")
     cdf /= total
+    # np.interp's slopes; a flat segment keeps its zero, as no lookup lands on one
+    slope = np.diff(cdf)
+    np.divide(dx, slope, out=slope, where=slope > 0)
+    guide = _guide_table(cdf)
     u = rng.random(n)
-    for block in (u[i:i + INTERP_BLOCK] for i in range(0, n, INTERP_BLOCK)):
-        # numpy radix-sorts 16-bit keys; writing into u holds no second array of draws
-        order = np.argsort((block * 65536.0).astype(np.uint16), kind="stable")
-        block[order] = np.interp(block[order], cdf, xs)
+    for rows, j in _invert(cdf, guide, u):
+        j -= 1
+        x = cdf[j]
+        np.subtract(u[rows], x, out=x)
+        x *= slope[j]
+        x += xs[j]
+        u[rows] = x  # in place: no second array of draws
     return u
 
 
@@ -75,9 +106,15 @@ def choice_from_weights(weights: np.ndarray, n: int, rng: np.random.Generator) -
         raise NonFiniteSample("weights must be finite and nonnegative")
     w = np.clip(w, 0.0, None)
     total = w.sum()
-    if total <= 0:
-        raise NonFiniteSample("weights sum to zero")
-    return rng.choice(w.size, size=n, p=w / total)
+    if not 0 < total < np.inf:
+        raise NonFiniteSample(f"weights sum to {total}, not a positive finite number")
+    cdf = (w / total).cumsum()  # Generator.choice's table, so its draws are choice's
+    cdf /= cdf[-1]
+    guide = _guide_table(cdf)
+    out = np.empty(n, dtype=np.intp)
+    for rows, j in _invert(cdf, guide, rng.random(n)):
+        out[rows] = j
+    return out
 
 
 def sample_moments(samples: np.ndarray) -> tuple[float, float, float, float]:

@@ -151,13 +151,13 @@ def test_bad_input_fails_closed(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize("payload, field", [
-    (_edited("freeclock-dilation", grid_points=2 ** 20), "grid_points"),
+    (_edited("freeclock-dilation", grid_points=2 ** 24), "grid_points"),
     (_edited("rotator-dilation", mc_samples=10 ** 10), "mc_samples"),
     (_edited("rotator-dilation", j_z=10 ** 9, omega=1e-11, mc_samples=0), "j_z"),
     (_edited("entangled-clock", j_z=10 ** 9, omega=1e-11), "j_z"),
     (_edited("entangled-clock", histogram_bins=10 ** 8), "histogram_bins"),
     (_edited("jacobi-demo", masses=[1.0] * 600), "masses"),
-], ids=["freeclock-grid_points-2^20", "mc_samples-1e10", "rotator-j_z-1e9",
+], ids=["freeclock-grid_points-2^24", "mc_samples-1e10", "rotator-j_z-1e9",
         "entangled-j_z-1e9", "histogram_bins-1e8", "jacobi-masses-600"])
 def test_working_set_over_the_cap_fails_closed(tmp_path, capsys, monkeypatch, payload, field):
     def never(sc):
@@ -246,17 +246,20 @@ def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
 
 @pytest.mark.parametrize("payload, estimate", [
     (_edited("freeclock-dilation", grid_points=1024, mc_samples=0), cli._freeclock_bytes),
+    (_edited("freeclock-dilation", grid_points=1024, mc_samples=0, a_x=5.0), cli._freeclock_bytes),
     (_edited("rotator-dilation", grid_points=256, mc_samples=200000, tau_grid=[1.0]),
      cli._rotator_bytes),
     (_edited("rotator-dilation", j_z=1000, omega=1e-5, mc_samples=0), cli._rotator_bytes),
+    (_edited("rotator-dilation", j_z=1000, omega=0.999 / (2000 * np.pi), mc_samples=0),
+     cli._rotator_bytes),
     (_edited("rotator-dilation", j_z=1000, omega=1e-5, grid_points=16, mc_samples=2,
              tau_grid=[1.0]), cli._rotator_bytes),
     (_edited("entangled-clock", j_z=2000, omega=1e-5, grid_points=2048, mc_samples=0),
      cli._entangled_bytes),
     (_edited("jacobi-demo", masses=[1.0 + 0.1 * i for i in range(24)], grid_points=2048,
              mc_samples=0, seed=0), cli._jacobi_bytes),
-], ids=["freeclock-mesh", "rotator-mc", "rotator-modes", "rotator-angle-table", "entangled-modes",
-        "jacobi-chains"])
+], ids=["freeclock-mesh", "freeclock-wide-span", "rotator-mc", "rotator-modes",
+        "rotator-wide-span", "rotator-angle-table", "entangled-modes", "jacobi-chains"])
 def test_working_set_estimate_tracks_the_traced_peak(payload, estimate):
     cli.run_scenario(payload)  # untraced: one-off lazy imports are not the working set
     tracemalloc.start()

@@ -1,9 +1,12 @@
 """Source rules that keep each rule in one home: no module reaches into
 another module's private names, the library needs nothing beyond numpy, no
 deletion leaves an unused import or an unread private name behind, no
-matrix is inverted numerically, and no frames tolerance is relative by default."""
+matrix is inverted numerically, no frames tolerance is relative by default,
+and importing the CLI loads no numpy submodule that only a rare path needs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -296,3 +299,14 @@ def test_the_rule_sees_atol_without_rtol(tmp_path):
                      "assert_allclose(a, b, rtol=1e-10)\n"
                      "np.allclose(a, b, atol=1e-12)\n")
     assert atol_without_rtol(probe) == ["3: assert_allclose", "5: np.testing.assert_allclose"]
+
+
+def test_importing_the_cli_loads_no_numpy_polynomial():
+    # numpy.polynomial costs every fresh interpreter several ms; only
+    # clocks.angle_moments reaches it, through numpy's lazy attribute
+    probe = ("import sys, qrfsim.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.strip() == "[]"

@@ -242,26 +242,84 @@ class TestTauGrid:
             mc_variance_check(build(), self.TAUS, n, seed=2)
 
 
-@pytest.mark.parametrize("n, rtol", [(2048, 0.0), (1001, 1e-15)])
-def test_blocked_boost_mesh_matches_the_full_mesh(n, rtol):
-    # the free clock's mesh has n clock momenta: 8 blocks at 2048, a remainder at 1001
-    packet = make_gaussian(default_grid(0.75, 0.1, n), 0.75, 0.1, mass=1.0)
-    clock = FreeClockState(0.5, 0.5, 0.2, 25.0)
-    sys = RelClockSystem(1.0, packet, clock)
-    p, w_p = packet.grid.points, packet.grid.quad_weights() * packet.density()
-    px = sys.clock_packet.grid.points
-    w_x = sys.clock_packet.grid.quad_weights() * sys.clock_packet.density()
-    m_op = clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab)
-    f = px / clock.p_bar
-    blocked = relkin._boost_moments(p, w_p, m_op, w_x, f)
+def full_mesh_averages(p, w_p, m_op, rows=256):
+    """The oracle: F and G from B_2 on the whole (mass x momentum) mesh, 256 masses at a time."""
+    out = np.empty((2, m_op.size))
+    for i in range(0, m_op.size, rows):
+        b = time_boost(p[None, :], m_op[i:i + rows, None])
+        out[0, i:i + rows], out[1, i:i + rows] = b @ w_p, (b * b) @ w_p
+    return out
 
-    b = time_boost(p[None, :], m_op[:, None])  # the whole n x n mesh at once
-    b_mode = b @ w_p
-    s_bar = float(w_x @ (f * b_mode))
-    s2_bar = float(w_x @ (f ** 2 * ((b * b) @ w_p)))
-    full = (b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0))
-    for got, want in zip(blocked, full):
-        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+def _freeclock_masses(n):
+    packet = make_gaussian(default_grid(0.75, 0.1, n), 0.75, 0.1, mass=1.0)
+    sys = RelClockSystem(1.0, packet, FreeClockState(0.5, 0.5, 0.2, 25.0))
+    return packet, relkin._freeclock_mass_operator(sys.clock, sys.clock_packet.grid.points)
+
+
+def _rotator_masses(j_z, span, n=512):
+    # span = (m_max - m_min) / m_rest; at 200% the lightest mode would be massless
+    packet = make_gaussian(default_grid(0.75, 0.1, n), 0.75, 0.1, mass=1.0)
+    return packet, 1.0 + 0.5 * span * np.arange(-j_z, j_z + 1) / j_z
+
+
+BOOST_CASES = {
+    **{f"freeclock-{n}": (lambda n=n: _freeclock_masses(n)) for n in (256, 1001, 2048, 4096)},
+    **{f"rotator-{j_z}-{span:.0%}": (lambda j_z=j_z, span=span: _rotator_masses(j_z, span))
+       for j_z in (1, 4, 1000, 8000) for span in (0.1, 1.0, 1.99)},
+    "rotator-1000-199.99%": lambda: _rotator_masses(1000, 1.9999),
+    "packet-at-rest-199%": lambda: (make_gaussian(default_grid(0.0, 0.01, 512), 0.0, 0.01,
+                                                  mass=1.0), _rotator_masses(1000, 1.99)[1]),
+    "one-mode": lambda: (_rotator_masses(1, 0.1)[0], np.array([1.3])),
+}
+
+
+def boost_elements(monkeypatch):
+    """B_2 entries that relkin evaluates from here on, one list item per time_boost call."""
+    elements = []
+    original = relkin.time_boost
+
+    def counted(p, m2):
+        elements.append(np.broadcast(np.asarray(p), np.asarray(m2)).size)
+        return original(p, m2)
+
+    monkeypatch.setattr(relkin, "time_boost", counted)
+    return elements
+
+
+@pytest.mark.parametrize("case", sorted(BOOST_CASES))
+def test_boost_moments_match_the_full_mesh(case, monkeypatch):
+    packet, m_op = BOOST_CASES[case]()
+    p, w_p = packet.grid.points, packet.grid.quad_weights() * packet.density()
+    elements = boost_elements(monkeypatch)
+    got = relkin._mode_averages(p, w_p, m_op)
+    np.testing.assert_allclose(got, full_mesh_averages(p, w_p, m_op), rtol=1e-13, atol=0)
+    k = sum(elements) // p.size  # masses at which B_2 was evaluated
+    if m_op.size > relkin.BOOST_FIRST_NODES:  # interpolated: nested levels 9, 17, 33, ...
+        assert k < m_op.size and (k - 1) & (k - 2) == 0
+    else:  # no more masses than the first level's nodes, a single one too: each is evaluated
+        assert k == m_op.size
+
+
+def test_a_free_clock_evaluates_17_masses_not_its_2048_modes(monkeypatch):
+    # the shipped free clock's 19% mass span: two levels, not a 2048 x 2048 mesh
+    elements = boost_elements(monkeypatch)
+    freeclock_system().time_operator
+    assert sum(elements) == 17 * 2048
+
+
+def test_masses_past_the_node_limit_are_evaluated_block_by_block(monkeypatch):
+    # a log-mass span of 1e200 needs more than BOOST_MAX_NODES points: every mass is
+    # evaluated, exactly, and no mesh holds more than one block of them
+    packet = make_gaussian(default_grid(0.75, 0.1, 64), 0.75, 0.1, mass=1.0)
+    p, w_p = packet.grid.points, packet.grid.quad_weights() * packet.density()
+    m_op = np.geomspace(1e-100, 1e100, 4000)
+    elements = boost_elements(monkeypatch)
+    got = relkin._mode_averages(p, w_p, m_op)
+    np.testing.assert_allclose(got, full_mesh_averages(p, w_p, m_op), rtol=1e-13, atol=0)
+    assert max(elements) == relkin.BOOST_BLOCK_ROWS * p.size
+    levels = sum(elements) // p.size - m_op.size  # the levels tried before giving up
+    assert levels == relkin.BOOST_MAX_NODES
 
 
 def test_rotator_coefficients_need_no_mode_by_mode_array():

@@ -1,4 +1,5 @@
-"""Sampling layer: inverse-CDF draws against plain inversion, and input guards."""
+"""Sampling layer: draws against plain inversion and Generator.choice, the guide-table
+lookup against searchsorted, and input guards."""
 
 import tracemalloc
 
@@ -7,6 +8,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from qrfsim import sampling
 from qrfsim.errors import ConfigError
 from qrfsim.sampling import INTERP_BLOCK, choice_from_weights, inverse_cdf_sample, make_rng
 
@@ -44,8 +46,24 @@ def _angle_table():
     return us, 1.0 + np.cos(us) ** 8
 
 
+def _zero_run_inside():
+    """A peaked density with a zero-density run between its two lobes."""
+    xs = np.linspace(-5.0, 5.0, 2001)
+    d = np.exp(-(xs - 2.0) ** 2) + np.exp(-(xs + 2.0) ** 2 / 0.05)
+    d[(xs > -1.0) & (xs < 1.5)] = 0.0
+    return xs, d
+
+
+def _gaussian_tails():
+    """Tails of a Gaussian down to 1e-300: long runs of CDF points share a guide bucket."""
+    xs = np.linspace(-37.0, 37.0, 4096)
+    return xs, np.exp(-xs ** 2 / 2)
+
+
 DENSITIES = {"flat-stretches": _flat_stretches, "one-segment": _one_segment,
-             "descending": _descending, "angle-table": _angle_table}
+             "descending": _descending, "angle-table": _angle_table,
+             "zero-run-inside": _zero_run_inside, "gaussian-tails": _gaussian_tails,
+             "descending-zero-ends": lambda: (_flat_stretches()[0][::-1], _flat_stretches()[1])}
 COUNTS = (0, 1, 2, INTERP_BLOCK - 1, INTERP_BLOCK, INTERP_BLOCK + 1, 200_003)
 
 
@@ -55,10 +73,54 @@ COUNTS = (0, 1, 2, INTERP_BLOCK - 1, INTERP_BLOCK, INTERP_BLOCK + 1, 200_003)
 @hyp.given(seed=st.integers(0, 2 ** 48 + 2 ** 32 - 1))
 def test_draws_are_bit_identical_to_plain_inversion(table, n, seed):
     xs, d = DENSITIES[table]()
-    got = inverse_cdf_sample(xs, d, n, make_rng(seed))
-    want = plain_inversion(xs, d, n, make_rng(seed))
+    rng, ref = make_rng(seed), make_rng(seed)
+    got = inverse_cdf_sample(xs, d, n, rng)
+    want = plain_inversion(xs, d, n, ref)
     assert got.dtype == want.dtype and got.shape == want.shape == (n,)
     assert got.tobytes() == want.tobytes()
+    assert rng.random(3).tobytes() == ref.random(3).tobytes()  # the stream is in step
+
+
+WEIGHTS = {
+    "one-mode": np.array([2.5]),
+    "zero-ends": np.array([0.0, 0.0, 1.0, 3.0, 0.5, 0.0]),
+    "nine-modes": np.exp(-(np.arange(9) - 4.0) ** 2 / 4),
+    "2001-modes": np.exp(-(np.arange(2001) - 1000.0) ** 2 / 2e4),
+    "2001-zero-runs": np.where(np.arange(2001) % 400 < 150, 0.0,
+                               1.0 + np.cos(np.arange(2001.0)) ** 2),
+}
+
+
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
+@pytest.mark.parametrize("seed", [0, 31, 5 + (1 << 32)])
+def test_indices_are_generator_choice_and_leave_the_stream_in_step(weights, n, seed):
+    w = WEIGHTS[weights]
+    rng, ref = make_rng(seed), make_rng(seed)
+    got = choice_from_weights(w, n, rng)
+    want = ref.choice(w.size, size=n, p=w / w.sum())
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.random(3).tobytes() == ref.random(3).tobytes()
+    assert not np.any(w[got] == 0.0)
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(steps=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e-12),
+                                    st.floats(1e-6, 1.0)), min_size=1, max_size=300),
+           seed=st.integers(0, 2 ** 32))
+def test_guide_lookup_is_searchsorted(steps, seed):
+    # flat runs, clustered points and ordinary steps, so some uniforms need the
+    # binary search after the guide entry and its one step
+    w = np.array(steps)
+    hyp.assume(w.sum() > 0)
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    u = make_rng(seed).random(3 * INTERP_BLOCK + 7)
+    edges = np.array([0.0, np.nextafter(1.0, 0.0), cdf[0], cdf[len(cdf) // 2]])
+    u[:4] = np.where(edges < 1.0, edges, 0.5)  # uniforms on CDF points and at the ends
+    guide = sampling._guide_table(cdf)
+    got = np.concatenate([j for _, j in sampling._invert(cdf, guide, u)])
+    assert got.tobytes() == np.searchsorted(cdf, u, "right").tobytes()
 
 
 def test_draws_leave_the_stream_where_plain_inversion_does():
