@@ -197,7 +197,7 @@ def _betas_nonrelativistic(sc):
 
 # Working-set estimates: bytes of the arrays a runner holds at once, keyed by
 # the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
-# per packet grid point or histogram bin, 40-48 per Monte-Carlo draw, and per
+# per packet grid point or histogram bin, 32 per Monte-Carlo draw, and per
 # rotator mode 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per
 # entangled clock's external mode.  The boost moments hold B_2 for BOOST_BLOCK_ROWS
 # masses at a time, 8 bytes per momentum each, however many Chebyshev nodes K they
@@ -207,7 +207,7 @@ def _betas_nonrelativistic(sc):
 # each its target chart's two maps, two n x n arrays (16 n^3 bytes), and about 256
 # bytes per output row (n^2 rows).  At 80 and 120 bodies the traced peaks are 9.3 and
 # 30.4 MB against 9.8 and 31.3 MB estimated.
-_PER_POINT, _PER_DRAW = 160, 48
+_PER_POINT, _PER_DRAW = 160, 32
 _PER_BOOST_POINT = _PER_POINT + 8 * BOOST_BLOCK_ROWS
 _PER_MODE, _PER_SAMPLED_MODE, _PER_STATE_MODE = 240, 1600, 48
 

@@ -7,9 +7,10 @@ amplitude factors, never as exponentiated generators.  The proper-time
 observable of a moving clock decomposes as tau_2 = B_2 tau_0 + theta(0)/2piw
 (rotator) or (p_x B_2 / pbar_x) tau_0 + mu x(0)/pbar_x (free clock), and all
 reported statistics are quadrature moments of those operators, B_2's momentum
-averages interpolated in the mass to 1e-13.  Their tau_0-free coefficients
-belong to the system: RelClockSystem.time_operator computes them once, and
-proper_time_stats and mc_variance_check share them.
+averages interpolated in the mass to 1e-13.  B_2 acts on the clock's modes through
+the mass m_2 = m_2' + H_int; _clock_modes is each clock's mode table, read by the
+mass guard, the closed forms and the Monte-Carlo draws.  RelClockSystem.time_operator
+computes the tau_0-free coefficients once, for proper_time_stats and mc_variance_check.
 """
 
 from __future__ import annotations
@@ -165,22 +166,20 @@ class RelClockSystem:
         if not self.rest_mass > 0:
             raise NonPositiveWidth("rest mass must be positive")
         _external_weights(self.external)  # type check
-        if isinstance(self.clock, RotatorClockState):
-            # the mass operator must stay positive on populated modes
-            populated = np.abs(self.clock.coefficients) > 1e-15
-            m_min = _rotator_mode_masses(self.rest_mass, self.clock)[populated].min()
-            if m_min <= 0:
-                raise ConfigError(
-                    f"mass operator reaches {m_min}; lower omega*J_z below m2'/2pi")
-        elif isinstance(self.clock, FreeClockState):
+        if isinstance(self.clock, FreeClockState):
             total = self.clock.m_a + self.clock.m_b
             if abs(total - self.rest_mass) > 1e-12 * total:
                 raise ConfigError(
                     f"rest mass {self.rest_mass} must equal m_a + m_b = {total}")
             n = self.external.grid.size if isinstance(self.external, WavePacket) else 2048
             object.__setattr__(self, "clock_packet", freeclock_packet(self.clock, n))
-        else:
+        elif not isinstance(self.clock, RotatorClockState):
             raise ClockModelMismatch(f"unknown clock model {type(self.clock).__name__}")
+        # the mass operator must stay positive on populated modes
+        masses, weights, _ = _clock_modes(self)
+        m_min = masses[weights > 1e-30].min()
+        if m_min <= 0:
+            raise ConfigError(f"mass operator reaches {m_min}; lower omega*J_z below m2'/2pi")
         if self.alpha_i > ALPHA_I_WARN:
             warnings.warn(
                 f"internal energy is {self.alpha_i:.3f} of the rest mass; "
@@ -202,35 +201,35 @@ class RelClockSystem:
         and shared by proper_time_stats and mc_variance_check (tau0 = 0)."""
         clock = self.clock
         p, w_p = _external_weights(self.external)
+        masses, weights, f = _clock_modes(self)
+        b_mode, slope, d_b = _boost_moments(p, w_p, masses, weights, f)
         if isinstance(clock, RotatorClockState):
-            b_mode, slope, d_b = _boost_moments(p, w_p, _rotator_mode_masses(self.rest_mass, clock),
-                                                np.abs(clock.coefficients) ** 2)
             # theta = phi + u on the peak-centred branch; phi is a constant, so the
             # boost-angle covariance is that of u in the recentred coefficients:
             # <{B - slope, u}> = 2 Re <c|u (B - slope)|c>, as u is Hermitian
             scale = 2 * np.pi * clock.omega
             phi, centered = recenter(clock)
             c = centered.coefficients
-            u_bar, u2 = (f.real for f in branch_forms(c, c))
+            u_bar, u2 = (z.real for z in branch_forms(c, c))
             d0 = max(u2 - u_bar ** 2, 0.0) / scale ** 2
             g2 = 2 * branch_forms(c, (b_mode - slope) * c)[0].real / scale
             return TimeOperatorStats(slope, (phi + u_bar) / scale, d_b, g2, d0, "rotator")
-        pk_x = self.clock_packet
-        px, wx = _external_weights(pk_x)
-        b_ext, slope, d_b = _boost_moments(p, w_p, _freeclock_mass_operator(clock, px), wx,
-                                           px / clock.p_bar)
-        b_bar = float(wx @ b_ext)
-        offset, d0, cross, v = freeclock_terms(pk_x, clock)
+        b_bar = float(weights @ b_mode)
+        offset, d0, cross, v = freeclock_terms(self.clock_packet, clock)
         return TimeOperatorStats(slope, offset, d_b, b_bar * cross, d0, "freeclock",
                                  v * b_bar ** 2)
 
 
-def _rotator_mode_masses(rest_mass: float, clock: RotatorClockState) -> np.ndarray:
-    return rest_mass + 2 * np.pi * clock.omega * clock.m_values
-
-
-def _freeclock_mass_operator(clock: FreeClockState, px: np.ndarray) -> np.ndarray:
-    return clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab)
+def _clock_modes(sys: RelClockSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(masses, weights, f) of the clock's modes: the mass operator m_2' + H_int, the
+    probability and the slope factor in S = f B_2.  A rotator's modes are its J_z
+    levels (f = 1), a free clock's its packet's momentum nodes p_x (f = p_x / pbar_x)."""
+    clock = sys.clock
+    if isinstance(clock, RotatorClockState):
+        masses = sys.rest_mass + 2 * np.pi * clock.omega * clock.m_values
+        return masses, np.abs(clock.coefficients) ** 2, np.ones_like(masses)
+    px, wx = _external_weights(sys.clock_packet)
+    return clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab), wx, px / clock.p_bar
 
 
 def _cos_pi(num: np.ndarray, den: int) -> np.ndarray:
@@ -303,9 +302,9 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
     return at(m_op)
 
 
-def _boost_moments(p, w_p, m_op, w_m, f=1.0) -> tuple[np.ndarray, float, float]:
+def _boost_moments(p, w_p, m_op, w_m, f) -> tuple[np.ndarray, float, float]:
     """B_2's per-mode average over the momenta, F(m) of _mode_averages, and the mean
-    and variance of f B_2 (f: 1 or one per mode)."""
+    and variance of the slope S = f B_2 on the clock's mode table (m_op, w_m, f)."""
     b_mode, b2_mode = _mode_averages(p, w_p, m_op)
     s_bar = float(w_m @ (f * b_mode))
     s2_bar = float(w_m @ (f ** 2 * b2_mode))
@@ -374,36 +373,35 @@ def _ensemble(sys: RelClockSystem, n: int, seed: int) -> tuple[np.ndarray, np.nd
     observable's slope and offset, tau_2 = S tau0 + T, so one ensemble serves
     every tau0.
 
-    Momenta, clock modes and clock offsets are drawn, in that order, from their
-    marginal tables; this reproduces the operator mean always and the variance
-    whenever the boost-angle cross moment g2 vanishes.  Angles are drawn on the
-    peak-centred branch theta = phi + u of `recenter`.
+    External momenta, clock modes and clock offsets are drawn, in that order, one
+    uniform per draw: momenta and modes by weight from the quadrature nodes that the
+    closed forms sum over, offsets (a hand angle on the peak-centred branch
+    theta = phi + u of `recenter`, or a free clock's position) from tabulated
+    densities.  This reproduces the operator mean always and the variance whenever
+    the boost-angle cross moment g2 vanishes.
     """
-    rng = make_rng(seed)
-    ext, clock = sys.external, sys.clock
-    if isinstance(ext, WavePacket):
-        p = inverse_cdf_sample(ext.grid.points, ext.density(), n, rng)
-    else:
-        p = ext.points[choice_from_weights(ext.probabilities, n, rng)]
+    rng, clock = make_rng(seed), sys.clock
+    p, w_p = _external_weights(sys.external)
+    masses, weights, f = _clock_modes(sys)
+    # index each table at once: no drawn index is held beside B_2
+    p = p[choice_from_weights(w_p, n, rng)]
+    k = choice_from_weights(weights, n, rng)
+    slope = time_boost(p, masses[k])
+    slope *= f[k]
+    del p, k
     if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
         # lobes are 2 pi / N wide: the table is the smallest 2^k + 1 >= 16 N if larger
         table = max(ANGLE_TABLE_POINTS, (1 << (16 * clock.n_states - 2).bit_length()) + 1)
         us = np.linspace(-np.pi, np.pi, table)
-        # index the mode masses at once: the drawn indices are not held beside B_2
-        m2 = _rotator_mode_masses(sys.rest_mass, clock)[
-            choice_from_weights(np.abs(clock.coefficients) ** 2, n, rng)]
         theta = phi + inverse_cdf_sample(us, angular_density(centered, us), n, rng)
-        b = time_boost(p, m2)
-        return b, theta / (2 * np.pi * clock.omega)
+        return slope, theta / (2 * np.pi * clock.omega)
     pk_x = sys.clock_packet
-    px = inverse_cdf_sample(pk_x.grid.points, pk_x.density(), n, rng)
     sig_x = np.sqrt(position_variance(pk_x))
     x0 = position_mean(pk_x)
     xs = np.linspace(x0 - 10 * sig_x, x0 + 10 * sig_x, POSITION_TABLE_POINTS)
     x = inverse_cdf_sample(xs, np.abs(position_wavefunction(pk_x, xs)) ** 2, n, rng)
-    b = time_boost(p, _freeclock_mass_operator(clock, px))
-    return px * b / clock.p_bar, clock.mu_ab * x / clock.p_bar
+    return slope, clock.mu_ab * x / clock.p_bar
 
 
 def sample_proper_times(sys: RelClockSystem, tau0: float, n: int, seed: int) -> np.ndarray:
@@ -629,14 +627,14 @@ def nonrel_limit_report(m1: float, m2: float, betas, n: int = 2048) -> list[Nonr
         q_bar = m2 * beta / k_m
         sig_q = q_bar / 8.0
         delta = 0.5 / sig_q
-        qs = np.linspace(q_bar - 7 * sig_q, q_bar + 7 * sig_q, 16384)
-        ps = _pair_momentum(m1, m2, qs)
         grid = MomentumGrid.linspace(_pair_momentum(m1, m2, q_bar - MIN_HALF_WIDTH_SIGMAS * sig_q),
                                      _pair_momentum(m1, m2, q_bar + MIN_HALF_WIDTH_SIGMAS * sig_q), n)
 
         def shifted(sign: float) -> WavePacket:
             def amp(pvals):
-                q = np.interp(pvals, ps, qs)
+                # inverts _pair_momentum: m1 p / q = E1(q) + E2(q) = sqrt(m1^2 + m2^2 + 2 m1 E2(p))
+                e2 = np.sqrt(m2 ** 2 + pvals ** 2)
+                q = pvals * m1 / np.sqrt(m1 ** 2 + m2 ** 2 + 2 * m1 * e2)
                 slope = _pair_momentum_slope(m1, m2, q)
                 return (np.exp(-((q - q_bar) ** 2) / (4 * sig_q ** 2))
                         * np.exp(-1j * sign * q * delta) / np.sqrt(slope))

@@ -254,7 +254,7 @@ def full_mesh_averages(p, w_p, m_op, rows=256):
 def _freeclock_masses(n):
     packet = make_gaussian(default_grid(0.75, 0.1, n), 0.75, 0.1, mass=1.0)
     sys = RelClockSystem(1.0, packet, FreeClockState(0.5, 0.5, 0.2, 25.0))
-    return packet, relkin._freeclock_mass_operator(sys.clock, sys.clock_packet.grid.points)
+    return packet, relkin._clock_modes(sys)[0]
 
 
 def _rotator_masses(j_z, span, n=512):
@@ -350,7 +350,7 @@ def test_angle_table_holds_the_clock_variance(j_z, points, monkeypatch):
     packet = make_gaussian(default_grid(0.75, 0.1, 256), 0.75, 0.1, mass=1.0)
     sys = RelClockSystem(1.0, packet, rotator_init(j_z, 1e-5))
     sample_proper_times(sys, 1.0, 2, seed=0)
-    us, d = tables[-1]  # momenta first, then the angles
+    [(us, d)] = tables  # one table, the angles': momenta and modes are drawn by weight
     assert us.size == points
     a, b = us[:-1], us[1:]
     mass = 0.5 * (d[1:] + d[:-1]) * (b - a)
@@ -358,6 +358,49 @@ def test_angle_table_holds_the_clock_variance(j_z, points, monkeypatch):
     mean = mass @ ((a + b) / 2)
     var = mass @ ((a * a + a * b + b * b) / 3) - mean ** 2
     assert var == pytest.approx(sys.time_operator.d0 * (2 * np.pi * 1e-5) ** 2, rel=1e-5)
+
+
+def _skewed_rotator(j_z=3, omega=0.02):
+    c = np.exp(-np.arange(-j_z, j_z + 1) ** 2 / 8.0)
+    return RotatorClockState(j_z, omega, c / np.linalg.norm(c))
+
+
+@pytest.mark.parametrize("clock", [_skewed_rotator(), FreeClockState(0.5, 0.5, 0.2, 25.0)],
+                         ids=["rotator", "freeclock"])
+@pytest.mark.parametrize("external", [
+    make_gaussian(default_grid(0.75, 0.1, 64), 0.75, 0.1, mass=1.0),
+    ModeSuperposition(np.array([0.0, 0.5, 1.2]), np.sqrt([0.2, 0.5, 0.3])),
+], ids=["packet", "modes"])
+def test_draws_are_the_nodes_the_slope_sums_over(clock, external, monkeypatch):
+    # every draw of (p, m_2) is a node of the closed forms' quadrature, so the
+    # ensemble's exact law is a finite sum whose mean is the slope itself
+    sys = RelClockSystem(1.0, external, clock)
+    if isinstance(clock, RotatorClockState):
+        masses = sys.rest_mass + 2 * np.pi * clock.omega * clock.m_values
+        w_m, f = np.abs(clock.coefficients) ** 2, np.ones_like(masses)
+    else:
+        px = sys.clock_packet.grid.points
+        w_m = sys.clock_packet.grid.quad_weights() * sys.clock_packet.density()
+        masses, f = clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab), px / clock.p_bar
+    if isinstance(external, WavePacket):
+        p, w_p = external.grid.points, external.grid.quad_weights() * external.density()
+    else:
+        p, w_p = external.points, external.probabilities
+    b = time_boost(p[None, :], masses[:, None]) @ (w_p / w_p.sum())
+    exact = (w_m / w_m.sum()) @ (f * b)
+    assert exact == pytest.approx(sys.time_operator.slope, rel=1e-13, abs=0)
+
+    draws = []
+    original = relkin.time_boost
+
+    def recorded(p_drawn, m_drawn):
+        draws.append((p_drawn, m_drawn))
+        return original(p_drawn, m_drawn)
+
+    monkeypatch.setattr(relkin, "time_boost", recorded)
+    sample_proper_times(sys, 1.0, 4000, seed=3)
+    [(p_drawn, m_drawn)] = draws
+    assert np.all(np.isin(p_drawn, p)) and np.all(np.isin(m_drawn, masses))
 
 
 class TestDispersionQuadratic:
