@@ -25,8 +25,8 @@ from . import __version__
 from .clocks import FreeClockState, rotator_init
 from .errors import ConfigError, NumericalError, ScenarioParseError
 from .frames import FrameSystem, build_chart, exchange_chain
-from .packets import (MIN_HALF_WIDTH_SIGMAS, MomentumGrid, WavePacket, default_grid,
-                      expectation, make_gaussian)
+from .packets import (DEFAULT_GRID_POINTS, MIN_HALF_WIDTH_SIGMAS, MomentumGrid, WavePacket,
+                      default_grid, expectation, make_gaussian)
 from .relkin import (
     BOOST_BLOCK_ROWS,
     ModeSuperposition,
@@ -39,7 +39,7 @@ from .relkin import (
     time_boost,
 )
 
-_DEFAULTS = {"grid_points": 2048, "mc_samples": 0, "seed": 0, "histogram_bins": 720}
+_DEFAULTS = {"grid_points": DEFAULT_GRID_POINTS, "mc_samples": 0, "seed": 0, "histogram_bins": 720}
 
 #: Largest working set, in bytes, one scenario may need (see README).
 MAX_WORKING_SET = 2 * 2 ** 30
@@ -53,6 +53,8 @@ def load_scenario(path: str) -> dict:
             raw = json.load(f)
     except json.JSONDecodeError as e:
         raise ScenarioParseError(e.msg, line=e.lineno, column=e.colno) from e
+    except (ValueError, RecursionError) as e:  # not UTF-8, too deep, an over-long integer
+        raise ScenarioParseError(f"cannot parse scenario file: {e}") from e
     except OSError as e:
         raise ScenarioParseError(f"cannot read scenario file: {e}") from e
     if not isinstance(raw, dict):
@@ -201,8 +203,7 @@ def _betas_nonrelativistic(sc):
 # rotator mode 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per
 # entangled clock's external mode.  The boost moments hold B_2 for BOOST_BLOCK_ROWS
 # masses at a time, 8 bytes per momentum each, however many Chebyshev nodes K they
-# take, and sum their interpolant in arrays the size of the modes; only their K x K
-# DCT matrices grow with K, to about 6 MB at 513 nodes.
+# take, and sum their interpolant in arrays the size of the modes.
 # A jacobi-demo of n bodies holds its last frame's exchange chain: n - 1 exchanges,
 # each its target chart's two maps, two n x n arrays (16 n^3 bytes), and about 256
 # bytes per output row (n^2 rows).  At 80 and 120 bodies the traced peaks are 9.3 and
@@ -492,11 +493,14 @@ def run_scenario(sc: dict) -> ResultTable:
 
 
 def write_results(sc: dict, table: ResultTable, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{table.name}.csv")
-    _atomic_write(csv_path, render_csv(table))
-    _atomic_write(os.path.join(out_dir, f"{table.name}.provenance.json"),
-                  render_sidecar(sc, table))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _atomic_write(csv_path, render_csv(table))
+        _atomic_write(os.path.join(out_dir, f"{table.name}.provenance.json"),
+                      render_sidecar(sc, table))
+    except OSError as e:
+        raise ConfigError(f"cannot write results to {out_dir}: {e}") from e
     return csv_path
 
 

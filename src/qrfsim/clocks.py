@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, NonPositiveWidth, ZeroMeanMomentum
 from .packets import (
+    DEFAULT_GRID_POINTS,
     WavePacket,
     default_grid,
     expectation,
@@ -231,7 +232,7 @@ def theta_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def freeclock_packet(state: FreeClockState, n: int = 2048) -> WavePacket:
+def freeclock_packet(state: FreeClockState, n: int = DEFAULT_GRID_POINTS) -> WavePacket:
     """The emitted particle's Gaussian packet implied by the clock parameters."""
     return make_gaussian(default_grid(state.p_bar, state.sigma_p, n),
                          center=state.p_bar, width=state.sigma_p, mass=state.mu_ab)

@@ -38,6 +38,7 @@ from .errors import (
     RoughState,
 )
 from .packets import (
+    DEFAULT_GRID_POINTS,
     MIN_HALF_WIDTH_SIGMAS,
     MomentumGrid,
     WavePacket,
@@ -171,7 +172,8 @@ class RelClockSystem:
             if abs(total - self.rest_mass) > 1e-12 * total:
                 raise ConfigError(
                     f"rest mass {self.rest_mass} must equal m_a + m_b = {total}")
-            n = self.external.grid.size if isinstance(self.external, WavePacket) else 2048
+            n = (self.external.grid.size if isinstance(self.external, WavePacket)
+                 else DEFAULT_GRID_POINTS)
             object.__setattr__(self, "clock_packet", freeclock_packet(self.clock, n))
         elif not isinstance(self.clock, RotatorClockState):
             raise ClockModelMismatch(f"unknown clock model {type(self.clock).__name__}")
@@ -187,13 +189,9 @@ class RelClockSystem:
 
     @property
     def alpha_i(self) -> float:
-        """|<internal energy>| / rest mass."""
-        if isinstance(self.clock, RotatorClockState):
-            w = np.abs(self.clock.coefficients) ** 2
-            energy = 2 * np.pi * self.clock.omega * np.sum(w * self.clock.m_values)
-        else:
-            energy = expectation(self.clock_packet, lambda p: p * p).real / (2 * self.clock.mu_ab)
-        return abs(float(energy)) / self.rest_mass
+        """|<H_int>| / m_2': the mean of H_int = m_2 - m_2' over the clock's mode table."""
+        masses, weights, _ = _clock_modes(self)
+        return abs(float(weights @ (masses - self.rest_mass))) / self.rest_mass
 
     @cached_property
     def time_operator(self) -> TimeOperatorStats:
@@ -232,11 +230,6 @@ def _clock_modes(sys: RelClockSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab), wx, px / clock.p_bar
 
 
-def _cos_pi(num: np.ndarray, den: int) -> np.ndarray:
-    """cos(pi num / den) for integers, reduced mod 2 den first so large num loses no digits."""
-    return np.cos(np.pi * (num % (2 * den)) / den)
-
-
 def _chebyshev_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k c[:, k] T_k(x), one row per coefficient set, by Clenshaw's recurrence:
     it holds a few arrays the size of x, never one T_k(x) per k."""
@@ -253,7 +246,8 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
     F and G are analytic in s = log m within |Im s| < pi/2 (B_2 is singular at
     m = +-i p), whatever the momenta, so they are interpolated in s at the nested
     Chebyshev points s_j = cos(pi j / N) of [log m_min, log m_max], j = 0..N.  N
-    doubles, each level evaluating only its new points, until the upper half of both
+    doubles, each level evaluating only its new points and taking its coefficients as
+    a DCT-I by one real FFT of the even extension, until the upper half of both
     coefficient sets is below BOOST_TAIL of its largest (Trefethen, Approximation
     Theory and Approximation Practice, 2013, ch. 8).  B_2 is evaluated at the masses
     themselves instead, which is exact, when their span is zero or a level would
@@ -277,7 +271,7 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
         return np.stack((b, b * b))
 
     def at_nodes(j, n):  # F and G over their scale at the Chebyshev points j of level n
-        m = np.exp(lo + 0.5 * (hi - lo) * (1.0 + _cos_pi(j, n)))
+        m = np.exp(lo + 0.5 * (hi - lo) * (1.0 + np.cos(np.pi * j / n)))
         return at(m) / scale(m)
 
     s = np.log(m_op)
@@ -292,9 +286,7 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
             doubled[:, ::2] = values
             doubled[:, 1::2] = at_nodes(np.arange(1, n, 2), n)
             values = doubled
-        k = np.arange(n + 1)
-        half = np.where((k == 0) | (k == n), 1.0, 2.0) / n  # DCT-I by a cosine matrix
-        c = (values * half) @ _cos_pi(np.outer(k, k), n)
+        c = np.fft.rfft(np.concatenate((values, values[:, -2:0:-1]), axis=1), axis=1).real / n
         c[:, [0, n]] /= 2
         if np.all(np.abs(c[:, n // 2 + 1:]).max(axis=1) <= BOOST_TAIL * np.abs(c).max(axis=1)):
             return _chebyshev_sum(c, (2 * s - lo - hi) / (hi - lo)) * scale(m_op)
@@ -612,7 +604,7 @@ class NonrelRow:
     x_ratio: float
 
 
-def nonrel_limit_report(m1: float, m2: float, betas, n: int = 2048) -> list[NonrelRow]:
+def nonrel_limit_report(m1: float, m2: float, betas, n: int = DEFAULT_GRID_POINTS) -> list[NonrelRow]:
     """Convergence of the relativistic pair toward the mass-rescaled
     nonrelativistic description: H-ratio -> k_m, coordinate ratio -> 1/k_m."""
     k_m = (m1 + m2) / m1

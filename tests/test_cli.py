@@ -88,11 +88,30 @@ class TestValidate:
 
 
 class TestExitCodes:
-    def test_parse_failure_returns_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("raw, says", [
+        (b"not json at all {", "line"),
+        (b'{"kind": "jacobi-demo", "name": "\xff"}', "utf-8"),
+        (b"[" * 100000, "recursion"),
+        (b'{"seed": ' + b"1" * 5000 + b"}", "digits"),
+    ], ids=["not-json", "not-utf8", "nested-past-the-recursion-limit",
+            "integer-past-the-digit-limit"])
+    def test_parse_failure_returns_2(self, tmp_path, capsys, raw, says):
         p = tmp_path / "broken.json"
-        p.write_text("not json at all {")
+        p.write_bytes(raw)
         assert cli.main(["run", "--scenario", str(p), "--out", str(tmp_path)]) == 2
-        assert "line" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and says in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_that_is_a_file_returns_2(self, tmp_path, capsys, command):
+        sc = json.loads((SCENARIO_DIR / "jacobi-demo.json").read_text())
+        path = write_scenario(tmp_path, dict(sc, sweep={"seed": [0]}))
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert cli.main([command, "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write results")
+        assert out.read_text() == "not a directory"
 
     def test_config_failure_returns_2(self, tmp_path, capsys):
         bad = write_scenario(tmp_path, {"kind": "nonrel-limit", "m1": 1.0,

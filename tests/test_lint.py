@@ -2,7 +2,8 @@
 another module's private names, the library needs nothing beyond numpy, no
 deletion leaves an unused import or an unread private name behind, no
 matrix is inverted numerically, no frames tolerance is relative by default,
-and importing the CLI loads no numpy submodule that only a rare path needs."""
+the default grid size is spelled once, and importing the CLI loads no numpy
+submodule that only a rare path needs."""
 
 import ast
 import os
@@ -299,6 +300,31 @@ def test_the_rule_sees_atol_without_rtol(tmp_path):
                      "assert_allclose(a, b, rtol=1e-10)\n"
                      "np.allclose(a, b, atol=1e-12)\n")
     assert atol_without_rtol(probe) == ["3: assert_allclose", "5: np.testing.assert_allclose"]
+
+
+def grid_size_literals(path: Path) -> list[str]:
+    """'line: literal' for every number 2048 the module spells, int or float: the
+    default grid size has one home, packets.DEFAULT_GRID_POINTS."""
+    return [f"{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == 2048]
+
+
+def test_only_packets_spells_the_default_grid_size():
+    found = {p.relative_to(SRC).as_posix(): grid_size_literals(p) for p in SRC.rglob("*.py")}
+    assert [path for path, lines in found.items() if lines] == ["packets.py"]
+
+
+def test_the_rule_sees_grid_size_literals(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("n = 2048\n"
+                     "x = 2048.0\n"
+                     "s = '2048'\n"
+                     "m = 20480, 2 ** 11, True\n"
+                     "def f(n=2048, k=DEFAULT_GRID_POINTS):\n"
+                     "    return n\n")
+    assert grid_size_literals(probe) == ["1: 2048", "2: 2048.0", "5: 2048"]
 
 
 def test_importing_the_cli_loads_no_numpy_polynomial():

@@ -64,6 +64,12 @@ def gaussian_system(omega=0.02, j_z=4):
     return RelClockSystem(1.0, packet, rotator_init(j_z, omega))
 
 
+def _asymmetric_rotator(j_z=3, omega=0.01):
+    """A rotator peaked at m = 1, so its mean internal energy is nonzero."""
+    c = np.exp(-(np.arange(-j_z, j_z + 1) - 1.0) ** 2 / 8.0)
+    return RotatorClockState(j_z, omega, c / np.linalg.norm(c))
+
+
 def freeclock_system():
     packet = make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0)
     return RelClockSystem(1.0, packet, FreeClockState(0.5, 0.5, 0.2, 25.0))
@@ -315,11 +321,17 @@ def test_masses_past_the_node_limit_are_evaluated_block_by_block(monkeypatch):
     p, w_p = packet.grid.points, packet.grid.quad_weights() * packet.density()
     m_op = np.geomspace(1e-100, 1e100, 4000)
     elements = boost_elements(monkeypatch)
-    got = relkin._mode_averages(p, w_p, m_op)
+    tracemalloc.start()
+    try:
+        got = relkin._mode_averages(p, w_p, m_op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     np.testing.assert_allclose(got, full_mesh_averages(p, w_p, m_op), rtol=1e-13, atol=0)
     assert max(elements) == relkin.BOOST_BLOCK_ROWS * p.size
     levels = sum(elements) // p.size - m_op.size  # the levels tried before giving up
     assert levels == relkin.BOOST_MAX_NODES
+    assert peak < 2 << 20  # nor does any level: a 513 x 513 array alone would be 2.0 MiB
 
 
 def test_rotator_coefficients_need_no_mode_by_mode_array():
@@ -547,6 +559,25 @@ class TestSystemValidation:
         pk = make_gaussian(default_grid(0.5, 0.05), 0.5, 0.05, mass=1.0)
         with pytest.raises(ConfigError, match="rest mass"):
             RelClockSystem(1.5, pk, FreeClockState(0.5, 0.5, 0.2, 25.0))
+
+    @pytest.mark.parametrize("clock, external", [
+        (_asymmetric_rotator(), make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0)),
+        (FreeClockState(0.5, 0.5, 0.2, 25.0),
+         make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0)),
+        (FreeClockState(0.5, 0.5, 0.2, 25.0),
+         ModeSuperposition(np.array([0.0, 0.5, 1.2]), np.sqrt([0.2, 0.5, 0.3]))),
+    ], ids=["rotator-asymmetric", "freeclock-shipped", "freeclock-modes"])
+    def test_alpha_i_is_the_mean_internal_energy(self, clock, external):
+        sys = RelClockSystem(1.0, external, clock)
+        if isinstance(clock, RotatorClockState):
+            energy = 2 * np.pi * clock.omega * np.sum(np.abs(clock.coefficients) ** 2
+                                                      * clock.m_values)
+        else:
+            pk = sys.clock_packet
+            w = simpson_weights(pk.grid.size, pk.grid.spacing) * np.abs(pk.amplitudes) ** 2
+            energy = np.sum(w * pk.grid.points ** 2) / (2 * clock.mu_ab)
+        assert energy > 1e-3
+        assert sys.alpha_i == pytest.approx(energy / sys.rest_mass, rel=1e-14, abs=0)
 
     def test_hot_clock_warns(self):
         pk = make_gaussian(default_grid(0.5, 0.05), 0.5, 0.05, mass=1.0)
