@@ -227,7 +227,7 @@ def _clock_modes(sys: RelClockSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
         masses = sys.rest_mass + 2 * np.pi * clock.omega * clock.m_values
         return masses, np.abs(clock.coefficients) ** 2, np.ones_like(masses)
     px, wx = _external_weights(sys.clock_packet)
-    return clock.m_a + clock.m_b + px ** 2 / (2 * clock.mu_ab), wx, px / clock.p_bar
+    return sys.rest_mass + px ** 2 / (2 * clock.mu_ab), wx, px / clock.p_bar
 
 
 def _chebyshev_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -414,22 +414,16 @@ class EnsembleCheck:
 
 def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int,
                       seed: int) -> EnsembleCheck:
-    """Ensemble moments at tau0, a float or an array, from one ensemble of n >= 2
-    draws keyed by seed that serves every tau0: the entries are
-    correlated, and each entry's marginal is exact.  Refuses states with a
-    boost-angle cross moment g2 it would miss."""
+    """Ensemble moments at tau0, a float or an array, from one ensemble of n >= 2 draws
+    keyed by seed, reduced once for every tau0: the entries are correlated, and each
+    entry's marginal is exact.  Refuses states with a boost-angle g2 it would miss."""
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ConfigError(f"a sample variance needs an integer of at least 2 draws, got {n!r}")
     s = sys.time_operator
     if not abs(s.g2) <= 1e-6 * 2 * np.sqrt(s.d_b * s.d0):
         raise ConfigError(f"g2 = {s.g2:.6g} correlates boost and clock offset; "
                           "the Monte-Carlo ensemble cannot check this state")
-    slope, offset = _ensemble(sys, n, seed)
-    taus = np.asarray(tau0, dtype=float)
-    # reduce each tau0's draws before the next: one row is held beside S and T
-    moments = np.reshape([sample_moments(slope * float(t) + offset) for t in taus.flat],
-                         taus.shape + (4,))
-    return EnsembleCheck(*(col[()] for col in np.moveaxis(moments, -1, 0)))
+    return EnsembleCheck(*sample_moments(*_ensemble(sys, n, seed), tau0))
 
 
 # --- two-body kinematics -----------------------------------------------------

@@ -117,21 +117,27 @@ def choice_from_weights(weights: np.ndarray, n: int, rng: np.random.Generator) -
     return out
 
 
-def sample_moments(samples: np.ndarray) -> tuple[float, float, float, float]:
-    """Mean, sample variance (ddof 1) and their standard errors, the variance's
-    via the fourth central moment, from one mean and one centred array."""
-    x = np.asarray(samples, dtype=float)
-    n = x.size
-    m = x.mean()
-    d = x - m
-    np.square(d, out=d)
-    s2 = d.sum() / (n - 1)
-    m4 = np.square(d, out=d).mean()  # squaring twice: ** 4 goes through pow
-    var_of_var = (m4 - s2 ** 2 * (n - 3) / (n - 1)) / n
-    return (float(m), float(s2), float(np.sqrt(s2) / np.sqrt(n)),
-            float(np.sqrt(max(var_of_var, 0.0))))
+def sample_moments(slope: np.ndarray, offset: np.ndarray, tau0: float | np.ndarray):
+    """Mean, ddof-1 variance and their standard errors (the variance's by the fourth
+    central moment) of slope * tau0 + offset, each of tau0's shape: Horner polynomials in
+    tau0 of the centred (s, t)'s co-moments to fourth order, taken in one pass (Pebay 2008),
+    that lose the digits s tau0 + t cancels.  Overwrites slope and offset, 1D float arrays."""
+    n, tau = slope.size, np.asarray(tau0, dtype=float)
+    s_bar, t_bar = slope.mean(), offset.mean()
+    slope -= s_bar
+    offset -= t_bar
+    ss = np.square(slope)  # the one draw-sized temporary
+    st, tt = np.multiply(slope, offset, out=slope), np.square(offset, out=offset)
+    # einsum, not BLAS: a BLAS dot's rounding depends on its thread count
+    q4, q3, q2, q1, q0 = (np.einsum("i,i->", a, b)
+                          for a, b in ((ss, ss), (ss, st), (st, st), (st, tt), (tt, tt)))
+    s2 = np.maximum((ss.sum() * tau + 2 * st.sum()) * tau + tt.sum(), 0.0) / (n - 1)
+    m4 = ((((q4 * tau + 4 * q3) * tau + 6 * q2) * tau + 4 * q1) * tau + q0) / n
+    return (s_bar * tau + t_bar, s2, np.sqrt(s2) / np.sqrt(n),
+            np.sqrt(np.maximum(m4 - s2 ** 2 * (n - 3) / (n - 1), 0.0) / n))
 
 
 def variance_standard_error(samples: np.ndarray) -> float:
-    """Standard error of the sample variance (via the fourth central moment)."""
-    return sample_moments(samples)[3]
+    """Standard error of the sample variance (via the fourth central moment).
+    Unused in qrfsim; the benchmark wraps it by name, and drops it at its next change."""
+    return sample_moments(np.ravel(samples).astype(float), np.zeros(np.size(samples)), 1.0)[3]

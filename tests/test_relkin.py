@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from qrfsim import relkin, sampling
+from qrfsim import relkin
 from qrfsim.clocks import (
     FreeClockState,
     RotatorClockState,
@@ -150,6 +150,15 @@ def test_nan_masses_are_rejected(build):
         build()
 
 
+def one_row_moments(x):
+    """The oracle: mean, ddof-1 variance and their standard errors of one row of draws,
+    in two passes over that row."""
+    n, d = x.size, x - x.mean()
+    s2 = np.sum(d * d) / (n - 1)
+    m4 = np.mean(d ** 4)
+    return x.mean(), s2, np.sqrt(s2 / n), np.sqrt(max((m4 - s2 ** 2 * (n - 3) / (n - 1)) / n, 0))
+
+
 class TestProperTimeMean:
     def test_narrow_packet_dilation(self):
         # sharply peaked momentum: the moving clock runs at 4/5 rate
@@ -202,21 +211,27 @@ class TestTauGrid:
         grid = mc_variance_check(sys, self.TAUS, 2000, seed=5)
         for i, tau0 in enumerate(self.TAUS):
             t = sample_proper_times(sys, float(tau0), 2000, seed=5)
-            assert (grid.mean[i], grid.variance[i], grid.stderr_mean[i],
-                    grid.stderr_variance[i]) == sampling.sample_moments(t)
+            np.testing.assert_allclose((grid.mean[i], grid.variance[i], grid.stderr_mean[i],
+                                        grid.stderr_variance[i]), one_row_moments(t),
+                                       rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("length", [1, 3, 12])
     def test_monte_carlo_draws_once_per_table(self, build, length, monkeypatch):
-        draws = []
-        ensemble = relkin._ensemble
+        draws, reductions = [], []
+        ensemble, sample_moments = relkin._ensemble, relkin.sample_moments
 
         def counted(sys, n, seed):
             draws.append(n)
             return ensemble(sys, n, seed)
 
+        def counted_reduction(*args):
+            reductions.append(1)
+            return sample_moments(*args)
+
         monkeypatch.setattr(relkin, "_ensemble", counted)
+        monkeypatch.setattr(relkin, "sample_moments", counted_reduction)
         mc_variance_check(build(), np.linspace(0.0, 50.0, length), 500, seed=2)
-        assert draws == [500]
+        assert draws == [500] and len(reductions) == 1
 
     def test_stats_and_guard_build_one_boost_mesh(self, build, monkeypatch):
         expected = mc_variance_check(build(), self.TAUS, 500, seed=2)
@@ -560,15 +575,22 @@ class TestSystemValidation:
         with pytest.raises(ConfigError, match="rest mass"):
             RelClockSystem(1.5, pk, FreeClockState(0.5, 0.5, 0.2, 25.0))
 
-    @pytest.mark.parametrize("clock, external", [
-        (_asymmetric_rotator(), make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0)),
+    @pytest.mark.parametrize("clock, external, rest_mass", [
+        (_asymmetric_rotator(), make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0),
+         1.0),
         (FreeClockState(0.5, 0.5, 0.2, 25.0),
-         make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0)),
+         make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0), 1.0),
         (FreeClockState(0.5, 0.5, 0.2, 25.0),
-         ModeSuperposition(np.array([0.0, 0.5, 1.2]), np.sqrt([0.2, 0.5, 0.3]))),
-    ], ids=["rotator-asymmetric", "freeclock-shipped", "freeclock-modes"])
-    def test_alpha_i_is_the_mean_internal_energy(self, clock, external):
-        sys = RelClockSystem(1.0, external, clock)
+         ModeSuperposition(np.array([0.0, 0.5, 1.2]), np.sqrt([0.2, 0.5, 0.3])), 1.0),
+        # within the 1e-12 that the constructor allows of m_a + m_b
+        (FreeClockState(0.5, 0.5, 0.2, 25.0),
+         make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0), 1 - 9e-13),
+        (FreeClockState(0.5, 0.5, 0.2, 25.0),
+         make_gaussian(default_grid(0.75, 0.1), 0.75, 0.1, mass=1.0), 1 + 9e-13),
+    ], ids=["rotator-asymmetric", "freeclock-shipped", "freeclock-modes",
+            "freeclock-rest-mass-below", "freeclock-rest-mass-above"])
+    def test_alpha_i_is_the_mean_internal_energy(self, clock, external, rest_mass):
+        sys = RelClockSystem(rest_mass, external, clock)
         if isinstance(clock, RotatorClockState):
             energy = 2 * np.pi * clock.omega * np.sum(np.abs(clock.coefficients) ** 2
                                                       * clock.m_values)

@@ -1,5 +1,6 @@
 """Sampling layer: draws against plain inversion and Generator.choice, the guide-table
-lookup against searchsorted, and input guards."""
+lookup against searchsorted, input guards, and the moments of S tau0 + T at every
+tau0 against one row at a time."""
 
 import tracemalloc
 
@@ -200,3 +201,81 @@ def test_seeds_outside_the_philox_key_fail_closed(seed):
 def test_valid_seeds_key_the_same_stream(seed):
     want = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(64)
     assert make_rng(seed).random(64).tobytes() == want.tobytes()
+
+
+def one_row_moments(x):
+    """The oracle: mean, ddof-1 variance and their standard errors of one row of draws,
+    in two passes over that row."""
+    n, d = x.size, x - x.mean()
+    s2 = np.sum(d * d) / (n - 1)
+    m4 = np.mean(d ** 4)
+    return x.mean(), s2, np.sqrt(s2 / n), np.sqrt(max((m4 - s2 ** 2 * (n - 3) / (n - 1)) / n, 0))
+
+
+def correlated_draws(n, rho, seed):
+    """n draws of a slope S near 0.8 and an offset T near 40 of correlation rho: at
+    rho = -0.9 the variance of S tau0 + T dips to a tenth of its uncorrelated size at
+    tau0 = 2.25, next to the 2.5 of TAUS."""
+    z = np.random.default_rng(seed).standard_normal((2, n))
+    return 0.8 + 0.2 * z[0], 40.0 + 0.5 * (rho * z[0] + np.sqrt(1 - rho ** 2) * z[1])
+
+
+def condition(slope, offset, tau0):
+    """How much each moment of S tau0 + T cancels in its tau0 polynomial: the sums of
+    (|s tau0| + |t|)^k over those of (s tau0 + t)^k, k = 2 for the variance and its
+    root, 4 (or 2 twice) for the variance's standard error; 1 for the mean."""
+    s, t = slope - slope.mean(), offset - offset.mean()
+    c2, c4 = (np.sum((np.abs(s * tau0) + np.abs(t)) ** k) / np.sum((s * tau0 + t) ** k)
+              for k in (2, 4))
+    return np.array([1.0, c2, c2, max(c4, c2 ** 2)])
+
+
+TAUS = np.array([-3.0, 0.0, 2.5, 1e3])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.9])
+@pytest.mark.parametrize("n", [2, 3, 5, 1000, 10 ** 5])
+def test_moments_at_every_tau0_are_those_of_each_row(n, rho):
+    slope, offset = correlated_draws(n, rho, seed=n)
+    grid = sampling.sample_moments(slope.copy(), offset.copy(), TAUS)
+    assert all(moment.shape == TAUS.shape for moment in grid)
+    for i, tau0 in enumerate(TAUS):
+        row = tuple(moment[i] for moment in grid)
+        want = np.array(one_row_moments(slope * tau0 + offset))
+        # 1e-12 relative where the row does not cancel; at n = 3, rho = -0.9 and
+        # tau0 = 2.5 it cancels 360-fold, and the fourth moment's condition is 1.3e5
+        assert np.all(np.abs(row - want) <= 1e-12 * condition(slope, offset, tau0) * np.abs(want))
+        # a scalar tau0 takes the same arithmetic as an array entry
+        scalar = sampling.sample_moments(slope.copy(), offset.copy(), float(tau0))
+        assert all(np.ndim(moment) == 0 for moment in scalar) and scalar == row
+
+
+@pytest.mark.parametrize("tau0", [2.5, np.float64(2.5), np.array([]), np.zeros((0, 3)),
+                                  TAUS.reshape(2, 2)], ids=repr)
+def test_each_moment_has_the_shape_of_tau0(tau0):
+    slope, offset = correlated_draws(100, 0.5, seed=1)
+    assert all(np.shape(moment) == np.shape(tau0)
+               for moment in sampling.sample_moments(slope, offset, tau0))
+
+
+def test_moments_at_every_tau0_hold_one_draw_sized_temporary():
+    n = 2 * 10 ** 5
+    slope, offset = correlated_draws(n, 0.5, seed=3)
+    taus = np.linspace(-3.0, 1e3, 1000)
+    tracemalloc.start()
+    try:
+        sampling.sample_moments(slope, offset, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * n
+
+
+def test_draws_that_cancel_leave_no_negative_variance():
+    # two draws lie on one line, so at tau0 = -t/s their spread cancels exactly; the
+    # rounded polynomial must not dip below zero, where its root would be NaN
+    slope, offset = np.array([1.63, 1.83]), np.array([0.6, 1.4])
+    root = -(offset[0] - offset.mean()) / (slope[0] - slope.mean())
+    taus = root * (1 + np.arange(-16, 17) * np.finfo(float).eps)
+    for moment in sampling.sample_moments(slope, offset, taus)[1:]:
+        assert np.all(moment >= 0)
