@@ -13,7 +13,7 @@ map, so any chain of pushes leaves one Gaussian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -332,30 +332,39 @@ def internal_hamiltonian(chart: JacobiChart) -> InternalHamiltonian:
 class ReducedDensityMatrix:
     """Post-measurement state over a discretized relative coordinate.
 
-    matrix is a density kernel rho(delta_a, delta_b); the trace carries the
-    grid measure, trace = sum(diag) * delta_spacing.  weights are the kept
-    bins' branch probabilities.
+    rho(delta_a, delta_b) is chi[a:b] chi[a:b]^dagger on each kept cell, a row range of the
+    (delta, cm) amplitude chi that no bin split, and zero elsewhere; trace = sum(diag) *
+    delta_spacing sums the cells' row_probs.  weights are the kept bins' branch probabilities.
     """
 
     delta_grid: np.ndarray
     bin_edges: np.ndarray
     weights: np.ndarray
-    matrix: np.ndarray
     widths: np.ndarray
     dropped_bins: tuple[int, ...]
+    chi: np.ndarray
+    row_probs: np.ndarray
+    cells: tuple[tuple[int, int], ...]
 
     @property
     def delta_spacing(self) -> float:
         return float(self.delta_grid[1] - self.delta_grid[0])
 
+    @property
+    def matrix(self) -> np.ndarray:
+        out = np.zeros((self.delta_grid.size,) * 2, dtype=complex)
+        for a, b in self.cells:
+            np.matmul(self.chi[a:b], self.chi[a:b].conj().T, out=out[a:b, a:b])
+        return out
+
     def trace(self) -> float:
-        return float(np.sum(np.diag(self.matrix)).real * self.delta_spacing)
+        return float(sum(self.row_probs[a:b].sum() for a, b in self.cells))
 
 
-def _project(delta: np.ndarray, bins, diag: np.ndarray, fill):
-    """Keep the diagonal blocks of half-open bins (e_{j-1}, e_j], the first closed on the
-    left: (edges, matrix, kept row ranges, weights, dropped).  On the sorted mesh bin j is
-    rows a:b and weighs diag[a:b].sum(); fill(view, a, b) writes a kept bin's block."""
+def _project(delta: np.ndarray, bins, row_probs: np.ndarray, cells):
+    """Cut the cells (row ranges of the sorted mesh) by half-open bins (e_{j-1}, e_j], the
+    first closed on the left: (edges, kept cells, weights, dropped).  Bin j is rows a:b; it
+    weighs row_probs over its rows inside the cells and keeps its pieces of them."""
     edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ConfigError("bins must be a strictly increasing edge array of length >= 2")
@@ -363,16 +372,14 @@ def _project(delta: np.ndarray, bins, diag: np.ndarray, fill):
         raise ConfigError(f"bins [{edges[0]}, {edges[-1]}] do not cover the "
                           f"relative-coordinate range [{delta[0]}, {delta[-1]}]")
     bounds = [0, *np.searchsorted(delta, edges[1:], side="right").tolist()]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-    weights = np.array([diag[a:b].sum() for a, b in ranges])
+    pieces = [[(max(a, c), min(b, d)) for c, d in cells if max(a, c) < min(b, d)]
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    weights = np.array([sum(row_probs[a:b].sum() for a, b in p) for p in pieces])
     keep = weights > 1e-14
     if not keep.any():
         raise EmptyBin("every bin captured zero probability")
-    kept = [r for r, k in zip(ranges, keep) if k]
-    matrix = np.zeros((delta.size, delta.size), dtype=complex)
-    for a, b in kept:
-        fill(matrix[a:b, a:b], a, b)
-    return edges, matrix, kept, weights[keep], tuple(int(j) for j in np.flatnonzero(~keep))
+    kept = tuple(c for p, k in zip(pieces, keep) if k for c in p)
+    return edges, kept, weights[keep], tuple(int(j) for j in np.flatnonzero(~keep))
 
 
 def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
@@ -380,20 +387,19 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     """Reduce a two-body product state over a binned relative-position measurement.
 
     The relative coordinate is delta = x_n - x_1 with the measured particle
-    first and the frame body second.  Each bin's projector keeps its block of
-    the (delta, cm) amplitude; cross-bin coherences are erased, so only each kept
-    bin's own block of rho(delta_a, delta_b) is ever formed.  Bins that capture no
-    probability are dropped and recorded, not errors, unless every bin is empty.
+    first and the frame body second.  Each bin's projector cuts the cells of the
+    (delta, cm) amplitude (a product state's mesh is one cell) and erases cross-cell
+    coherences; rho is read from the amplitude, which a re-reduction shares.  Bins that
+    capture no probability are dropped and recorded, not errors, unless every bin is empty.
     """
     if not (isinstance(mesh_points, (int, np.integer)) and mesh_points >= 2):
         raise ConfigError(f"mesh_points must be an integer of at least 2, got {mesh_points!r}")
     if isinstance(state, ReducedDensityMatrix):
-        edges, matrix, _, weights, dropped = _project(
-            state.delta_grid, bins, np.diag(state.matrix).real * state.delta_spacing,
-            lambda out, a, b: np.copyto(out, state.matrix[a:b, a:b]))
-        same = edges.size == state.bin_edges.size and np.allclose(edges, state.bin_edges)
-        return ReducedDensityMatrix(state.delta_grid, edges, weights, matrix,
-                                    state.widths if same else np.array([]), dropped)
+        edges, cells, weights, dropped = _project(state.delta_grid, bins, state.row_probs,
+                                                  state.cells)
+        same = cells == state.cells and len(cells) == weights.size  # no cell split or merged
+        return replace(state, bin_edges=edges, weights=weights, cells=cells, dropped_bins=dropped,
+                       widths=state.widths if same else np.array([]))
     if len(state.factors) != 2:
         raise ConfigError("measurement reduction expects exactly two bodies")
     pk_n, pk_1 = state.factors
@@ -422,11 +428,11 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     chi *= np.sqrt(dx / norm2)  # rho's blocks are chi's Gram blocks; its trace is 1 on the mesh
     prob *= dd * dx / norm2
 
-    edges, matrix, kept, weights, dropped = _project(
-        delta, bins, prob.sum(axis=1),
-        lambda out, a, b: np.matmul(chi[a:b], chi[a:b].conj().T, out=out))
+    row_probs = prob.sum(axis=1)
+    edges, cells, weights, dropped = _project(delta, bins, row_probs, ((0, mesh_points),))
     widths = []
-    for (a, b), w in zip(kept, weights):
+    for (a, b), w in zip(cells, weights):  # one cell per kept bin
         pj, xn = prob[a:b] / w, xcm + (m_1 / m_tot) * delta[a:b, None]
         widths.append(np.sqrt(max(np.sum(pj * (xn - np.sum(pj * xn)) ** 2), 0.0)))
-    return ReducedDensityMatrix(delta, edges, weights, matrix, np.array(widths), dropped)
+    return ReducedDensityMatrix(delta, edges, weights, np.array(widths), dropped,
+                                chi, row_probs, cells)

@@ -267,7 +267,7 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
         return out
 
     def scale(m):  # B_2 and B_2^2 at the rms momentum: F and G over them stay near 1
-        b = 1.0 / np.hypot(1.0, p_rms / m)
+        b = time_boost(p_rms, m)
         return np.stack((b, b * b))
 
     def at_nodes(j, n):  # F and G over their scale at the Chebyshev points j of level n

@@ -66,15 +66,15 @@ def _dense_moments(state, n_grid=32769):
 def test_flat_initialization():
     clock = rotator_init(2, 0.1)
     assert clock.n_states == 5
-    assert_allclose(clock.coefficients, np.full(5, 5 ** -0.5), atol=1e-15)
-    assert_allclose(angular_density(clock, np.array([0.0]))[0], 5 / (2 * np.pi), atol=1e-12)
+    assert_allclose(clock.coefficients, np.full(5, 5 ** -0.5), rtol=0, atol=1e-15)
+    assert_allclose(angular_density(clock, np.array([0.0]))[0], 5 / (2 * np.pi), rtol=0, atol=1e-12)
     assert rotator_read(clock).mean == 0.0
 
 
 def test_hand_tracks_elapsed_time():
     clock = rotator_evolve_rest(rotator_init(8, 0.1), 2.5)
     mom = angle_moments(clock)
-    assert_allclose(mom.peak, np.pi / 2, atol=1e-12)  # 2*pi*omega*t
+    assert_allclose(mom.peak, np.pi / 2, rtol=0, atol=1e-12)  # 2*pi*omega*t
     read = rotator_read(clock)
     assert abs(read.mean - 2.5) <= clock.period / (2 * clock.n_states)
     assert not read.wrapped
@@ -99,7 +99,8 @@ def test_series_moments_match_dense_quadrature():
     flat = rotator_init(6, 0.2)
     mom = angle_moments(flat)
     mean_o, var_o = _dense_moments(flat)
-    assert_allclose(mom.mean if mom.mean < np.pi else mom.mean - 2 * np.pi, mean_o, atol=1e-8)
+    assert_allclose(mom.mean if mom.mean < np.pi else mom.mean - 2 * np.pi, mean_o,
+                    rtol=0, atol=1e-8)
     assert_allclose(mom.variance_full, var_o, rtol=1e-7)  # oracle is O(h^2) at the branch cut
 
     m = np.arange(-6, 7)
@@ -159,9 +160,9 @@ def test_moments_are_evolution_invariant():
     base = angle_moments(rotator_init(10, 0.3))
     for t in (0.17, 1.93, 7.5):
         evolved = angle_moments(rotator_evolve_rest(rotator_init(10, 0.3), t))
-        assert_allclose(evolved.variance_full, base.variance_full, atol=1e-12)
-        assert_allclose(evolved.variance_lobe, base.variance_lobe, atol=1e-12)
-        assert_allclose(evolved.lobe_mass, base.lobe_mass, atol=1e-12)
+        assert_allclose(evolved.variance_full, base.variance_full, rtol=0, atol=1e-12)
+        assert_allclose(evolved.variance_lobe, base.variance_lobe, rtol=0, atol=1e-12)
+        assert_allclose(evolved.lobe_mass, base.lobe_mass, rtol=0, atol=1e-12)
 
 
 def test_dispersion_scales_as_inverse_square_of_n():
@@ -184,19 +185,19 @@ def test_main_lobe_holds_most_of_the_mass():
 @hyp.given(t=st.floats(-10.0, 10.0, allow_nan=False))
 def test_evolution_is_unitary(t):
     clock = rotator_evolve_rest(rotator_init(5, 0.7), t)
-    assert_allclose(np.abs(clock.coefficients), np.full(11, 11 ** -0.5), atol=1e-12)
+    assert_allclose(np.abs(clock.coefficients), np.full(11, 11 ** -0.5), rtol=0, atol=1e-12)
 
 
 def test_periodicity_is_exact():
     clock = rotator_init(7, 0.25)
     cycled = rotator_evolve_rest(clock, clock.period)
-    assert_allclose(cycled.coefficients, clock.coefficients, atol=1e-12)
+    assert_allclose(cycled.coefficients, clock.coefficients, rtol=0, atol=1e-12)
 
 
 def test_angle_matrix_against_quadrature():
     n = 7
     mat = theta_matrix(n)
-    assert_allclose(mat, mat.conj().T, atol=1e-15)
+    assert_allclose(mat, mat.conj().T, rtol=0, atol=1e-15)
     theta = np.linspace(-np.pi, np.pi, 200001)
     w = np.full(theta.size, theta[1] - theta[0])
     w[0] = w[-1] = w[0] / 2
@@ -204,7 +205,7 @@ def test_angle_matrix_against_quadrature():
     for a in range(3):
         for b in range(3):
             val = np.sum(w * theta * np.exp(1j * (m[b] - m[a]) * theta)) / (2 * np.pi)
-            assert_allclose(mat[a, b], val, atol=1e-8)
+            assert_allclose(mat[a, b], val, rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 17, 40, 41])
@@ -224,7 +225,7 @@ def test_branch_forms_match_dense_products(n):
 
 def test_freeclock_reduced_mass_and_packet():
     clock = FreeClockState(m_a=1.0, m_b=3.0, p_bar=0.2, a_x=25.0)
-    assert_allclose(clock.mu_ab, 0.75, atol=1e-15)
+    assert_allclose(clock.mu_ab, 0.75, rtol=0, atol=1e-15)
     packet = freeclock_packet(clock)
     assert_allclose(np.sqrt(variance(packet, lambda p: p)), clock.sigma_p, rtol=1e-3)
 
@@ -233,7 +234,7 @@ def test_freeclock_rest_dispersion():
     clock = FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.2, a_x=25.0)
     packet = freeclock_packet(clock)
     read = freeclock_read(packet, clock, 0.0)
-    assert_allclose(read.mean, 0.0, atol=1e-9)
+    assert_allclose(read.mean, 0.0, rtol=0, atol=1e-9)
     d0 = (clock.mu_ab * clock.a_x / clock.p_bar) ** 2
     assert_allclose(read.dispersion, d0, rtol=1e-2)
 

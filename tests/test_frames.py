@@ -607,9 +607,10 @@ def test_block_reduction_matches_dense_gram_edge_cases(bins):
 @pytest.mark.parametrize("units", [[-20.0, 20.0], [-8.5, -1.0, 0.0, 1.0, 8.5]],
                          ids=["single-bin", "pool-like"])
 def test_reduction_memory_is_bounded_by_kept_blocks(units):
-    # peak traced memory at mesh_points 384, in units of the returned matrix's bytes;
-    # measured 4.00 (single bin) and 3.16 (pool-like) against 5.51 and 4.94 for the
-    # dense path, which holds the full Gram, its conjugate and the np.where copy at once
+    # peak traced memory at mesh_points 384, in units of the matrix's bytes; measured
+    # 3.01 (single bin) and 2.57 (pool-like) against 5.51 and 4.94 for the dense path,
+    # which holds the full Gram, its conjugate and the np.where copy at once; no block
+    # of rho is formed until its matrix is read
     state = _position_pair(sig_n=0.3, sig_1=0.5)
     bins = math.hypot(0.3, 0.5) * np.array(units)  # in units of the relative-coordinate width
     measurement_reduce(state, bins)
@@ -620,4 +621,46 @@ def test_reduction_memory_is_bounded_by_kept_blocks(units):
     finally:
         tracemalloc.stop()
     assert rho.matrix.shape == (384, 384)
-    assert peak < 4.5 * rho.matrix.nbytes
+    assert peak < 3.5 * rho.matrix.nbytes
+
+
+def test_re_reduction_shares_the_amplitude():
+    # a re-reduction cuts the cells and copies no block: measured 0.001 matrix sizes
+    state = _position_pair(sig_n=0.3, sig_1=0.5)
+    rho = measurement_reduce(state, math.hypot(0.3, 0.5) * np.array([-8.5, -1.0, 0.0, 1.0, 8.5]))
+    fine = math.hypot(0.3, 0.5) * np.linspace(-8.5, 8.5, 13)
+    measurement_reduce(rho, fine)
+    tracemalloc.start()
+    try:
+        again = measurement_reduce(rho, fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.chi is rho.chi
+    assert peak < 0.1 * rho.matrix.nbytes
+
+
+def test_re_reduction_that_splits_a_cell_drops_the_widths():
+    # moving an edge by less than a mesh step moves one row into the other bin, so the
+    # source's widths are no longer the branches' widths
+    state = _position_pair(sig_n=0.3, sig_1=0.5)
+    e = measurement_reduce(state, [-12.0, 12.0]).delta_grid[200]
+    rho = measurement_reduce(state, [-12.0, e, 12.0])
+    bins = [-12.0, e - 1e-6, 12.0]
+    direct = measurement_reduce(state, bins)
+    assert np.all(np.abs(direct.widths - rho.widths) > 1e-4)
+    again = measurement_reduce(rho, bins)
+    assert again.widths.size == 0
+    assert again.cells != rho.cells
+
+
+def test_re_reduction_that_splits_no_cell_keeps_the_widths():
+    state = _position_pair(sig_n=0.3, sig_1=0.5)
+    e = measurement_reduce(state, [-12.0, 12.0]).delta_grid[200]
+    rho = measurement_reduce(state, [-12.0, e, 12.0])
+    again = measurement_reduce(rho, [-20.0, -12.0, e, 12.0])  # an outer bin holding no row
+    assert_allclose(again.widths, rho.widths, rtol=0.0, atol=0.0)
+    assert again.dropped_bins == (0,) and again.cells == rho.cells
+    assert_allclose(again.weights, rho.weights, rtol=0.0, atol=0.0)
+    merged = measurement_reduce(rho, [-12.0, 12.0])  # one bin over both cells: no branch widths
+    assert merged.cells == rho.cells and merged.widths.size == 0

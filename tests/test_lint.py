@@ -1,7 +1,7 @@
 """Source rules that keep each rule in one home: no module reaches into
 another module's private names, the library needs nothing beyond numpy, no
 deletion leaves an unused import or an unread private name behind, no
-matrix is inverted numerically, no frames tolerance is relative by default,
+matrix is inverted numerically, no test tolerance is relative by default,
 the default grid size is spelled once, and importing the CLI loads no numpy
 submodule that only a rare path needs."""
 
@@ -284,8 +284,10 @@ def atol_without_rtol(path: Path) -> list[str]:
     return found
 
 
-def test_frames_tolerances_are_absolute_when_stated_so():
-    assert atol_without_rtol(Path(__file__).parent / "test_frames.py") == []
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("test_*.py")),
+                         ids=lambda path: path.stem)
+def test_tolerances_are_absolute_when_stated_so(path):
+    assert atol_without_rtol(path) == []
 
 
 def test_the_rule_sees_atol_without_rtol(tmp_path):

@@ -69,13 +69,13 @@ def test_grid_covers_reports_extent():
 def test_gaussian_norm_and_symmetric_mean():
     g = MomentumGrid.centered(0.0, 6.0, 2048)
     pk = make_gaussian(g, center=0.0, width=1.0, mass=1.0)
-    assert_allclose(pk.norm(), 1.0, atol=1e-12)
-    assert_allclose(expectation(pk, lambda p: p).real, 0.0, atol=1e-9)
+    assert_allclose(pk.norm(), 1.0, rtol=0, atol=1e-12)
+    assert_allclose(expectation(pk, lambda p: p).real, 0.0, rtol=0, atol=1e-9)
 
 
 def test_gaussian_translated_mean():
     pk = make_gaussian(default_grid(0.75, 0.01), center=0.75, width=0.01, mass=1.0)
-    assert_allclose(expectation(pk, lambda p: p).real, 0.75, atol=pk.grid.spacing)
+    assert_allclose(expectation(pk, lambda p: p).real, 0.75, rtol=0, atol=pk.grid.spacing)
 
 
 def test_gaussian_width_is_density_std():
@@ -85,7 +85,7 @@ def test_gaussian_width_is_density_std():
 
 def test_expectation_of_unity_is_norm():
     pk = make_gaussian(default_grid(0.3, 0.2), center=0.3, width=0.2, mass=2.0)
-    assert_allclose(expectation(pk, lambda p: np.ones_like(p)).real, 1.0, atol=1e-9)
+    assert_allclose(expectation(pk, lambda p: np.ones_like(p)).real, 1.0, rtol=0, atol=1e-9)
 
 
 def test_second_moment_matches_gaussian_closed_form():
@@ -131,14 +131,14 @@ def test_zero_width_gets_floor():
 def test_evolve_zero_time_is_identity():
     pk = make_gaussian(default_grid(0.2, 0.1), center=0.2, width=0.1, mass=1.0)
     out = evolve_free(pk, lambda p: p * p / 2, 0.0)
-    assert_allclose(out.amplitudes, pk.amplitudes, atol=0)
+    assert_allclose(out.amplitudes, pk.amplitudes, rtol=0, atol=0)
 
 
 def test_evolve_preserves_norm_and_density():
     pk = make_gaussian(default_grid(0.2, 0.1), center=0.2, width=0.1, mass=1.0)
     out = evolve_free(pk, lambda p: np.sqrt(1 + p * p), 17.3)
-    assert_allclose(out.norm(), 1.0, atol=1e-12)
-    assert_allclose(out.density(), pk.density(), atol=1e-15)
+    assert_allclose(out.norm(), 1.0, rtol=0, atol=1e-12)
+    assert_allclose(out.density(), pk.density(), rtol=1e-15, atol=0)
 
 
 def test_relativistic_group_velocity():
@@ -153,7 +153,7 @@ def test_relativistic_group_velocity():
 def test_position_phase_convention():
     # translation phase exp(-i p x0) puts the packet at x0
     pk = make_gaussian(default_grid(0.0, 0.5), center=0.0, width=0.5, mass=1.0, x0=1.7)
-    assert_allclose(position_mean(pk), 1.7, atol=1e-9)
+    assert_allclose(position_mean(pk), 1.7, rtol=0, atol=1e-9)
 
 
 def test_position_variance_of_minimum_uncertainty_packet():
@@ -165,7 +165,7 @@ def test_position_variance_of_minimum_uncertainty_packet():
 def test_from_function_recovers_moments():
     g = default_grid(0.3, 0.1)
     pk = from_function(g, lambda p: np.exp(-((p - 0.3) ** 2) / (4 * 0.1 ** 2)), mass=1.0)
-    assert_allclose(expectation(pk, lambda p: p).real, 0.3, atol=1e-9)
+    assert_allclose(expectation(pk, lambda p: p).real, 0.3, rtol=0, atol=1e-9)
     assert_allclose(np.sqrt(variance(pk, lambda p: p)), 0.1, rtol=1e-6)
 
 
@@ -181,7 +181,7 @@ def test_evolution_composes_additively(center, width, t1, t2):
     disp = lambda p: np.sqrt(1.0 + p * p)
     a = evolve_free(evolve_free(pk, disp, t1), disp, t2)
     b = evolve_free(pk, disp, t1 + t2)
-    assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+    assert_allclose(a.amplitudes, b.amplitudes, rtol=0, atol=1e-12)
 
 
 @hyp.settings(max_examples=25, deadline=None)
@@ -263,10 +263,10 @@ def test_gaussian_position_density_is_normal():
     density = np.abs(position_wavefunction(_gaussian(), xs)) ** 2
     w = simpson_weights(xs.size, xs[1] - xs[0])
     mean = np.sum(w * density * xs)
-    assert_allclose([np.sum(w * density), mean], [1.0, x0], atol=1e-8)
+    assert_allclose([np.sum(w * density), mean], [1.0, x0], rtol=0, atol=1e-8)
     assert_allclose(np.sqrt(np.sum(w * density * (xs - mean) ** 2)), 1 / (2 * sigma_p), rtol=1e-6)
     normal = np.exp(-(xs - x0) ** 2 * 2 * sigma_p ** 2) * np.sqrt(2 / np.pi) * sigma_p
-    assert_allclose(density, normal, atol=1e-4 * normal.max())
+    assert_allclose(density, normal, rtol=0, atol=1e-4 * normal.max())
 
 
 def test_position_wavefunction_of_no_points_is_empty():
