@@ -38,11 +38,16 @@ from .relkin import (
     proper_time_stats,
     time_boost,
 )
+from .sampling import INTERP_BLOCK
 
 _DEFAULTS = {"grid_points": DEFAULT_GRID_POINTS, "mc_samples": 0, "seed": 0, "histogram_bins": 720}
 
 #: Largest working set, in bytes, one scenario may need (see README).
 MAX_WORKING_SET = 2 * 2 ** 30
+
+#: Most Monte-Carlo draws a scenario may take: 2^26, where the ensemble's 32 bytes
+#: per draw met MAX_WORKING_SET before it was drawn and reduced block by block.
+MAX_MC_SAMPLES = 2 ** 26
 
 
 # --- scenario loading and validation ------------------------------------------
@@ -99,7 +104,8 @@ _BOUNDS = {
     # 32 bits, as np.random.seed and most seeders take; the Philox key itself takes 64
     "seed": (lambda x: 0 <= x < 2 ** 32, "ConfigError", "in [0, 2**32)"),
     # a sample variance needs two draws
-    "mc_samples": (lambda x: x == 0 or x >= 2, "ConfigError", "0 (off) or >= 2"),
+    "mc_samples": (lambda x: x == 0 or 2 <= x <= MAX_MC_SAMPLES, "ConfigError",
+                   "0 (off) or in [2, 2**26]"),
 }
 
 
@@ -199,7 +205,9 @@ def _betas_nonrelativistic(sc):
 
 # Working-set estimates: bytes of the arrays a runner holds at once, keyed by
 # the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
-# per packet grid point or histogram bin, 32 per Monte-Carlo draw, and per
+# per packet grid point or histogram bin, 104 per draw of one Monte-Carlo block
+# (its buffers, the moment sums' squares, the lookups' temporaries and the offset
+# table; a block is at most INTERP_BLOCK draws, however many mc_samples), and per
 # rotator mode 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per
 # entangled clock's external mode.  The boost moments hold B_2 for BOOST_BLOCK_ROWS
 # masses at a time, 8 bytes per momentum each, however many Chebyshev nodes K they
@@ -208,21 +216,25 @@ def _betas_nonrelativistic(sc):
 # each its target chart's two maps, two n x n arrays (16 n^3 bytes), and about 256
 # bytes per output row (n^2 rows).  At 80 and 120 bodies the traced peaks are 9.3 and
 # 30.4 MB against 9.8 and 31.3 MB estimated.
-_PER_POINT, _PER_DRAW = 160, 32
+_PER_POINT, _PER_BLOCK_DRAW = 160, 104
 _PER_BOOST_POINT = _PER_POINT + 8 * BOOST_BLOCK_ROWS
 _PER_MODE, _PER_SAMPLED_MODE, _PER_STATE_MODE = 240, 1600, 48
+
+
+def _mc_bytes(mc):
+    return _PER_BLOCK_DRAW * min(mc, INTERP_BLOCK)
 
 
 def _rotator_bytes(sc):
     modes, n, mc = 2 * int(sc["j_z"]) + 1, int(sc["grid_points"]), int(sc["mc_samples"])
     return {"grid_points": _PER_BOOST_POINT * n,
             "j_z": (_PER_SAMPLED_MODE if mc > 0 else _PER_MODE) * modes,
-            "mc_samples": _PER_DRAW * mc}
+            "mc_samples": _mc_bytes(mc)}
 
 
 def _freeclock_bytes(sc):
     return {"grid_points": _PER_BOOST_POINT * int(sc["grid_points"]),
-            "mc_samples": _PER_DRAW * int(sc["mc_samples"])}
+            "mc_samples": _mc_bytes(int(sc["mc_samples"]))}
 
 
 def _entangled_bytes(sc):

@@ -10,7 +10,9 @@ reported statistics are quadrature moments of those operators, B_2's momentum
 averages interpolated in the mass to 1e-13.  B_2 acts on the clock's modes through
 the mass m_2 = m_2' + H_int; _clock_modes is each clock's mode table, read by the
 mass guard, the closed forms and the Monte-Carlo draws.  RelClockSystem.time_operator
-computes the tau_0-free coefficients once, for proper_time_stats and mc_variance_check.
+computes the tau_0-free coefficients once, for proper_time_stats and mc_variance_check,
+which draws and reduces its ensemble block by block, in memory that does not grow with
+the number of draws.
 """
 
 from __future__ import annotations
@@ -51,7 +53,14 @@ from .packets import (
     position_variance,
     position_wavefunction,
 )
-from .sampling import choice_from_weights, inverse_cdf_sample, make_rng, sample_moments
+from .sampling import (
+    INTERP_BLOCK,
+    density_table,
+    lookup,
+    make_rng,
+    sample_moments,
+    weights_table,
+)
 
 #: Above this internal-to-rest energy ratio the factorized boost drifts.
 ALPHA_I_WARN = 0.1
@@ -360,46 +369,75 @@ def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:
 
 # --- Monte-Carlo oracle ------------------------------------------------------
 
-def _ensemble(sys: RelClockSystem, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S, T): n ensemble draws, from the generator keyed by seed, of the proper-time
-    observable's slope and offset, tau_2 = S tau0 + T, so one ensemble serves
-    every tau0.
-
-    External momenta, clock modes and clock offsets are drawn, in that order, one
-    uniform per draw: momenta and modes by weight from the quadrature nodes that the
-    closed forms sum over, offsets (a hand angle on the peak-centred branch
-    theta = phi + u of `recenter`, or a free clock's position) from tabulated
-    densities.  This reproduces the operator mean always and the variance whenever
-    the boost-angle cross moment g2 vanishes.
-    """
-    rng, clock = make_rng(seed), sys.clock
-    p, w_p = _external_weights(sys.external)
-    masses, weights, f = _clock_modes(sys)
-    # index each table at once: no drawn index is held beside B_2
-    p = p[choice_from_weights(w_p, n, rng)]
-    k = choice_from_weights(weights, n, rng)
-    slope = time_boost(p, masses[k])
-    slope *= f[k]
-    del p, k
+def _offset_law(sys: RelClockSystem):
+    """(xs, density, offset): the tabulated density of the clock's drawn variable and
+    the map, in place, from a block of its draws to offsets T.  A rotator draws a hand
+    angle on the peak-centred branch theta = phi + u of `recenter`, a free clock a
+    position."""
+    clock = sys.clock
     if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
         # lobes are 2 pi / N wide: the table is the smallest 2^k + 1 >= 16 N if larger
         table = max(ANGLE_TABLE_POINTS, (1 << (16 * clock.n_states - 2).bit_length()) + 1)
         us = np.linspace(-np.pi, np.pi, table)
-        theta = phi + inverse_cdf_sample(us, angular_density(centered, us), n, rng)
-        return slope, theta / (2 * np.pi * clock.omega)
+
+        def offset(u):
+            u += phi
+            u /= 2 * np.pi * clock.omega
+            return u
+        return us, angular_density(centered, us), offset
     pk_x = sys.clock_packet
     sig_x = np.sqrt(position_variance(pk_x))
     x0 = position_mean(pk_x)
     xs = np.linspace(x0 - 10 * sig_x, x0 + 10 * sig_x, POSITION_TABLE_POINTS)
-    x = inverse_cdf_sample(xs, np.abs(position_wavefunction(pk_x, xs)) ** 2, n, rng)
-    return slope, clock.mu_ab * x / clock.p_bar
+
+    def offset(x):
+        x *= clock.mu_ab
+        x /= clock.p_bar
+        return x
+    return xs, np.abs(position_wavefunction(pk_x, xs)) ** 2, offset
+
+
+def _ensemble_blocks(sys: RelClockSystem, n: int, seed: int):
+    """Yield (S, T) blocks of n ensemble draws in draw order, INTERP_BLOCK at a time (the
+    last block shorter), from the generator keyed by seed, of the proper-time
+    observable's slope and offset, tau_2 = S tau0 + T, so one ensemble serves every
+    tau0.  A block's arrays are reused by the next one.
+
+    External momenta, clock modes and clock offsets are drawn, in that order, one
+    uniform per draw: momenta and modes by weight from the quadrature nodes that the
+    closed forms sum over, offsets from the tabulated density of `_offset_law`.  They
+    read uniforms [0, n), [n, 2n) and [2n, 3n) of the one stream, as a whole ensemble
+    drawn at once would, from generators that `make_rng` starts there.  This
+    reproduces the operator mean always and the variance whenever the boost-angle
+    cross moment g2 vanishes.
+    """
+    streams = [make_rng(seed, start) for start in (0, n, 2 * n)]
+    p, w_p = _external_weights(sys.external)
+    masses, weights, f = _clock_modes(sys)
+    p_table, k_table = weights_table(w_p), weights_table(weights)
+    xs, density, offset = _offset_law(sys)
+    x_table = density_table(xs, density)
+    del density  # the table holds what the lookups read
+    size = min(n, INTERP_BLOCK)
+    u, p_k, m_k = (np.empty(size) for _ in range(3))
+    k = np.empty(size, dtype=np.intp)
+    for start in range(0, n, INTERP_BLOCK):
+        b = min(INTERP_BLOCK, n - start)
+        u_b, k_b, p_b, m_b = u[:b], k[:b], p_k[:b], m_k[:b]
+        # every index is in range, and a take into out= copies through a buffer unless clipped
+        np.take(p, lookup(p_table, streams[0].random(out=u_b), k_b), out=p_b, mode="clip")
+        np.take(masses, lookup(k_table, streams[1].random(out=u_b), k_b), out=m_b, mode="clip")
+        slope = time_boost(p_b, m_b)
+        slope *= np.take(f, k_b, out=u_b, mode="clip")
+        # the offsets are drawn into u, which the next block draws into again
+        yield slope, offset(lookup(x_table, streams[2].random(out=u_b), u_b))
 
 
 def sample_proper_times(sys: RelClockSystem, tau0: float, n: int, seed: int) -> np.ndarray:
     """n ensemble draws of the proper time at tau0 from the generator keyed by seed."""
-    slope, offset = _ensemble(sys, n, seed)
-    return slope * tau0 + offset
+    rows = [slope * tau0 + offset for slope, offset in _ensemble_blocks(sys, n, seed)]
+    return np.concatenate(rows) if rows else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -423,7 +461,7 @@ def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int,
     if not abs(s.g2) <= 1e-6 * 2 * np.sqrt(s.d_b * s.d0):
         raise ConfigError(f"g2 = {s.g2:.6g} correlates boost and clock offset; "
                           "the Monte-Carlo ensemble cannot check this state")
-    return EnsembleCheck(*sample_moments(*_ensemble(sys, n, seed), tau0))
+    return EnsembleCheck(*sample_moments(_ensemble_blocks(sys, n, seed), tau0))
 
 
 # --- two-body kinematics -----------------------------------------------------

@@ -52,6 +52,14 @@ from qrfsim.relkin import (
     time_boost,
     two_body_kinematics,
 )
+from qrfsim.sampling import (
+    INTERP_BLOCK,
+    choice_from_weights,
+    inverse_cdf_sample,
+    make_rng,
+    sample_moments,
+)
+from test_sampling import condition
 
 
 def narrow_system(j_z=2, omega=1e-3):
@@ -218,7 +226,7 @@ class TestTauGrid:
     @pytest.mark.parametrize("length", [1, 3, 12])
     def test_monte_carlo_draws_once_per_table(self, build, length, monkeypatch):
         draws, reductions = [], []
-        ensemble, sample_moments = relkin._ensemble, relkin.sample_moments
+        ensemble, sample_moments = relkin._ensemble_blocks, relkin.sample_moments
 
         def counted(sys, n, seed):
             draws.append(n)
@@ -228,7 +236,7 @@ class TestTauGrid:
             reductions.append(1)
             return sample_moments(*args)
 
-        monkeypatch.setattr(relkin, "_ensemble", counted)
+        monkeypatch.setattr(relkin, "_ensemble_blocks", counted)
         monkeypatch.setattr(relkin, "sample_moments", counted_reduction)
         mc_variance_check(build(), np.linspace(0.0, 50.0, length), 500, seed=2)
         assert draws == [500] and len(reductions) == 1
@@ -370,13 +378,13 @@ def test_angle_table_holds_the_clock_variance(j_z, points, monkeypatch):
     # the sampler's angle law: uniform within each table step, with the step's
     # trapezoid mass; its exact variance must be the closed-form d0
     tables = []
-    original = relkin.inverse_cdf_sample
+    original = relkin.density_table
 
-    def recorded(xs, density, n, rng):
+    def recorded(xs, density):
         tables.append((xs, density))
-        return original(xs, density, n, rng)
+        return original(xs, density)
 
-    monkeypatch.setattr(relkin, "inverse_cdf_sample", recorded)
+    monkeypatch.setattr(relkin, "density_table", recorded)
     packet = make_gaussian(default_grid(0.75, 0.1, 256), 0.75, 0.1, mass=1.0)
     sys = RelClockSystem(1.0, packet, rotator_init(j_z, 1e-5))
     sample_proper_times(sys, 1.0, 2, seed=0)
@@ -431,6 +439,54 @@ def test_draws_are_the_nodes_the_slope_sums_over(clock, external, monkeypatch):
     sample_proper_times(sys, 1.0, 4000, seed=3)
     [(p_drawn, m_drawn)] = draws
     assert np.all(np.isin(p_drawn, p)) and np.all(np.isin(m_drawn, masses))
+
+
+def materialised_ensemble(sys, n, seed):
+    """The oracle: (S, T) of all n draws at once, by the public samplers on one stream
+    whose uniforms the momenta, the modes and the offsets read in turn."""
+    rng = make_rng(seed)
+    p, w_p = relkin._external_weights(sys.external)
+    masses, weights, f = relkin._clock_modes(sys)
+    p = p[choice_from_weights(w_p, n, rng)]
+    k = choice_from_weights(weights, n, rng)
+    slope = time_boost(p, masses[k]) * f[k]
+    xs, density, offset = relkin._offset_law(sys)
+    return slope, offset(inverse_cdf_sample(xs, density, n, rng))
+
+
+@pytest.mark.parametrize("build", [gaussian_system, freeclock_system], ids=["rotator", "freeclock"])
+@pytest.mark.parametrize("n", [2, 3, INTERP_BLOCK - 1, INTERP_BLOCK, INTERP_BLOCK + 1,
+                               3 * INTERP_BLOCK + 3])
+def test_blocked_ensemble_is_the_materialised_one(build, n):
+    # each block reads its uniforms where the whole ensemble would, n % 4 != 0 included
+    sys = build()
+    slope, offset = materialised_ensemble(sys, n, seed=8)
+    blocks = [(s.copy(), t.copy()) for s, t in relkin._ensemble_blocks(sys, n, seed=8)]
+    assert [s.size for s, _ in blocks] == [min(INTERP_BLOCK, n - i)
+                                           for i in range(0, n, INTERP_BLOCK)]
+    assert np.concatenate([s for s, _ in blocks]).tobytes() == slope.tobytes()
+    assert np.concatenate([t for _, t in blocks]).tobytes() == offset.tobytes()
+    taus = np.array([0.0, 1.0, 16.0, 1e3])
+    chk = mc_variance_check(sys, taus, n, seed=8)
+    want = sample_moments([(slope.copy(), offset.copy())], taus)
+    for i, tau0 in enumerate(taus):
+        got = np.array([chk.mean[i], chk.variance[i], chk.stderr_mean[i], chk.stderr_variance[i]])
+        row = np.array([moment[i] for moment in want])
+        assert np.all(np.abs(got - row) <= 1e-12 * condition(slope, offset, tau0) * np.abs(row))
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_draws():
+    sys, taus = gaussian_system(), np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    mc_variance_check(sys, taus, 1000, seed=0)  # one-off allocations are not the working set
+    peaks = []
+    for n in (10 ** 6, 4 * 10 ** 6):
+        tracemalloc.start()
+        try:
+            mc_variance_check(sys, taus, n, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 8 * 2 ** 20 and abs(peaks[1] / peaks[0] - 1) < 0.1
 
 
 class TestDispersionQuadratic:

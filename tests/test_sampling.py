@@ -237,7 +237,7 @@ TAUS = np.array([-3.0, 0.0, 2.5, 1e3])
 @pytest.mark.parametrize("n", [2, 3, 5, 1000, 10 ** 5])
 def test_moments_at_every_tau0_are_those_of_each_row(n, rho):
     slope, offset = correlated_draws(n, rho, seed=n)
-    grid = sampling.sample_moments(slope.copy(), offset.copy(), TAUS)
+    grid = sampling.sample_moments([(slope.copy(), offset.copy())], TAUS)
     assert all(moment.shape == TAUS.shape for moment in grid)
     for i, tau0 in enumerate(TAUS):
         row = tuple(moment[i] for moment in grid)
@@ -246,8 +246,22 @@ def test_moments_at_every_tau0_are_those_of_each_row(n, rho):
         # tau0 = 2.5 it cancels 360-fold, and the fourth moment's condition is 1.3e5
         assert np.all(np.abs(row - want) <= 1e-12 * condition(slope, offset, tau0) * np.abs(want))
         # a scalar tau0 takes the same arithmetic as an array entry
-        scalar = sampling.sample_moments(slope.copy(), offset.copy(), float(tau0))
+        scalar = sampling.sample_moments([(slope.copy(), offset.copy())], float(tau0))
         assert all(np.ndim(moment) == 0 for moment in scalar) and scalar == row
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, INTERP_BLOCK + 3, 7), (INTERP_BLOCK - 1, 1, 2)],
+                         ids=["two-single-draws", "pilot-of-one", "across-a-block"])
+def test_moments_do_not_depend_on_how_the_draws_are_blocked(sizes):
+    # the first block's means centre the sums: a one-draw first block is the worst pilot
+    slope, offset = correlated_draws(sum(sizes), -0.9, seed=len(sizes))
+    whole = sampling.sample_moments([(slope.copy(), offset.copy())], TAUS)
+    cuts = np.cumsum(sizes)[:-1]
+    parts = sampling.sample_moments(zip(np.split(slope.copy(), cuts), np.split(offset.copy(), cuts)),
+                                    TAUS)
+    for i, tau0 in enumerate(TAUS):
+        want, got = (np.array([moment[i] for moment in grid]) for grid in (whole, parts))
+        assert np.all(np.abs(got - want) <= 1e-12 * condition(slope, offset, tau0) * np.abs(want))
 
 
 @pytest.mark.parametrize("tau0", [2.5, np.float64(2.5), np.array([]), np.zeros((0, 3)),
@@ -255,7 +269,7 @@ def test_moments_at_every_tau0_are_those_of_each_row(n, rho):
 def test_each_moment_has_the_shape_of_tau0(tau0):
     slope, offset = correlated_draws(100, 0.5, seed=1)
     assert all(np.shape(moment) == np.shape(tau0)
-               for moment in sampling.sample_moments(slope, offset, tau0))
+               for moment in sampling.sample_moments([(slope, offset)], tau0))
 
 
 def test_moments_at_every_tau0_hold_one_draw_sized_temporary():
@@ -264,7 +278,7 @@ def test_moments_at_every_tau0_hold_one_draw_sized_temporary():
     taus = np.linspace(-3.0, 1e3, 1000)
     tracemalloc.start()
     try:
-        sampling.sample_moments(slope, offset, taus)
+        sampling.sample_moments([(slope, offset)], taus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,5 +291,14 @@ def test_draws_that_cancel_leave_no_negative_variance():
     slope, offset = np.array([1.63, 1.83]), np.array([0.6, 1.4])
     root = -(offset[0] - offset.mean()) / (slope[0] - slope.mean())
     taus = root * (1 + np.arange(-16, 17) * np.finfo(float).eps)
-    for moment in sampling.sample_moments(slope, offset, taus)[1:]:
+    for moment in sampling.sample_moments([(slope, offset)], taus)[1:]:
         assert np.all(moment >= 0)
+
+
+@pytest.mark.parametrize("blocks", [[], [(np.array([]), np.array([]))],
+                                    [(np.array([1.5]), np.array([0.5]))]],
+                         ids=["no-blocks", "empty-block", "one-draw"])
+def test_moments_need_two_draws(blocks):
+    # a ddof-1 variance of fewer than two draws divides by zero
+    with pytest.raises(ConfigError, match="2 draws"):
+        sampling.sample_moments(blocks, TAUS)
