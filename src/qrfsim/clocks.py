@@ -66,8 +66,8 @@ class RotatorClockState:
         object.__setattr__(self, "coefficients", c)
         if c.shape != (2 * self.j_z + 1,):
             raise ConfigError("need 2*J_z + 1 coefficients")
-        if abs(np.sum(np.abs(c) ** 2) - 1.0) > 1e-12:
-            raise ConfigError("rotator coefficients must be normalized")
+        if not abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12:  # NaN fails too
+            raise ConfigError("rotator coefficients must be finite and normalized")
 
     @property
     def n_states(self) -> int:

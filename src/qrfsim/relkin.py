@@ -11,8 +11,8 @@ averages interpolated in the mass to 1e-13.  B_2 acts on the clock's modes throu
 the mass m_2 = m_2' + H_int; _clock_modes is each clock's mode table, read by the
 mass guard, the closed forms and the Monte-Carlo draws.  RelClockSystem.time_operator
 computes the tau_0-free coefficients once, for proper_time_stats and mc_variance_check,
-which draws and reduces its ensemble block by block, in memory that does not grow with
-the number of draws.
+which draws S's momenta and modes and the offset T itself from tables, and reduces its
+ensemble block by block, in memory that does not grow with the number of draws.
 """
 
 from __future__ import annotations
@@ -112,10 +112,12 @@ class ModeSuperposition:
         object.__setattr__(self, "coeffs", c)
         if pts.shape != c.shape or pts.ndim != 1:
             raise ConfigError("mode points and coefficients must be matching 1D arrays")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigError("mode momenta must be finite")
         if len(np.unique(pts)) != pts.size:
             raise ConfigError("mode momenta must be distinct")
-        if abs(np.sum(np.abs(c) ** 2) - 1.0) > 1e-12:
-            raise ConfigError("mode coefficients must be normalized")
+        if not abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12:  # NaN fails too
+            raise ConfigError("mode coefficients must be finite and normalized")
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -173,8 +175,8 @@ class RelClockSystem:
     clock_packet: WavePacket | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if not self.rest_mass > 0:
-            raise NonPositiveWidth("rest mass must be positive")
+        if not 0 < self.rest_mass < np.inf:
+            raise NonPositiveWidth("rest mass must be positive and finite")
         _external_weights(self.external)  # type check
         if isinstance(self.clock, FreeClockState):
             total = self.clock.m_a + self.clock.m_b
@@ -369,33 +371,29 @@ def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:
 
 # --- Monte-Carlo oracle ------------------------------------------------------
 
-def _offset_law(sys: RelClockSystem):
-    """(xs, density, offset): the tabulated density of the clock's drawn variable and
-    the map, in place, from a block of its draws to offsets T.  A rotator draws a hand
-    angle on the peak-centred branch theta = phi + u of `recenter`, a free clock a
-    position."""
+def _offset_law(sys: RelClockSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(ts, density): the law of the clock's offset T, tabulated on a grid of hand
+    angles u on the peak-centred branch theta = phi + u of `recenter` (rotator) or of
+    positions x (free clock), turned in place into T = theta / 2 pi omega or
+    mu x / pbar_x once the density is taken; it descends when pbar_x < 0."""
     clock = sys.clock
     if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
         # lobes are 2 pi / N wide: the table is the smallest 2^k + 1 >= 16 N if larger
         table = max(ANGLE_TABLE_POINTS, (1 << (16 * clock.n_states - 2).bit_length()) + 1)
         us = np.linspace(-np.pi, np.pi, table)
-
-        def offset(u):
-            u += phi
-            u /= 2 * np.pi * clock.omega
-            return u
-        return us, angular_density(centered, us), offset
+        density = angular_density(centered, us)
+        us += phi
+        us /= 2 * np.pi * clock.omega
+        return us, density
     pk_x = sys.clock_packet
     sig_x = np.sqrt(position_variance(pk_x))
     x0 = position_mean(pk_x)
     xs = np.linspace(x0 - 10 * sig_x, x0 + 10 * sig_x, POSITION_TABLE_POINTS)
-
-    def offset(x):
-        x *= clock.mu_ab
-        x /= clock.p_bar
-        return x
-    return xs, np.abs(position_wavefunction(pk_x, xs)) ** 2, offset
+    density = np.abs(position_wavefunction(pk_x, xs)) ** 2
+    xs *= clock.mu_ab
+    xs /= clock.p_bar
+    return xs, density
 
 
 def _ensemble_blocks(sys: RelClockSystem, n: int, seed: int):
@@ -406,7 +404,7 @@ def _ensemble_blocks(sys: RelClockSystem, n: int, seed: int):
 
     External momenta, clock modes and clock offsets are drawn, in that order, one
     uniform per draw: momenta and modes by weight from the quadrature nodes that the
-    closed forms sum over, offsets from the tabulated density of `_offset_law`.  They
+    closed forms sum over, offsets T from their own tabulated law, `_offset_law`.  They
     read uniforms [0, n), [n, 2n) and [2n, 3n) of the one stream, as a whole ensemble
     drawn at once would, from generators that `make_rng` starts there.  This
     reproduces the operator mean always and the variance whenever the boost-angle
@@ -416,9 +414,7 @@ def _ensemble_blocks(sys: RelClockSystem, n: int, seed: int):
     p, w_p = _external_weights(sys.external)
     masses, weights, f = _clock_modes(sys)
     p_table, k_table = weights_table(w_p), weights_table(weights)
-    xs, density, offset = _offset_law(sys)
-    x_table = density_table(xs, density)
-    del density  # the table holds what the lookups read
+    t_table = density_table(*_offset_law(sys))
     size = min(n, INTERP_BLOCK)
     u, p_k, m_k = (np.empty(size) for _ in range(3))
     k = np.empty(size, dtype=np.intp)
@@ -431,7 +427,7 @@ def _ensemble_blocks(sys: RelClockSystem, n: int, seed: int):
         slope = time_boost(p_b, m_b)
         slope *= np.take(f, k_b, out=u_b, mode="clip")
         # the offsets are drawn into u, which the next block draws into again
-        yield slope, offset(lookup(x_table, streams[2].random(out=u_b), u_b))
+        yield slope, lookup(t_table, streams[2].random(out=u_b), u_b)
 
 
 def sample_proper_times(sys: RelClockSystem, tau0: float, n: int, seed: int) -> np.ndarray:
@@ -480,6 +476,8 @@ class TwoBodyKinematics:
 
     @classmethod
     def from_momenta(cls, m1: float, m2: float, p1: np.ndarray, p2: np.ndarray) -> "TwoBodyKinematics":
+        if not (0 < m1 < np.inf and 0 < m2 < np.inf):
+            raise NonPositiveWidth("body masses must be positive and finite")
         p1 = np.asarray(p1, dtype=float)
         p2 = np.asarray(p2, dtype=float)
         if p1.shape[-1] != 3 or p2.shape[-1] != 3:

@@ -297,7 +297,10 @@ def test_freeclock_rejects_zero_momentum():
     (lambda: FreeClockState(m_a=1.0, m_b=1.0, p_bar=0.2, a_x=np.inf), NonPositiveWidth),
     (lambda: RotatorClockState(np.inf, 0.1, np.array([0.0, 1.0, 0.0])), ConfigError),
     (lambda: RotatorClockState(np.nan, 0.1, np.array([0.0, 1.0, 0.0])), ConfigError),
-], ids=["omega", "m_a", "m_b", "a_x", "omega-inf", "m_a-inf", "a_x-inf", "j_z-inf", "j_z"])
+    (lambda: RotatorClockState(1, 0.1, np.array([0.0, np.nan, 0.0])), ConfigError),
+    (lambda: rotator_evolve_rest(rotator_init(4, 0.02), np.nan), ConfigError),
+], ids=["omega", "m_a", "m_b", "a_x", "omega-inf", "m_a-inf", "a_x-inf", "j_z-inf", "j_z",
+        "coefficients", "evolve-time"])
 def test_nan_parameters_are_rejected(build, error):
     with pytest.raises(error):
         build()

@@ -1,6 +1,7 @@
 """Source rules that keep each rule in one home: no module reaches into
 another module's private names, the library needs nothing beyond numpy, no
-deletion leaves an unused import or an unread private name behind, no
+deletion leaves an unused import, an unread private name or an unread
+public constant behind, no
 matrix is inverted numerically, no test tolerance is relative by default,
 the default grid size is spelled once, and importing the CLI loads no numpy
 submodule that only a rare path needs."""
@@ -185,6 +186,14 @@ def test_the_rule_sees_unused_imports(tmp_path):
     assert unused_imports(probe) == ["2: os", "4: os", "5: packets", "6: ax", "10: json"]
 
 
+def _assigned_names(node: ast.stmt) -> list[str]:
+    """The names an assignment statement binds, none for any other statement."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def unread_private_names(path: Path) -> list[str]:
     """'line: name' for every single-underscore name that a top-level def, class or
     assignment binds and that nothing in the module reads."""
@@ -193,11 +202,8 @@ def unread_private_names(path: Path) -> list[str]:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
-            continue
+            names = _assigned_names(node)
         bound += [(node.lineno, name) for name in names if _private(name)]
     read = _read_names(tree)
     return [f"{line}: {name}" for line, name in bound if name not in read]
@@ -223,6 +229,42 @@ def test_the_rule_sees_unread_private_names(tmp_path):
                      "    return _helper()\n"
                      "__version__ = '1'\n")
     assert unread_private_names(probe) == ["3: _UNUSED", "4: _b", "5: _annotated", "8: _Hidden"]
+
+
+def unread_constants(paths: list[Path]) -> list[str]:
+    """'module:line: NAME' for every public upper-case name that a top-level assignment
+    in one of the modules binds and that none of them reads, by name or as an
+    attribute: a table size or bound that its last reader left behind."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set()
+    for tree in trees.values():
+        read |= _read_names(tree) | {node.attr for node in ast.walk(tree)
+                                     if isinstance(node, ast.Attribute)
+                                     and isinstance(node.ctx, ast.Load)}
+    return [f"{stem}:{node.lineno}: {name}" for stem, tree in trees.items()
+            for node in tree.body for name in _assigned_names(node)
+            if name.isupper() and not name.startswith("_") and name not in read]
+
+
+def test_every_public_constant_is_read():
+    assert unread_constants(sorted(SRC.rglob("*.py"))) == []
+
+
+def test_the_rule_sees_unread_constants(tmp_path):
+    (tmp_path / "a.py").write_text("USED = 1\n"
+                                   "UNUSED = 2\n"
+                                   "IMPORTED, _PRIVATE = 3, 4\n"
+                                   "ANNOTATED: int = 5\n"
+                                   "IMPORTED_ONLY = 6\n"
+                                   "__version__, lower = '1', 7\n"
+                                   "def f():\n"
+                                   "    LOCAL = 8\n"
+                                   "    return USED\n")
+    (tmp_path / "b.py").write_text("from .a import IMPORTED, IMPORTED_ONLY\n"
+                                   "from . import a\n"
+                                   "print(IMPORTED * a.ANNOTATED)\n")
+    assert unread_constants(sorted(tmp_path.glob("*.py"))) == ["a:2: UNUSED",
+                                                               "a:5: IMPORTED_ONLY"]
 
 
 #: numpy.linalg routines that invert a matrix, solve with it or take its determinant.

@@ -147,12 +147,22 @@ class TestTimeBoost:
             assert time_boost(0.75, 1e-150) == pytest.approx(1e-150 / 0.75, rel=1e-15)
 
 
+_P1, _P2 = np.array([0.0, 0.0, 0.3]), np.array([0.0, 0.0, -0.4])
+
+
 @pytest.mark.parametrize("build", [
     lambda: time_boost(0.5, np.array([1.0, np.nan])),
     lambda: RelClockSystem(np.nan, gaussian_system().external, rotator_init(4, 0.02)),
+    lambda: RelClockSystem(np.inf, gaussian_system().external, rotator_init(4, 0.02)),
     lambda: frame_to_frame(gaussian_system().external, np.nan, 0.7, 0.0, 0.0),
     lambda: frame_to_frame(gaussian_system().external, 1.3, np.nan, 0.0, 0.0),
-], ids=["time_boost", "rest_mass", "frame_to_frame-m1", "frame_to_frame-m2"])
+    lambda: TwoBodyKinematics.from_momenta(0.0, 0.7, _P1, _P2),
+    lambda: TwoBodyKinematics.from_momenta(-1.3, 0.7, _P1, _P2),
+    lambda: TwoBodyKinematics.from_momenta(1.3, np.nan, _P1, _P2),
+    lambda: TwoBodyKinematics.from_momenta(1.3, np.inf, _P1, _P2),
+], ids=["time_boost", "rest_mass", "rest_mass-inf", "frame_to_frame-m1", "frame_to_frame-m2",
+        "from_momenta-m1-zero", "from_momenta-m1-negative", "from_momenta-m2",
+        "from_momenta-m2-inf"])
 def test_nan_masses_are_rejected(build):
     with pytest.raises(NonPositiveWidth):
         build()
@@ -373,29 +383,34 @@ def test_rotator_coefficients_need_no_mode_by_mode_array():
     assert peak < 16 << 20
 
 
-@pytest.mark.parametrize("j_z, points", [(4, 16385), (1000, 32769)])
-def test_angle_table_holds_the_clock_variance(j_z, points, monkeypatch):
-    # the sampler's angle law: uniform within each table step, with the step's
+@pytest.mark.parametrize("clock, points", [
+    (rotator_init(4, 1e-5), 16385),
+    (rotator_init(1000, 1e-5), 32769),
+    (FreeClockState(0.5, 0.5, 0.2, 25.0), 16384),
+    (FreeClockState(0.5, 0.5, -0.2, 25.0), 16384),
+], ids=["4-16385", "1000-32769", "freeclock-16384", "freeclock-backward-16384"])
+def test_angle_table_holds_the_clock_variance(clock, points, monkeypatch):
+    # the sampler's offset law: uniform within each table step, with the step's
     # trapezoid mass; its exact variance must be the closed-form d0
     tables = []
     original = relkin.density_table
 
-    def recorded(xs, density):
-        tables.append((xs, density))
-        return original(xs, density)
+    def recorded(ts, density):
+        tables.append((ts, density))
+        return original(ts, density)
 
     monkeypatch.setattr(relkin, "density_table", recorded)
     packet = make_gaussian(default_grid(0.75, 0.1, 256), 0.75, 0.1, mass=1.0)
-    sys = RelClockSystem(1.0, packet, rotator_init(j_z, 1e-5))
+    sys = RelClockSystem(1.0, packet, clock)
     sample_proper_times(sys, 1.0, 2, seed=0)
-    [(us, d)] = tables  # one table, the angles': momenta and modes are drawn by weight
-    assert us.size == points
-    a, b = us[:-1], us[1:]
+    [(ts, d)] = tables  # one table, T's: momenta and modes are drawn by weight
+    assert ts.size == points
+    a, b = ts[:-1], ts[1:]  # b < a on a descending grid, where every mass is negative
     mass = 0.5 * (d[1:] + d[:-1]) * (b - a)
     mass /= mass.sum()
     mean = mass @ ((a + b) / 2)
     var = mass @ ((a * a + a * b + b * b) / 3) - mean ** 2
-    assert var == pytest.approx(sys.time_operator.d0 * (2 * np.pi * 1e-5) ** 2, rel=1e-5)
+    assert var == pytest.approx(sys.time_operator.d0, rel=1e-5)
 
 
 def _skewed_rotator(j_z=3, omega=0.02):
@@ -450,8 +465,7 @@ def materialised_ensemble(sys, n, seed):
     p = p[choice_from_weights(w_p, n, rng)]
     k = choice_from_weights(weights, n, rng)
     slope = time_boost(p, masses[k]) * f[k]
-    xs, density, offset = relkin._offset_law(sys)
-    return slope, offset(inverse_cdf_sample(xs, density, n, rng))
+    return slope, inverse_cdf_sample(*relkin._offset_law(sys), n, rng)
 
 
 @pytest.mark.parametrize("build", [gaussian_system, freeclock_system], ids=["rotator", "freeclock"])
@@ -568,8 +582,9 @@ class TestDispersionQuadratic:
         assert abs(chk.mean - stats.tau_mean) < 3 * chk.stderr_mean
         assert abs(chk.variance - stats.d_tau) < 3 * chk.stderr_variance
 
-    @pytest.mark.parametrize("clock", [rotator_init(4, 0.02), FreeClockState(0.5, 0.5, 0.2, 25.0)],
-                             ids=["rotator", "freeclock"])
+    @pytest.mark.parametrize("clock", [rotator_init(4, 0.02), FreeClockState(0.5, 0.5, 0.2, 25.0),
+                                       FreeClockState(0.5, 0.5, -0.2, 25.0)],
+                             ids=["rotator", "freeclock", "freeclock-backward"])
     def test_discrete_modes_match_monte_carlo(self, clock):
         # the ensemble draws mode momenta by their weights, not from a packet's CDF table
         modes = ModeSuperposition(np.array([0.0, 0.5, 1.2]), np.sqrt([0.2, 0.5, 0.3]))
@@ -623,6 +638,14 @@ class TestSystemValidation:
             ModeSuperposition(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ConfigError):
             ModeSuperposition(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        half = np.sqrt([0.5, 0.5])
+        for points, coeffs in [([0.0, 1.0], [np.nan, 1.0]), ([0.0, np.nan], half),
+                               ([0.0, np.inf], half), ([-np.inf, 0.0], half)]:
+            with pytest.raises(ConfigError):
+                ModeSuperposition(np.array(points), np.array(coeffs))
+        modes = ModeSuperposition(np.array([0.0, 0.5]), half)
+        with pytest.raises(ConfigError):  # the evolved clock's coefficients are NaN
+            boosted_evolve(RelClockSystem(1.0, modes, rotator_init(4, 0.02)), np.nan)
 
     def test_mass_operator_must_stay_positive(self):
         modes = ModeSuperposition(np.array([0.0]), np.array([1.0]))
