@@ -13,6 +13,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -187,6 +188,16 @@ def _mass_operator_stays_positive(sc):
 def _two_or_more_masses(sc):
     if len(sc["masses"]) < 2:
         yield Diagnostic("masses", "ConfigError", "expected a list of at least 2 numbers")
+
+
+def _every_body_shows_in_the_cm_row(sc):
+    # the chart's c.m. row holds m_i / sum(m); a share below the smallest normal
+    # float loses its body, and the exchanges then refuse the chain's own charts
+    masses, tiny = sc["masses"], np.finfo(float).tiny
+    top = max(masses)  # scaled by the heaviest, so the sum cannot overflow
+    if min(masses) / top / sum(m / top for m in masses) < tiny:
+        yield Diagnostic("masses", "ConfigError", "the lightest body's share of the total "
+                         f"mass underflows: need min(masses) / sum(masses) >= {tiny:.3g}")
 
 
 def _modes_match(sc):
@@ -458,7 +469,8 @@ def _run_nonrel_limit(sc: dict) -> ResultTable:
 SCENARIOS = {
     "jacobi-demo": Kind(
         (Field("masses", "list", "positive"),),
-        (_two_or_more_masses, _under_cap(_jacobi_bytes)), _run_jacobi_demo),
+        (_two_or_more_masses, _every_body_shows_in_the_cm_row, _under_cap(_jacobi_bytes)),
+        _run_jacobi_demo),
     "rotator-dilation": Kind(
         (Field("rest_mass", bound="positive"), *_PACKET, *_ROTATOR,
          Field("tau_grid", "list", "nonnegative")),
@@ -486,9 +498,24 @@ SCENARIOS = {
 }
 
 
+def _finite(v) -> bool:
+    """Every float in v, a cell or a nested list or tuple of cells, is finite."""
+    if isinstance(v, (list, tuple)):
+        return all(_finite(x) for x in v)
+    return not isinstance(v, (float, np.floating)) or math.isfinite(v)
+
+
+def _nonfinite_fields(table: ResultTable) -> list[str]:
+    """The columns and summary keys that hold an inf or a NaN, each named once."""
+    cells = ((name, v) for row in table.rows for (name, _), v in zip(table.columns, row))
+    return list(dict.fromkeys(name for name, v in itertools.chain(cells, table.summary.items())
+                              if not _finite(v)))
+
+
 def run_scenario(sc: dict) -> ResultTable:
-    """Validate and run one scenario; any floating-point failure is a NumericalError
-    (the errstate is set here, so sweep worker threads get it too)."""
+    """Validate and run one scenario; any floating-point failure, and any inf or
+    NaN in the result, is a NumericalError (the errstate is set here, so sweep
+    worker threads get it too)."""
     diags = validate_scenario(sc)
     if diags:
         raise ConfigError("; ".join(str(d) for d in diags))
@@ -499,9 +526,13 @@ def run_scenario(sc: dict) -> ResultTable:
             typed[spec.name] = int(sc[spec.name])
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return kind.runner(typed)
+            table = kind.runner(typed)
     except ArithmeticError as e:
         raise NumericalError(f"{type(e).__name__}: {e}") from e
+    bad = _nonfinite_fields(table)
+    if bad:  # an overflow inside a BLAS call or einsum escapes the errstate
+        raise NumericalError(f"non-finite result in {', '.join(bad)}")
+    return table
 
 
 def write_results(sc: dict, table: ResultTable, out_dir: str) -> str:

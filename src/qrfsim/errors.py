@@ -1,7 +1,8 @@
 """Exception types raised by the library.
 
-ConfigError and ScenarioParseError map to exit code 2 in the CLI; everything
-else derived from NumericalError maps to exit code 3.
+Every library error is a ConfigError or a NumericalError: a ConfigError (a
+caller's input or precondition) exits 2 from the CLI, a NumericalError (a
+failure of the run's arithmetic) exits 3.
 """
 
 
@@ -44,12 +45,8 @@ class BadLabel(ConfigError):
     """Frame label out of range or attached to a body that is not a frame."""
 
 
-class ChartMismatch(QrfError):
+class ChartMismatch(ConfigError):
     """An operation was given a state expressed in the wrong chart."""
-
-
-class ClockModelMismatch(QrfError):
-    """A rotator-clock operation received a free-particle clock or vice versa."""
 
 
 class EmptyBin(NumericalError):

@@ -34,7 +34,6 @@ from .clocks import (
     rotator_evolve_rest,
 )
 from .errors import (
-    ClockModelMismatch,
     ConfigError,
     NonPositiveWidth,
     RoughState,
@@ -187,7 +186,7 @@ class RelClockSystem:
                  else DEFAULT_GRID_POINTS)
             object.__setattr__(self, "clock_packet", freeclock_packet(self.clock, n))
         elif not isinstance(self.clock, RotatorClockState):
-            raise ClockModelMismatch(f"unknown clock model {type(self.clock).__name__}")
+            raise ConfigError(f"unknown clock model {type(self.clock).__name__}")
         # the mass operator must stay positive on populated modes
         masses, weights, _ = _clock_modes(self)
         m_min = masses[weights > 1e-30].min()
@@ -340,7 +339,7 @@ class EntangledClockState:
     def hand_density(self, thetas: np.ndarray) -> np.ndarray:
         """Reduced clock-angle density; external modes are orthogonal."""
         if self.model != "rotator":
-            raise ClockModelMismatch("hand density exists only for rotator clocks")
+            raise ConfigError("hand density exists only for rotator clocks")
         w = self.marginal_probabilities()
         rho = np.zeros_like(np.asarray(thetas, dtype=float))
         for wl, state in zip(w, self.internal_states):

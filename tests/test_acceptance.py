@@ -6,6 +6,9 @@ and prints PASS/FAIL with the measured numbers before asserting.
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -296,3 +299,23 @@ def test_ac11_reproducibility_of_shipped_suite(report, tmp_path):
            identical and elapsed / 2 < 120.0,
            f"{len(outputs['a'])} files byte-identical across reruns={identical}, "
            f"suite time={elapsed / 2:.1f}s (bound 120s)")
+
+
+def test_ac11_bytes_do_not_depend_on_blas_threads(report, tmp_path):
+    # one interpreter per thread count, so the variables are set before numpy loads
+    shipped = [str(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+    script = ("import sys; from qrfsim import cli; sys.exit(max(cli.main(["
+              "'run', '--scenario', p, '--out', sys.argv[1]]) for p in sys.argv[2:]))")
+    path = os.pathsep.join(filter(None, [str(SCENARIO_DIR.parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", script, str(out), *shipped], env=env,
+                       check=True, capture_output=True)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    identical = outputs["1"] == outputs["2"]
+    report("AC-11 under BLAS threads", identical and len(outputs["1"]) == 2 * len(shipped),
+           f"{len(outputs['1'])} files byte-identical under 1 and 2 BLAS threads={identical}")

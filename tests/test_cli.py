@@ -1,18 +1,24 @@
 """CLI: scenario validation, result tables, reproducibility, sweeps."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qrfsim import cli, frames, relkin
-from qrfsim.errors import ChartMismatch, ConfigError, NumericalError, ScenarioParseError
+from qrfsim.errors import ChartMismatch, ConfigError, NumericalError, QrfError, ScenarioParseError
 
 SCENARIO_DIR = Path(cli.__file__).parent / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -118,6 +124,17 @@ class TestExitCodes:
                                         "m2": 1.0, "betas": [0.9]})
         assert cli.main(["run", "--scenario", bad, "--out", str(tmp_path)]) == 2
 
+    def test_every_library_error_has_an_exit_code(self):
+        # main maps ConfigError to 2 and NumericalError to 3; an error of neither
+        # kind would end a run in a traceback with exit 1
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        assert [cls.__name__ for cls in subclasses(QrfError)
+                if not issubclass(cls, (ConfigError, NumericalError))] == []
+
     def test_numerical_failure_returns_3(self, tmp_path, capsys, monkeypatch):
         def boom(sc):
             raise NumericalError("synthetic blow-up")
@@ -151,10 +168,13 @@ def _edited(name, **changes):
     _edited("rotator-dilation", mc_samples=1000, seed=1e300),
     # the name is the output file stem: it must not leave --out, hide or break the file
     *(dict(_edited("jacobi-demo"), name=name) for name in ("../escaped", "a\x00b", "", 42, ["x"])),
+    # a body whose share of the total mass underflows drops out of the chart's c.m. row
+    _edited("jacobi-demo", masses=[1e150, 1e-300, 3.0, 4.0]),
+    _edited("jacobi-demo", masses=[2.342470629132774e-202, 8.340899392648942e+286]),
 ], ids=["rest_mass-nan", "tau_grid-nan", "j_z-nan", "grid_min-string", "grid_min-alone",
         "tau1-inf", "m1-nan", "kind-list", "seed-string", "seed-fraction", "seed-negative",
         "seed-2^32", "seed-2^64", "seed-1e300", "name-parent", "name-nul", "name-empty",
-        "name-number", "name-list"])
+        "name-number", "name-list", "masses-share-1e-450", "masses-share-2.8e-489"])
 def test_bad_input_fails_closed(tmp_path, capsys, payload):
     path = write_scenario(tmp_path, payload)
     assert cli.main(["validate", "--scenario", path]) == 2
@@ -229,11 +249,15 @@ def test_one_monte_carlo_draw_fails_closed(tmp_path, capsys, name):
     (_edited("freeclock-dilation", p_bar=1e-200, mc_samples=0, grid_points=256), "p_bar"),
     (_edited("freeclock-dilation", a_x=1e-200, mc_samples=0, grid_points=256), "a_x"),
     (_edited("nonrel-limit", m1=1e-300, grid_points=256), "m1"),
+    # the Monte-Carlo moments overflow inside einsum, which the errstate does not see
+    (_edited("rotator-dilation", omega=2e-152, grid_points=64, mc_samples=2), "omega"),
 ], ids=["rotator-tau-1e200", "rotator-tau-1e200-mc", "freeclock-tau-1e200",
-        "freeclock-tau-1e200-mc", "omega-1e-200", "p_bar-1e-200", "a_x-1e-200", "m1-1e-300"])
+        "freeclock-tau-1e200-mc", "omega-1e-200", "p_bar-1e-200", "a_x-1e-200", "m1-1e-300",
+        "omega-2e-152-mc"])
 def test_floating_point_failure_exits_3(tmp_path, capsys, payload, field):
     # valid scenarios whose arithmetic overflows or divides by zero: inf/nan
     # columns with exit 0, or a traceback with exit 1, before run_scenario's errstate
+    # and its finiteness gate
     path = write_scenario(tmp_path, payload)
     sweep = write_scenario(tmp_path, dict(payload, sweep={field: [payload[field]]}),
                            "sweep.json")
@@ -243,6 +267,72 @@ def test_floating_point_failure_exits_3(tmp_path, capsys, payload, field):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
         assert not out.exists()
+
+
+# most each size may take in the property test below, so that a run stays fast
+_SMALL = {"grid_points": 64, "mc_samples": 100, "j_z": 6, "histogram_bins": 64}
+# log-uniform over every finite size, or over 1e-3..1e3, where more runs get to write
+_MAGNITUDE = (st.floats(-323.0, 308.0) | st.floats(-3.0, 3.0)).map(lambda e: 10.0 ** e)
+
+
+def _field_values(spec):
+    """Values of one scenario key from its Field: its type, its bound, small sizes."""
+    if spec.bound == "mc_samples":
+        return st.just(0) | st.integers(2, _SMALL["mc_samples"])
+    if spec.type == "integer":
+        low = spec.bound if isinstance(spec.bound, (int, float)) else 0
+        return st.integers(low, _SMALL.get(spec.name, 2 ** 32 - 1))
+    signs = {"positive": [1.0], "nonnegative": [0.0, 1.0], "nonzero": [-1.0, 1.0],
+             None: [-1.0, 0.0, 1.0]}.get(spec.bound, [1.0])
+    number = st.builds(lambda sign, size: sign * size, st.sampled_from(signs), _MAGNITUDE)
+    return st.lists(number, min_size=1, max_size=5) if spec.type == "list" else number
+
+
+def _scenarios_of(name, kind):
+    specs = cli._COMMON + kind.fields
+    return st.fixed_dictionaries(
+        {"kind": st.just(name), "name": st.just("probe"),
+         **{spec.name: _field_values(spec) for spec in specs if spec.required}},
+        optional={spec.name: _field_values(spec) for spec in specs if not spec.required})
+
+
+_SCENARIOS = st.one_of([_scenarios_of(name, kind) for name, kind in cli.SCENARIOS.items()])
+
+
+def _numbers(v):
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, list):
+        return [x for item in v for x in _numbers(item)]
+    return [v] if isinstance(v, (int, float)) else []
+
+
+@pytest.mark.filterwarnings("ignore:internal energy")
+@hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hyp.example(_edited("jacobi-demo", masses=[1e150, 1e-300, 3.0, 4.0]))
+@hyp.example(_edited("jacobi-demo", masses=[2.342470629132774e-202, 8.340899392648942e+286]))
+@hyp.example(_edited("rotator-dilation", omega=2e-152, grid_points=64, mc_samples=2))
+@hyp.given(_SCENARIOS)
+def test_every_scenario_succeeds_finite_or_fails_closed(sc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = write_scenario(Path(tmp), sc), os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["run", "--scenario", path, "--out", out])
+        assert rc in (0, 2, 3)
+        if rc:
+            assert len(err.getvalue().splitlines()) == 1 and not os.path.exists(out)
+            return
+        with open(os.path.join(out, "probe.csv"), newline="") as f:
+            cells = [cell for row in list(csv.reader(f))[1:] for cell in row]
+        with open(os.path.join(out, "probe.provenance.json")) as f:
+            numbers = _numbers(json.load(f))
+        for cell in cells:
+            try:
+                numbers.append(float(cell))
+            except ValueError:  # an empty cell or a label
+                pass
+        assert all(math.isfinite(x) for x in numbers)
 
 
 def test_heavy_rotator_runs_at_its_rest_rate(tmp_path):
