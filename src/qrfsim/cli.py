@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .clocks import FreeClockState, rotator_init
-from .errors import ConfigError, NumericalError, ScenarioParseError
+from .errors import ConfigError, NonPositiveWidth, NumericalError, ScenarioParseError
 from .frames import FrameSystem, build_chart, exchange_chain
 from .packets import (DEFAULT_GRID_POINTS, MIN_HALF_WIDTH_SIGMAS, MomentumGrid, WavePacket,
                       default_grid, expectation, make_gaussian)
@@ -167,16 +167,32 @@ _PACKET = (Field("packet_center"), Field("packet_width", bound="positive"),
 _ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
 
 
-def _explicit_grid_covers_packet(sc):
-    lo, hi = sc.get("grid_min"), sc.get("grid_max")
-    if (lo is None) != (hi is None):
-        yield Diagnostic("grid_max" if hi is None else "grid_min", "ConfigError",
-                         "give both grid_min and grid_max, or neither")
-    elif lo is not None:
-        center, half = sc["packet_center"], MIN_HALF_WIDTH_SIGMAS * sc["packet_width"]
-        if lo > center - half or hi < center + half:
-            yield Diagnostic("grid_min", "GridTooNarrow", "explicit grid must cover "
-                             f"packet_center +- {MIN_HALF_WIDTH_SIGMAS:g} packet_width")
+def _packet_grid_holds(estimate):
+    """Cross-check: both explicit grid bounds or neither, covering the packet, and the grid
+    _packet will build passes MomentumGrid's rule.  A width far below the float spacing at
+    packet_center collapses the default grid onto repeated points; one near the float range
+    overflows it.  The grid is built only when the scenario's estimated working set is
+    under the cap."""
+    def check(sc):
+        lo, hi = sc.get("grid_min"), sc.get("grid_max")
+        if (lo is None) != (hi is None):
+            yield Diagnostic("grid_max" if hi is None else "grid_min", "ConfigError",
+                             "give both grid_min and grid_max, or neither")
+            return
+        if lo is not None:
+            center, half = sc["packet_center"], MIN_HALF_WIDTH_SIGMAS * sc["packet_width"]
+            if lo > center - half or hi < center + half:
+                yield Diagnostic("grid_min", "GridTooNarrow", "explicit grid must cover "
+                                 f"packet_center +- {MIN_HALF_WIDTH_SIGMAS:g} packet_width")
+                return
+        if sum(estimate(sc).values()) <= MAX_WORKING_SET:
+            try:
+                with np.errstate(all="ignore"):  # an overflowing grid fails the rule, silently
+                    _grid(sc)
+            except NonPositiveWidth as e:
+                yield Diagnostic("packet_width" if lo is None else "grid_min",
+                                 "NonPositiveWidth", str(e))
+    return check
 
 
 def _mass_operator_stays_positive(sc):
@@ -376,14 +392,17 @@ def _run_jacobi_demo(sc: dict) -> ResultTable:
                        {"bodies": n, "worst_pairing_residual": worst})
 
 
-def _packet(sc: dict, mass: float) -> WavePacket:
-    """The scenario's Gaussian packet: on grid_min..grid_max when given, else
-    on the default grid around packet_center."""
+def _grid(sc: dict) -> MomentumGrid:
+    """grid_min..grid_max when given, else the default grid around packet_center."""
+    n = int(sc["grid_points"])
     if sc.get("grid_min") is None:
-        grid = default_grid(sc["packet_center"], sc["packet_width"], sc["grid_points"])
-    else:
-        grid = MomentumGrid.linspace(sc["grid_min"], sc["grid_max"], sc["grid_points"])
-    return make_gaussian(grid, sc["packet_center"], sc["packet_width"], mass=mass)
+        return default_grid(sc["packet_center"], sc["packet_width"], n)
+    return MomentumGrid.linspace(sc["grid_min"], sc["grid_max"], n)
+
+
+def _packet(sc: dict, mass: float) -> WavePacket:
+    """The scenario's Gaussian packet on its grid."""
+    return make_gaussian(_grid(sc), sc["packet_center"], sc["packet_width"], mass=mass)
 
 
 def _dilation_table(sc: dict, sys_: RelClockSystem) -> ResultTable:
@@ -474,13 +493,15 @@ SCENARIOS = {
     "rotator-dilation": Kind(
         (Field("rest_mass", bound="positive"), *_PACKET, *_ROTATOR,
          Field("tau_grid", "list", "nonnegative")),
-        (_explicit_grid_covers_packet, _mass_operator_stays_positive, _under_cap(_rotator_bytes)),
+        (_packet_grid_holds(_rotator_bytes), _mass_operator_stays_positive,
+         _under_cap(_rotator_bytes)),
         _run_rotator_dilation),
     "freeclock-dilation": Kind(
         (Field("m_a", bound="positive"), Field("m_b", bound="positive"),
          Field("p_bar", bound="nonzero"), Field("a_x", bound="positive"), *_PACKET,
          Field("tau_grid", "list", "nonnegative")),
-        (_explicit_grid_covers_packet, _under_cap(_freeclock_bytes)), _run_freeclock_dilation),
+        (_packet_grid_holds(_freeclock_bytes), _under_cap(_freeclock_bytes)),
+        _run_freeclock_dilation),
     "entangled-clock": Kind(
         (Field("rest_mass", bound="positive"), Field("mode_momenta", "list"),
          Field("mode_weights", "list", "positive"), *_ROTATOR, Field("tau0", bound=0),
@@ -490,7 +511,7 @@ SCENARIOS = {
     "frame-transform": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"), *_PACKET,
          Field("tau1"), Field("tau2")),
-        (_explicit_grid_covers_packet, _under_cap(_packet_bytes)), _run_frame_transform),
+        (_packet_grid_holds(_packet_bytes), _under_cap(_packet_bytes)), _run_frame_transform),
     "nonrel-limit": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"),
          Field("betas", "list", "positive")),

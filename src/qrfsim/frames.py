@@ -332,9 +332,9 @@ def internal_hamiltonian(chart: JacobiChart) -> InternalHamiltonian:
 class ReducedDensityMatrix:
     """Post-measurement state over a discretized relative coordinate.
 
-    rho(delta_a, delta_b) is chi[a:b] chi[a:b]^dagger on each kept cell, a row range of the
-    (delta, cm) amplitude chi that no bin split, and zero elsewhere; trace = sum(diag) *
-    delta_spacing sums the cells' row_probs.  weights are the kept bins' branch probabilities.
+    rho(delta_a, delta_b) is chi[a:b] chi[a:b]^dagger on each kept cell (a row range that no bin
+    split), zero elsewhere; chi, scale times source's amplitude on the (delta_grid, cm_grid)
+    mesh, is formed only when matrix is read.  trace sums the cells' row_probs; weights per bin.
     """
 
     delta_grid: np.ndarray
@@ -342,7 +342,9 @@ class ReducedDensityMatrix:
     weights: np.ndarray
     widths: np.ndarray
     dropped_bins: tuple[int, ...]
-    chi: np.ndarray
+    source: ProductState
+    cm_grid: np.ndarray
+    scale: float
     row_probs: np.ndarray
     cells: tuple[tuple[int, int], ...]
 
@@ -352,13 +354,33 @@ class ReducedDensityMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
+        rows = _amplitude_rows(self.source, self.delta_grid, self.cm_grid)
         out = np.zeros((self.delta_grid.size,) * 2, dtype=complex)
         for a, b in self.cells:
-            np.matmul(self.chi[a:b], self.chi[a:b].conj().T, out=out[a:b, a:b])
+            chi = rows(a, b) * self.scale
+            np.matmul(chi, chi.conj().T, out=out[a:b, a:b])
         return out
 
     def trace(self) -> float:
         return float(sum(self.row_probs[a:b].sum() for a, b in self.cells))
+
+
+def _amplitude_rows(state: ProductState, delta: np.ndarray, xcm: np.ndarray):
+    """rows(a, b) -> rows a:b of the unnormalised (delta, cm) amplitude, read off one psi table
+    of _FINE_POINTS per body over the whole mesh; rounding is monotone, so its corners bound it."""
+    pk_n, pk_1 = state.factors
+    m_tot, tables = pk_n.mass + pk_1.mass, []
+    # body positions on the (delta, cm) mesh; jacobian of (x_n, x_1) -> (delta, cm) is 1
+    for packet, shift in ((pk_n, pk_1.mass / m_tot), (pk_1, -(pk_n.mass / m_tot))):
+        corners = xcm[[0, -1, 0, -1]] + shift * delta[[0, 0, -1, -1]]
+        fine = np.linspace(corners.min() - 1e-9, corners.max() + 1e-9, _FINE_POINTS)
+        tables.append((shift, fine, position_wavefunction(packet, fine)))
+
+    def rows(a: int, b: int) -> np.ndarray:
+        chi_n, chi_1 = (np.interp(xcm + shift * delta[a:b, None], fine, psi)
+                        for shift, fine, psi in tables)
+        return np.multiply(chi_n, chi_1, out=chi_n)
+    return rows
 
 
 def _project(delta: np.ndarray, bins, row_probs: np.ndarray, cells):
@@ -414,18 +436,11 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     delta, dd = np.linspace(xbar_d - 8 * sig_d, xbar_d + 8 * sig_d, mesh_points, retstep=True)
     xcm, dx = np.linspace(xbar_cm - 8 * sig_x, xbar_cm + 8 * sig_x, mesh_points, retstep=True)
 
-    def on_mesh(packet, mesh):
-        fine = np.linspace(mesh.min() - 1e-9, mesh.max() + 1e-9, _FINE_POINTS)
-        return np.interp(mesh, fine, position_wavefunction(packet, fine))
-
-    # body positions on the (delta, cm) mesh; jacobian of (x_n, x_1) -> (delta, cm) is 1
-    chi = on_mesh(pk_n, xcm + (m_1 / m_tot) * delta[:, None])
-    chi *= on_mesh(pk_1, xcm - (m_n / m_tot) * delta[:, None])
-    prob = np.abs(chi) ** 2
+    prob = np.abs(_amplitude_rows(state, delta, xcm)(0, mesh_points)) ** 2  # chi, not kept
     norm2 = np.sum(prob) * dd * dx
     if norm2 <= 0:
         raise EmptyBin("joint amplitude vanishes on the mesh")
-    chi *= np.sqrt(dx / norm2)  # rho's blocks are chi's Gram blocks; its trace is 1 on the mesh
+    scale = float(np.sqrt(dx / norm2))  # rho's blocks are chi's Gram blocks; its trace is 1
     prob *= dd * dx / norm2
 
     row_probs = prob.sum(axis=1)
@@ -435,4 +450,4 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
         pj, xn = prob[a:b] / w, xcm + (m_1 / m_tot) * delta[a:b, None]
         widths.append(np.sqrt(max(np.sum(pj * (xn - np.sum(pj * xn)) ** 2), 0.0)))
     return ReducedDensityMatrix(delta, edges, weights, np.array(widths), dropped,
-                                chi, row_probs, cells)
+                                state, xcm, scale, row_probs, cells)

@@ -189,6 +189,26 @@ def test_bad_input_fails_closed(tmp_path, capsys, payload):
     assert sorted(os.listdir(tmp_path)) == ["scenario.json", "sweep.json"]
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({}, "packet_width"),
+    ({"grid_min": -0.0892, "grid_max": -0.0892}, "grid_min"),
+    ({"packet_width": 1e308}, "packet_width"),
+], ids=["default-grid", "explicit-grid", "overflowing-grid"])
+def test_grid_the_packet_cannot_have_fails_validation(tmp_path, capsys, changes, field):
+    # at 1e-323, packet_center +- 6 packet_width rounds to packet_center and every grid
+    # point is the same number; at 1e308 the grid's ends overflow.  validate refuses what
+    # run would refuse, and names the field
+    payload = _edited("frame-transform", **{"packet_width": 1e-323, "m1": 0.0819, "m2": 1,
+                                            "packet_center": -0.0892, "grid_points": 39,
+                                            **changes})
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["validate", "--scenario", path]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith(f"{field}: NonPositiveWidth: ")
+    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("payload, field", [
     (_edited("freeclock-dilation", grid_points=2 ** 24), "grid_points"),
     (_edited("rotator-dilation", mc_samples=10 ** 10), "mc_samples"),

@@ -608,9 +608,9 @@ def test_block_reduction_matches_dense_gram_edge_cases(bins):
                          ids=["single-bin", "pool-like"])
 def test_reduction_memory_is_bounded_by_kept_blocks(units):
     # peak traced memory at mesh_points 384, in units of the matrix's bytes; measured
-    # 3.01 (single bin) and 2.57 (pool-like) against 5.51 and 4.94 for the dense path,
-    # which holds the full Gram, its conjugate and the np.where copy at once; no block
-    # of rho is formed until its matrix is read
+    # 2.61 (single bin and pool-like) against 5.51 and 4.94 for the dense path, which
+    # holds the full Gram, its conjugate and the np.where copy at once; chi is released
+    # before the widths, and no block of rho is formed until its matrix is read
     state = _position_pair(sig_n=0.3, sig_1=0.5)
     bins = math.hypot(0.3, 0.5) * np.array(units)  # in units of the relative-coordinate width
     measurement_reduce(state, bins)
@@ -636,8 +636,35 @@ def test_re_reduction_shares_the_amplitude():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert again.chi is rho.chi
+    assert again.source is rho.source
     assert peak < 0.1 * rho.matrix.nbytes
+
+
+@pytest.mark.parametrize("mesh_points", [384, 1536])
+def test_reduced_state_retains_no_amplitude(mesh_points):
+    # what the result holds beyond its source: the meshes, row_probs and the bins, about
+    # 3 mesh_points floats; chi would be one mesh_points^2 complex array
+    state = _position_pair(sig_n=0.3, sig_1=0.5)
+    bins = math.hypot(0.3, 0.5) * np.array([-8.5, -1.0, 0.0, 1.0, 8.5])
+    measurement_reduce(state, bins, mesh_points)
+    tracemalloc.start()
+    try:
+        rho = measurement_reduce(state, bins, mesh_points)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rho.source is state
+    assert retained < 0.01 * mesh_points ** 2 * np.dtype(complex).itemsize
+
+
+def test_matrix_at_an_odd_mesh_matches_dense_gram():
+    # matrix re-forms each cell's rows from the source, here on an odd, off-centre mesh
+    state = _position_pair(sig_n=0.3, sig_1=0.5, x_n=0.4, m_n=2.0)
+    bins = 0.4 + math.hypot(0.3, 0.5) * np.array([-8.5, -1.0, 0.0, 1.0, 8.5])
+    rho = measurement_reduce(state, bins, 97)
+    _assert_matches_dense(rho, _dense_reduce(state, bins, 97))
+    fine = 0.4 + math.hypot(0.3, 0.5) * np.linspace(-8.5, 8.5, 13)
+    _assert_matches_dense(measurement_reduce(rho, fine), _dense_reduce(rho, fine), widths=False)
 
 
 def test_re_reduction_that_splits_a_cell_drops_the_widths():
