@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .clocks import FreeClockState, rotator_init
-from .errors import ConfigError, NonPositiveWidth, NumericalError, ScenarioParseError
+from .clocks import FreeClockState, freeclock_packet, rotator_init
+from .errors import ConfigError, NumericalError, ScenarioParseError
 from .frames import FrameSystem, build_chart, exchange_chain
 from .packets import (DEFAULT_GRID_POINTS, MIN_HALF_WIDTH_SIGMAS, MomentumGrid, WavePacket,
                       default_grid, expectation, make_gaussian)
@@ -114,13 +114,17 @@ _BOUNDS = {
 class Kind:
     """What a scenario of one kind contains, and how it runs.
 
-    checks are functions of the scenario that relate several fields; they run
-    only once every field is valid, and each yields Diagnostics.  runner maps
-    the scenario, with its integer fields as int, to a ResultTable.
+    checks relate several fields, once every field is valid; each yields Diagnostics.
+    estimate maps the scenario to the bytes its runner holds, keyed by the field that
+    sizes them.  packets maps fields to a build of a packet by its runner's own call,
+    blamed on the first of them the scenario gives.  runner and the builds take the
+    scenario with its integer fields as int; runner returns a ResultTable.
     """
 
     fields: tuple[Field, ...]
     checks: tuple
+    estimate: object
+    packets: dict
     runner: object
 
 
@@ -167,32 +171,18 @@ _PACKET = (Field("packet_center"), Field("packet_width", bound="positive"),
 _ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
 
 
-def _packet_grid_holds(estimate):
-    """Cross-check: both explicit grid bounds or neither, covering the packet, and the grid
-    _packet will build passes MomentumGrid's rule.  A width far below the float spacing at
-    packet_center collapses the default grid onto repeated points; one near the float range
-    overflows it.  The grid is built only when the scenario's estimated working set is
-    under the cap."""
-    def check(sc):
-        lo, hi = sc.get("grid_min"), sc.get("grid_max")
-        if (lo is None) != (hi is None):
-            yield Diagnostic("grid_max" if hi is None else "grid_min", "ConfigError",
-                             "give both grid_min and grid_max, or neither")
-            return
-        if lo is not None:
-            center, half = sc["packet_center"], MIN_HALF_WIDTH_SIGMAS * sc["packet_width"]
-            if lo > center - half or hi < center + half:
-                yield Diagnostic("grid_min", "GridTooNarrow", "explicit grid must cover "
-                                 f"packet_center +- {MIN_HALF_WIDTH_SIGMAS:g} packet_width")
-                return
-        if sum(estimate(sc).values()) <= MAX_WORKING_SET:
-            try:
-                with np.errstate(all="ignore"):  # an overflowing grid fails the rule, silently
-                    _grid(sc)
-            except NonPositiveWidth as e:
-                yield Diagnostic("packet_width" if lo is None else "grid_min",
-                                 "NonPositiveWidth", str(e))
-    return check
+def _grid_covers_the_packet(sc):
+    """Both explicit grid bounds or neither, covering packet_center +- MIN_HALF_WIDTH_SIGMAS
+    packet_width."""
+    lo, hi = sc.get("grid_min"), sc.get("grid_max")
+    if (lo is None) != (hi is None):
+        yield Diagnostic("grid_max" if hi is None else "grid_min", "ConfigError",
+                         "give both grid_min and grid_max, or neither")
+    elif lo is not None:
+        center, half = sc["packet_center"], MIN_HALF_WIDTH_SIGMAS * sc["packet_width"]
+        if lo > center - half or hi < center + half:
+            yield Diagnostic("grid_min", "GridTooNarrow", "explicit grid must cover "
+                             f"packet_center +- {MIN_HALF_WIDTH_SIGMAS:g} packet_width")
 
 
 def _mass_operator_stays_positive(sc):
@@ -278,20 +268,14 @@ def _packet_bytes(sc):
     return {"grid_points": _PER_POINT * int(sc["grid_points"])}
 
 
-def _under_cap(estimate):
-    """Cross-check: the estimated working set stays under MAX_WORKING_SET;
-    the diagnostic names the field with the largest share."""
-    def check(sc):
-        shares = estimate(sc)
-        need = sum(shares.values())
-        if need > MAX_WORKING_SET:
-            yield Diagnostic(max(shares, key=shares.get), "ConfigError",
-                             f"needs a working set of about {need >> 20} MiB; "
-                             f"the cap is {MAX_WORKING_SET >> 20} MiB")
-    return check
+def _typed(sc: dict, kind: Kind) -> dict:
+    return {**sc, **{f.name: int(sc[f.name]) for f in _COMMON + kind.fields if f.type == "integer"}}
 
 
 def validate_scenario(sc: dict) -> list[Diagnostic]:
+    """Every violated precondition, in three steps, each only if those before find none:
+    the fields; the cross-checks and the working-set cap; the packets the runner builds.
+    A floating-point failure in a packet is left to run_scenario, which reports it."""
     name = sc.get("kind")
     kind = SCENARIOS.get(name) if isinstance(name, str) else None
     if kind is None:
@@ -299,8 +283,27 @@ def validate_scenario(sc: dict) -> list[Diagnostic]:
     checked = [_check_name(sc.get("name"))] + [_check_field(spec, sc.get(spec.name))
                                                for spec in _COMMON + kind.fields]
     diags = [d for d in checked if d is not None]
-    if not diags:
-        diags = [d for check in kind.checks for d in check(sc)]
+    if diags:
+        return diags
+    diags = [d for check in kind.checks for d in check(sc)]
+    shares = kind.estimate(sc)
+    need = sum(shares.values())
+    if need > MAX_WORKING_SET:
+        diags.append(Diagnostic(max(shares, key=shares.get), "ConfigError",
+                                f"needs a working set of about {need >> 20} MiB; "
+                                f"the cap is {MAX_WORKING_SET >> 20} MiB"))
+    if diags:  # nothing is built over the cap
+        return diags
+    typed = _typed(sc, kind)
+    for blamed, build in kind.packets.items():
+        try:
+            with np.errstate(all="ignore"):  # an overflowing grid fails its rule, silently
+                build(typed)
+        except ConfigError as e:
+            field = next(f for f in blamed if sc.get(f) is not None)
+            diags.append(Diagnostic(field, type(e).__name__, str(e)))
+        except (ArithmeticError, NumericalError):
+            pass  # run_scenario reports it, with exit 3
     return diags
 
 
@@ -392,17 +395,13 @@ def _run_jacobi_demo(sc: dict) -> ResultTable:
                        {"bodies": n, "worst_pairing_residual": worst})
 
 
-def _grid(sc: dict) -> MomentumGrid:
-    """grid_min..grid_max when given, else the default grid around packet_center."""
-    n = int(sc["grid_points"])
-    if sc.get("grid_min") is None:
-        return default_grid(sc["packet_center"], sc["packet_width"], n)
-    return MomentumGrid.linspace(sc["grid_min"], sc["grid_max"], n)
-
-
 def _packet(sc: dict, mass: float) -> WavePacket:
-    """The scenario's Gaussian packet on its grid."""
-    return make_gaussian(_grid(sc), sc["packet_center"], sc["packet_width"], mass=mass)
+    """The scenario's Gaussian packet on grid_min..grid_max when given, else on the
+    default grid around packet_center."""
+    center, width, n = sc["packet_center"], sc["packet_width"], int(sc["grid_points"])
+    grid = (default_grid(center, width, n) if sc.get("grid_min") is None
+            else MomentumGrid.linspace(sc["grid_min"], sc["grid_max"], n))
+    return make_gaussian(grid, center, width, mass=mass)
 
 
 def _dilation_table(sc: dict, sys_: RelClockSystem) -> ResultTable:
@@ -428,10 +427,13 @@ def _run_rotator_dilation(sc: dict) -> ResultTable:
     return _dilation_table(sc, RelClockSystem(sc["rest_mass"], _packet(sc, sc["rest_mass"]), clock))
 
 
+def _free_clock(sc: dict) -> FreeClockState:
+    return FreeClockState(sc["m_a"], sc["m_b"], sc["p_bar"], sc["a_x"])
+
+
 def _run_freeclock_dilation(sc: dict) -> ResultTable:
     mass = sc["m_a"] + sc["m_b"]
-    clock = FreeClockState(sc["m_a"], sc["m_b"], sc["p_bar"], sc["a_x"])
-    return _dilation_table(sc, RelClockSystem(mass, _packet(sc, mass), clock))
+    return _dilation_table(sc, RelClockSystem(mass, _packet(sc, mass), _free_clock(sc)))
 
 
 def _run_entangled(sc: dict) -> ResultTable:
@@ -485,37 +487,40 @@ def _run_nonrel_limit(sc: dict) -> ResultTable:
     return ResultTable(sc["name"], columns, rows, {"k_m": k_m})
 
 
+_ON_GRID = ("grid_min", "packet_width")
+
 SCENARIOS = {
     "jacobi-demo": Kind(
         (Field("masses", "list", "positive"),),
-        (_two_or_more_masses, _every_body_shows_in_the_cm_row, _under_cap(_jacobi_bytes)),
+        (_two_or_more_masses, _every_body_shows_in_the_cm_row), _jacobi_bytes, {},
         _run_jacobi_demo),
     "rotator-dilation": Kind(
         (Field("rest_mass", bound="positive"), *_PACKET, *_ROTATOR,
          Field("tau_grid", "list", "nonnegative")),
-        (_packet_grid_holds(_rotator_bytes), _mass_operator_stays_positive,
-         _under_cap(_rotator_bytes)),
-        _run_rotator_dilation),
+        (_grid_covers_the_packet, _mass_operator_stays_positive), _rotator_bytes,
+        {_ON_GRID: lambda sc: _packet(sc, sc["rest_mass"])}, _run_rotator_dilation),
     "freeclock-dilation": Kind(
         (Field("m_a", bound="positive"), Field("m_b", bound="positive"),
          Field("p_bar", bound="nonzero"), Field("a_x", bound="positive"), *_PACKET,
          Field("tau_grid", "list", "nonnegative")),
-        (_packet_grid_holds(_freeclock_bytes), _under_cap(_freeclock_bytes)),
+        (_grid_covers_the_packet,), _freeclock_bytes,
+        {_ON_GRID: lambda sc: _packet(sc, sc["m_a"] + sc["m_b"]),
+         ("a_x",): lambda sc: freeclock_packet(_free_clock(sc), sc["grid_points"])},
         _run_freeclock_dilation),
     "entangled-clock": Kind(
         (Field("rest_mass", bound="positive"), Field("mode_momenta", "list"),
          Field("mode_weights", "list", "positive"), *_ROTATOR, Field("tau0", bound=0),
          Field("histogram_bins", "integer", 8)),
-        (_modes_match, _mass_operator_stays_positive, _under_cap(_entangled_bytes)),
-        _run_entangled),
+        (_modes_match, _mass_operator_stays_positive), _entangled_bytes, {}, _run_entangled),
     "frame-transform": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"), *_PACKET,
          Field("tau1"), Field("tau2")),
-        (_packet_grid_holds(_packet_bytes), _under_cap(_packet_bytes)), _run_frame_transform),
+        (_grid_covers_the_packet,), _packet_bytes, {_ON_GRID: lambda sc: _packet(sc, sc["m2"])},
+        _run_frame_transform),
     "nonrel-limit": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"),
          Field("betas", "list", "positive")),
-        (_betas_nonrelativistic, _under_cap(_packet_bytes)), _run_nonrel_limit),
+        (_betas_nonrelativistic,), _packet_bytes, {}, _run_nonrel_limit),
 }
 
 
@@ -541,13 +546,9 @@ def run_scenario(sc: dict) -> ResultTable:
     if diags:
         raise ConfigError("; ".join(str(d) for d in diags))
     kind = SCENARIOS[sc["kind"]]
-    typed = dict(sc)
-    for spec in _COMMON + kind.fields:
-        if spec.type == "integer":
-            typed[spec.name] = int(sc[spec.name])
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            table = kind.runner(typed)
+            table = kind.runner(_typed(sc, kind))
     except ArithmeticError as e:
         raise NumericalError(f"{type(e).__name__}: {e}") from e
     bad = _nonfinite_fields(table)

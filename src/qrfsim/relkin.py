@@ -36,6 +36,7 @@ from .clocks import (
 from .errors import (
     ConfigError,
     NonPositiveWidth,
+    NumericalError,
     RoughState,
 )
 from .packets import (
@@ -449,10 +450,13 @@ def mc_variance_check(sys: RelClockSystem, tau0: float | np.ndarray, n: int,
                       seed: int) -> EnsembleCheck:
     """Ensemble moments at tau0, a float or an array, from one ensemble of n >= 2 draws
     keyed by seed, reduced once for every tau0: the entries are correlated, and each
-    entry's marginal is exact.  Refuses states with a boost-angle g2 it would miss."""
+    entry's marginal is exact.  Refuses non-finite coefficients and a g2 it would miss."""
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ConfigError(f"a sample variance needs an integer of at least 2 draws, got {n!r}")
     s = sys.time_operator
+    if not np.isfinite([s.slope, s.offset, s.d_b, s.g2, s.d0, s.v or 0.0]).all():
+        raise NumericalError(f"non-finite proper-time coefficients: slope {s.slope:.6g}, "
+                             f"d_b {s.d_b:.6g}, g2 {s.g2:.6g}, d0 {s.d0:.6g}")
     if not abs(s.g2) <= 1e-6 * 2 * np.sqrt(s.d_b * s.d0):
         raise ConfigError(f"g2 = {s.g2:.6g} correlates boost and clock offset; "
                           "the Monte-Carlo ensemble cannot check this state")

@@ -151,6 +151,19 @@ def _edited(name, **changes):
     return sc
 
 
+# valid scenarios that validate once passed and run refused
+_FREE_CLOCK = {"kind": "freeclock-dilation", "name": "probe", "m_a": 1.0, "m_b": 1.0,
+               "p_bar": -1.0, "a_x": 1.0, "packet_center": -1.0, "packet_width": 1.0,
+               "grid_points": 16, "mc_samples": 0, "seed": 0, "tau_grid": [0.0]}
+# sigma_p = 5e-17 collapses the free clock's own packet grid onto repeated points
+_CLOCK_GRID_COLLAPSES = dict(_FREE_CLOCK, a_x=1e16)
+# a packet 1e-4 wide falls between the points of a 16-point grid over [-1, 0]
+_PACKET_VANISHES = dict(_FREE_CLOCK, packet_center=-0.1, packet_width=1e-4,
+                        grid_min=-1.0, grid_max=0.0)
+# the proper-time coefficients overflow inside BLAS: g2 is NaN and d0 inf
+_COEFFICIENTS_OVERFLOW = dict(_FREE_CLOCK, m_a=10.0, m_b=1e308, mc_samples=2)
+
+
 @pytest.mark.parametrize("payload", [
     _edited("rotator-dilation", mc_samples=0, rest_mass=float("nan")),
     _edited("rotator-dilation", mc_samples=0, tau_grid=[float("nan")]),
@@ -189,24 +202,46 @@ def test_bad_input_fails_closed(tmp_path, capsys, payload):
     assert sorted(os.listdir(tmp_path)) == ["scenario.json", "sweep.json"]
 
 
-@pytest.mark.parametrize("changes, field", [
-    ({}, "packet_width"),
-    ({"grid_min": -0.0892, "grid_max": -0.0892}, "grid_min"),
-    ({"packet_width": 1e308}, "packet_width"),
-], ids=["default-grid", "explicit-grid", "overflowing-grid"])
-def test_grid_the_packet_cannot_have_fails_validation(tmp_path, capsys, changes, field):
+_TINY_PACKET = {"packet_width": 1e-323, "m1": 0.0819, "m2": 1, "packet_center": -0.0892,
+                "grid_points": 39}
+
+
+@pytest.mark.parametrize("payload, says", [
+    (_edited("frame-transform", **_TINY_PACKET), "packet_width: NonPositiveWidth: "),
+    (_edited("frame-transform", **_TINY_PACKET, grid_min=-0.0892, grid_max=-0.0892),
+     "grid_min: NonPositiveWidth: "),
+    (_edited("frame-transform", **dict(_TINY_PACKET, packet_width=1e308)),
+     "packet_width: NonPositiveWidth: "),
+    (_CLOCK_GRID_COLLAPSES, "a_x: NonPositiveWidth: grid points must be strictly increasing"),
+    (_PACKET_VANISHES, "grid_min: NonPositiveWidth: amplitude function vanishes on the grid"),
+], ids=["default-grid", "explicit-grid", "overflowing-grid", "clock-grid-collapses",
+        "packet-vanishes"])
+def test_grid_the_packet_cannot_have_fails_validation(tmp_path, capsys, payload, says):
     # at 1e-323, packet_center +- 6 packet_width rounds to packet_center and every grid
-    # point is the same number; at 1e308 the grid's ends overflow.  validate refuses what
-    # run would refuse, and names the field
-    payload = _edited("frame-transform", **{"packet_width": 1e-323, "m1": 0.0819, "m2": 1,
-                                            "packet_center": -0.0892, "grid_points": 39,
-                                            **changes})
+    # point is the same number; at 1e308 the grid's ends overflow.  validate builds each
+    # packet its kind declares by the runner's own call, so it refuses what run would
+    # refuse, and names the field
     path = write_scenario(tmp_path, payload)
     assert cli.main(["validate", "--scenario", path]) == 2
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 1 and out[0].startswith(f"{field}: NonPositiveWidth: ")
+    assert len(out) == 1 and out[0].startswith(says)
     assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: " + says)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [FloatingPointError, NumericalError])
+def test_numerical_failure_in_a_packet_is_left_to_run(monkeypatch, error):
+    def build(sc):
+        raise error("synthetic overflow")
+
+    # the runner makes the same call, and run_scenario reports its failure as numerical
+    monkeypatch.setitem(cli.SCENARIOS, "frame-transform", replace(
+        cli.SCENARIOS["frame-transform"], packets={("m1",): build}, runner=build))
+    sc = cli.load_scenario(str(SCENARIO_DIR / "frame-transform.json"))
+    assert cli.validate_scenario(sc) == []
+    with pytest.raises(NumericalError, match="synthetic overflow"):
+        cli.run_scenario(sc)
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -220,11 +255,13 @@ def test_grid_the_packet_cannot_have_fails_validation(tmp_path, capsys, changes,
         "entangled-j_z-1e9", "histogram_bins-1e8", "jacobi-masses-600"])
 def test_working_set_over_the_cap_fails_closed(tmp_path, capsys, monkeypatch, payload, field):
     def never(sc):
-        raise AssertionError("a scenario over the cap reached its runner")
+        raise AssertionError("a scenario over the cap reached its runner or a packet")
 
-    # the runners are replaced, so a missing check cannot allocate the extreme case
-    monkeypatch.setattr(cli, "SCENARIOS", {name: replace(kind, runner=never)
-                                           for name, kind in cli.SCENARIOS.items()})
+    # the runners and packet builds are replaced, so a missing check cannot allocate
+    # the extreme case
+    monkeypatch.setattr(cli, "SCENARIOS", {
+        name: replace(kind, runner=never, packets=dict.fromkeys(kind.packets, never))
+        for name, kind in cli.SCENARIOS.items()})
     path = write_scenario(tmp_path, payload)
     assert cli.main(["validate", "--scenario", path]) == 2
     out = capsys.readouterr().out.splitlines()
@@ -271,9 +308,12 @@ def test_one_monte_carlo_draw_fails_closed(tmp_path, capsys, name):
     (_edited("nonrel-limit", m1=1e-300, grid_points=256), "m1"),
     # the Monte-Carlo moments overflow inside einsum, which the errstate does not see
     (_edited("rotator-dilation", omega=2e-152, grid_points=64, mc_samples=2), "omega"),
+    # a NaN g2 is an overflow, not a state the ensemble cannot check
+    (_COEFFICIENTS_OVERFLOW, "m_b"),
+    (dict(_COEFFICIENTS_OVERFLOW, mc_samples=0), "m_b"),
 ], ids=["rotator-tau-1e200", "rotator-tau-1e200-mc", "freeclock-tau-1e200",
         "freeclock-tau-1e200-mc", "omega-1e-200", "p_bar-1e-200", "a_x-1e-200", "m1-1e-300",
-        "omega-2e-152-mc"])
+        "omega-2e-152-mc", "m_b-1e308-mc", "m_b-1e308"])
 def test_floating_point_failure_exits_3(tmp_path, capsys, payload, field):
     # valid scenarios whose arithmetic overflows or divides by zero: inf/nan
     # columns with exit 0, or a traceback with exit 1, before run_scenario's errstate
@@ -332,6 +372,9 @@ def _numbers(v):
 @hyp.example(_edited("jacobi-demo", masses=[1e150, 1e-300, 3.0, 4.0]))
 @hyp.example(_edited("jacobi-demo", masses=[2.342470629132774e-202, 8.340899392648942e+286]))
 @hyp.example(_edited("rotator-dilation", omega=2e-152, grid_points=64, mc_samples=2))
+@hyp.example(_CLOCK_GRID_COLLAPSES)
+@hyp.example(_PACKET_VANISHES)
+@hyp.example(_COEFFICIENTS_OVERFLOW)
 @hyp.given(_SCENARIOS)
 def test_every_scenario_succeeds_finite_or_fails_closed(sc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -342,6 +385,8 @@ def test_every_scenario_succeeds_finite_or_fails_closed(sc):
         assert rc in (0, 2, 3)
         if rc:
             assert len(err.getvalue().splitlines()) == 1 and not os.path.exists(out)
+            # validate passes nothing that run refuses as a config error
+            assert rc == 3 or cli.validate_scenario(cli.load_scenario(path))
             return
         with open(os.path.join(out, "probe.csv"), newline="") as f:
             cells = [cell for row in list(csv.reader(f))[1:] for cell in row]
@@ -353,6 +398,30 @@ def test_every_scenario_succeeds_finite_or_fails_closed(sc):
             except ValueError:  # an empty cell or a label
                 pass
         assert all(math.isfinite(x) for x in numbers)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="frame_to_frame refuses the mapped packet, which "
+                   "validate does not build")
+@pytest.mark.parametrize("payload", [
+    # the mapped grid, -(m1/m2) times the input one, collapses onto repeated points
+    {"kind": "frame-transform", "name": "probe", "m1": 3.098941331589392e-246,
+     "m2": 7.008889804472171e79, "packet_center": 2.2495762172726526e-235,
+     "packet_width": 1.0, "grid_points": 28, "tau1": 0.28370621708626387, "tau2": 1.0,
+     "mc_samples": 0, "seed": 0},
+    # reflecting an even-count grid moves the Simpson end patch: the mapped norm reads 1.2187
+    {"kind": "frame-transform", "name": "probe", "m1": 66.49577708333578, "m2": 1.0,
+     "grid_min": -66.49577708333578, "grid_max": 66.49577708333578, "grid_points": 30,
+     "packet_center": -0.29267844943705895, "packet_width": 1.0, "tau1": 0.0,
+     "tau2": -66.49577708333578, "mc_samples": 0, "seed": 0},
+    # with equal masses, a packet 1e-9 wide on 16 points maps to a norm of 0.99999992
+    {"kind": "frame-transform", "name": "probe", "m1": 1.0, "m2": 1.0, "packet_center": -1.0,
+     "packet_width": 1e-9, "grid_points": 16, "tau1": -1.0, "tau2": -1.0, "mc_samples": 0,
+     "seed": 0},
+], ids=["mapped-grid-collapses", "reflected-simpson-patch", "narrow-packet-equal-masses"])
+def test_frame_transform_run_refuses_only_what_validate_refuses(tmp_path, capsys, payload):
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) != 2
 
 
 def test_heavy_rotator_runs_at_its_rest_rate(tmp_path):
@@ -373,23 +442,21 @@ def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
     assert cli.validate_scenario(payload) == []
 
 
-@pytest.mark.parametrize("payload, estimate", [
-    (_edited("freeclock-dilation", grid_points=1024, mc_samples=0), cli._freeclock_bytes),
-    (_edited("freeclock-dilation", grid_points=1024, mc_samples=0, a_x=5.0), cli._freeclock_bytes),
-    (_edited("rotator-dilation", grid_points=256, mc_samples=200000, tau_grid=[1.0]),
-     cli._rotator_bytes),
-    (_edited("rotator-dilation", j_z=1000, omega=1e-5, mc_samples=0), cli._rotator_bytes),
-    (_edited("rotator-dilation", j_z=1000, omega=0.999 / (2000 * np.pi), mc_samples=0),
-     cli._rotator_bytes),
-    (_edited("rotator-dilation", j_z=1000, omega=1e-5, grid_points=16, mc_samples=2,
-             tau_grid=[1.0]), cli._rotator_bytes),
-    (_edited("entangled-clock", j_z=2000, omega=1e-5, grid_points=2048, mc_samples=0),
-     cli._entangled_bytes),
-    (_edited("jacobi-demo", masses=[1.0 + 0.1 * i for i in range(24)], grid_points=2048,
-             mc_samples=0, seed=0), cli._jacobi_bytes),
+@pytest.mark.parametrize("payload", [
+    _edited("freeclock-dilation", grid_points=1024, mc_samples=0),
+    _edited("freeclock-dilation", grid_points=1024, mc_samples=0, a_x=5.0),
+    _edited("rotator-dilation", grid_points=256, mc_samples=200000, tau_grid=[1.0]),
+    _edited("rotator-dilation", j_z=1000, omega=1e-5, mc_samples=0),
+    _edited("rotator-dilation", j_z=1000, omega=0.999 / (2000 * np.pi), mc_samples=0),
+    _edited("rotator-dilation", j_z=1000, omega=1e-5, grid_points=16, mc_samples=2,
+            tau_grid=[1.0]),
+    _edited("entangled-clock", j_z=2000, omega=1e-5, grid_points=2048, mc_samples=0),
+    _edited("jacobi-demo", masses=[1.0 + 0.1 * i for i in range(24)], grid_points=2048,
+            mc_samples=0, seed=0),
 ], ids=["freeclock-mesh", "freeclock-wide-span", "rotator-mc", "rotator-modes",
         "rotator-wide-span", "rotator-angle-table", "entangled-modes", "jacobi-chains"])
-def test_working_set_estimate_tracks_the_traced_peak(payload, estimate):
+def test_working_set_estimate_tracks_the_traced_peak(payload):
+    estimate = cli.SCENARIOS[payload["kind"]].estimate
     cli.run_scenario(payload)  # untraced: one-off lazy imports are not the working set
     tracemalloc.start()
     try:

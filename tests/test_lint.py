@@ -2,8 +2,8 @@
 another module's private names, the library needs nothing beyond numpy, no
 deletion leaves an unused import, an unread private name or an unread
 public constant behind, no
-matrix is inverted numerically, no test tolerance is relative by default,
-the default grid size is spelled once, and importing the CLI loads no numpy
+matrix is inverted numerically, no test tolerance is relative by default, no
+test module imports another, the default grid size is spelled once, and importing the CLI loads no numpy
 submodule that only a rare path needs."""
 
 import ast
@@ -344,6 +344,45 @@ def test_the_rule_sees_atol_without_rtol(tmp_path):
                      "assert_allclose(a, b, rtol=1e-10)\n"
                      "np.allclose(a, b, atol=1e-12)\n")
     assert atol_without_rtol(probe) == ["3: assert_allclose", "5: np.testing.assert_allclose"]
+
+
+def imports_of_test_modules(path: Path) -> list[str]:
+    """'line: module' for every import, at any depth, of a test_* module: tests share
+    their helpers through tests/oracles.py, so no test module runs another's import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + ([alias.name for alias in node.names]
+                                           if node.module in (None, "tests") else [])
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name.split(".")[-1].startswith("test_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_test_module_imports_another(path):
+    assert imports_of_test_modules(path) == []
+
+
+def test_the_rule_sees_test_module_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "from oracles import condition\n"
+                     "from test_sampling import condition\n"
+                     "import test_relkin, json\n"
+                     "from tests.test_cli import _edited\n"
+                     "from . import test_frames, oracles\n"
+                     "from tests import test_packets\n"
+                     "def f():\n"
+                     "    import tests.test_clocks as tc\n")
+    assert imports_of_test_modules(probe) == ["3: test_sampling", "4: test_relkin",
+                                          "5: tests.test_cli", "6: test_frames",
+                                          "7: test_packets", "9: tests.test_clocks"]
 
 
 def grid_size_literals(path: Path) -> list[str]:

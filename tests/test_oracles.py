@@ -1,0 +1,36 @@
+"""Self-checks of the shared oracles in tests/oracles.py, each on a case whose answer
+is known exactly."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from oracles import condition, correlated_draws, one_row_moments
+
+
+def test_one_row_moments_of_one_to_four():
+    # mean 5/2, variance 5/3, fourth central moment 41/16, all in exact arithmetic
+    n, mean, s2, m4 = 4, Fraction(5, 2), Fraction(5, 3), Fraction(41, 16)
+    want = [mean, s2, s2 / n, (m4 - s2 ** 2 * (n - 3) / (n - 1)) / n]
+    got = one_row_moments(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert_allclose([got[0], got[1], got[2] ** 2, got[3] ** 2], [float(w) for w in want],
+                    rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("rho", [-1.0, 1.0])
+def test_fully_correlated_draws_lie_on_one_line(rho):
+    # at |rho| = 1 the offset is 40 + 2.5 rho (S - 0.8), draw by draw
+    slope, offset = correlated_draws(1000, rho, seed=2)
+    assert slope.shape == offset.shape == (1000,)
+    assert_allclose(offset, 40.0 + 2.5 * rho * (slope - 0.8), rtol=1e-14, atol=0)
+    assert np.corrcoef(slope, offset)[0, 1] == pytest.approx(rho, abs=1e-12)
+
+
+def test_condition_counts_the_cancellation():
+    # at tau0 = 0 nothing cancels; at tau0 = 1/2, s tau0 + t = -+1/2 against |s tau0| + |t|
+    # = 3/2, a ratio of 9 in the squares and 81 in the fourth powers
+    slope, offset = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
+    assert condition(slope, offset, 0.0).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert condition(slope, offset, 0.5).tolist() == [1.0, 9.0, 9.0, 81.0]

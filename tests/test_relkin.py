@@ -59,7 +59,7 @@ from qrfsim.sampling import (
     make_rng,
     sample_moments,
 )
-from test_sampling import condition
+from oracles import condition, one_row_moments
 
 
 def narrow_system(j_z=2, omega=1e-3):
@@ -166,15 +166,6 @@ _P1, _P2 = np.array([0.0, 0.0, 0.3]), np.array([0.0, 0.0, -0.4])
 def test_nan_masses_are_rejected(build):
     with pytest.raises(NonPositiveWidth):
         build()
-
-
-def one_row_moments(x):
-    """The oracle: mean, ddof-1 variance and their standard errors of one row of draws,
-    in two passes over that row."""
-    n, d = x.size, x - x.mean()
-    s2 = np.sum(d * d) / (n - 1)
-    m4 = np.mean(d ** 4)
-    return x.mean(), s2, np.sqrt(s2 / n), np.sqrt(max((m4 - s2 ** 2 * (n - 3) / (n - 1)) / n, 0))
 
 
 class TestProperTimeMean:

@@ -12,6 +12,7 @@ import pytest
 from qrfsim import sampling
 from qrfsim.errors import ConfigError
 from qrfsim.sampling import INTERP_BLOCK, choice_from_weights, inverse_cdf_sample, make_rng
+from oracles import condition, correlated_draws, one_row_moments
 
 
 def plain_inversion(xs, density, n, rng):
@@ -201,33 +202,6 @@ def test_seeds_outside_the_philox_key_fail_closed(seed):
 def test_valid_seeds_key_the_same_stream(seed):
     want = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(64)
     assert make_rng(seed).random(64).tobytes() == want.tobytes()
-
-
-def one_row_moments(x):
-    """The oracle: mean, ddof-1 variance and their standard errors of one row of draws,
-    in two passes over that row."""
-    n, d = x.size, x - x.mean()
-    s2 = np.sum(d * d) / (n - 1)
-    m4 = np.mean(d ** 4)
-    return x.mean(), s2, np.sqrt(s2 / n), np.sqrt(max((m4 - s2 ** 2 * (n - 3) / (n - 1)) / n, 0))
-
-
-def correlated_draws(n, rho, seed):
-    """n draws of a slope S near 0.8 and an offset T near 40 of correlation rho: at
-    rho = -0.9 the variance of S tau0 + T dips to a tenth of its uncorrelated size at
-    tau0 = 2.25, next to the 2.5 of TAUS."""
-    z = np.random.default_rng(seed).standard_normal((2, n))
-    return 0.8 + 0.2 * z[0], 40.0 + 0.5 * (rho * z[0] + np.sqrt(1 - rho ** 2) * z[1])
-
-
-def condition(slope, offset, tau0):
-    """How much each moment of S tau0 + T cancels in its tau0 polynomial: the sums of
-    (|s tau0| + |t|)^k over those of (s tau0 + t)^k, k = 2 for the variance and its
-    root, 4 (or 2 twice) for the variance's standard error; 1 for the mean."""
-    s, t = slope - slope.mean(), offset - offset.mean()
-    c2, c4 = (np.sum((np.abs(s * tau0) + np.abs(t)) ** k) / np.sum((s * tau0 + t) ** k)
-              for k in (2, 4))
-    return np.array([1.0, c2, c2, max(c4, c2 ** 2)])
 
 
 TAUS = np.array([-3.0, 0.0, 2.5, 1e3])
