@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .clocks import FreeClockState, freeclock_packet, rotator_init
+from .clocks import FreeClockState, rotator_init
 from .errors import ConfigError, NumericalError, ScenarioParseError
 from .frames import FrameSystem, build_chart, exchange_chain
-from .packets import (DEFAULT_GRID_POINTS, MIN_HALF_WIDTH_SIGMAS, MomentumGrid, WavePacket,
-                      default_grid, expectation, make_gaussian)
+from .packets import (DEFAULT_GRID_POINTS, MomentumGrid, WavePacket, default_grid, expectation,
+                      make_gaussian)
 from .relkin import (
     BOOST_BLOCK_ROWS,
     ModeSuperposition,
@@ -35,6 +35,7 @@ from .relkin import (
     boosted_evolve,
     frame_to_frame,
     mc_variance_check,
+    nonrel_betas,
     nonrel_limit_report,
     proper_time_stats,
     time_boost,
@@ -114,17 +115,17 @@ _BOUNDS = {
 class Kind:
     """What a scenario of one kind contains, and how it runs.
 
-    checks relate several fields, once every field is valid; each yields Diagnostics.
     estimate maps the scenario to the bytes its runner holds, keyed by the field that
-    sizes them.  packets maps fields to a build of a packet by its runner's own call,
-    blamed on the first of them the scenario gives.  runner and the builds take the
-    scenario with its integer fields as int; runner returns a ResultTable.
+    sizes them.  builds maps fields to a call the runner makes, blamed on the first of
+    them the scenario gives; each rule that relates several fields is raised there, by
+    the call that needs it.  A build repeats those before it, so validate_scenario
+    stops at the first that fails.  runner and the builds take the scenario with its
+    integer fields as int; runner returns a ResultTable.
     """
 
     fields: tuple[Field, ...]
-    checks: tuple
     estimate: object
-    packets: dict
+    builds: dict
     runner: object
 
 
@@ -169,55 +170,6 @@ _COMMON = (Field("grid_points", "integer", 16), Field("mc_samples", "integer", "
 _PACKET = (Field("packet_center"), Field("packet_width", bound="positive"),
            Field("grid_min", required=False), Field("grid_max", required=False))
 _ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
-
-
-def _grid_covers_the_packet(sc):
-    """Both explicit grid bounds or neither, covering packet_center +- MIN_HALF_WIDTH_SIGMAS
-    packet_width."""
-    lo, hi = sc.get("grid_min"), sc.get("grid_max")
-    if (lo is None) != (hi is None):
-        yield Diagnostic("grid_max" if hi is None else "grid_min", "ConfigError",
-                         "give both grid_min and grid_max, or neither")
-    elif lo is not None:
-        center, half = sc["packet_center"], MIN_HALF_WIDTH_SIGMAS * sc["packet_width"]
-        if lo > center - half or hi < center + half:
-            yield Diagnostic("grid_min", "GridTooNarrow", "explicit grid must cover "
-                             f"packet_center +- {MIN_HALF_WIDTH_SIGMAS:g} packet_width")
-
-
-def _mass_operator_stays_positive(sc):
-    if sc["rest_mass"] - 2 * np.pi * sc["omega"] * sc["j_z"] <= 0:
-        yield Diagnostic("omega", "ConfigError",
-                         "mass operator loses positivity: need 2*pi*omega*j_z < rest_mass")
-
-
-def _two_or_more_masses(sc):
-    if len(sc["masses"]) < 2:
-        yield Diagnostic("masses", "ConfigError", "expected a list of at least 2 numbers")
-
-
-def _every_body_shows_in_the_cm_row(sc):
-    # the chart's c.m. row holds m_i / sum(m); a share below the smallest normal
-    # float loses its body, and the exchanges then refuse the chain's own charts
-    masses, tiny = sc["masses"], np.finfo(float).tiny
-    top = max(masses)  # scaled by the heaviest, so the sum cannot overflow
-    if min(masses) / top / sum(m / top for m in masses) < tiny:
-        yield Diagnostic("masses", "ConfigError", "the lightest body's share of the total "
-                         f"mass underflows: need min(masses) / sum(masses) >= {tiny:.3g}")
-
-
-def _modes_match(sc):
-    momenta = sc["mode_momenta"]
-    if len(set(momenta)) != len(momenta):
-        yield Diagnostic("mode_momenta", "ConfigError", "mode momenta must be distinct")
-    if len(momenta) != len(sc["mode_weights"]):
-        yield Diagnostic("mode_weights", "ConfigError",
-                         "must have the same length as mode_momenta")
-
-
-def _betas_nonrelativistic(sc):
-    if any(b > 0.1 for b in sc["betas"]):
-        yield Diagnostic("betas", "ConfigError", "nonrelativistic limit needs beta <= 0.1")
 
 
 # Working-set estimates: bytes of the arrays a runner holds at once, keyed by
@@ -273,9 +225,10 @@ def _typed(sc: dict, kind: Kind) -> dict:
 
 
 def validate_scenario(sc: dict) -> list[Diagnostic]:
-    """Every violated precondition, in three steps, each only if those before find none:
-    the fields; the cross-checks and the working-set cap; the packets the runner builds.
-    A floating-point failure in a packet is left to run_scenario, which reports it."""
+    """What run_scenario would refuse, in three steps, each only if those before find
+    nothing: every violated field rule; the working-set cap; the first of the kind's
+    builds that refuses.  A floating-point failure in a build is left to run_scenario,
+    which reports it."""
     name = sc.get("kind")
     kind = SCENARIOS.get(name) if isinstance(name, str) else None
     if kind is None:
@@ -285,26 +238,23 @@ def validate_scenario(sc: dict) -> list[Diagnostic]:
     diags = [d for d in checked if d is not None]
     if diags:
         return diags
-    diags = [d for check in kind.checks for d in check(sc)]
     shares = kind.estimate(sc)
     need = sum(shares.values())
-    if need > MAX_WORKING_SET:
-        diags.append(Diagnostic(max(shares, key=shares.get), "ConfigError",
-                                f"needs a working set of about {need >> 20} MiB; "
-                                f"the cap is {MAX_WORKING_SET >> 20} MiB"))
-    if diags:  # nothing is built over the cap
-        return diags
+    if need > MAX_WORKING_SET:  # nothing is built over the cap
+        return [Diagnostic(max(shares, key=shares.get), "ConfigError",
+                           f"needs a working set of about {need >> 20} MiB; "
+                           f"the cap is {MAX_WORKING_SET >> 20} MiB")]
     typed = _typed(sc, kind)
-    for blamed, build in kind.packets.items():
+    for blamed, build in kind.builds.items():
         try:
             with np.errstate(all="ignore"):  # an overflowing grid fails its rule, silently
                 build(typed)
         except ConfigError as e:
             field = next(f for f in blamed if sc.get(f) is not None)
-            diags.append(Diagnostic(field, type(e).__name__, str(e)))
+            return [Diagnostic(field, type(e).__name__, str(e))]
         except (ArithmeticError, NumericalError):
-            pass  # run_scenario reports it, with exit 3
-    return diags
+            return []  # run_scenario reports it, with exit 3
+    return []
 
 
 # --- result tables -------------------------------------------------------------
@@ -374,8 +324,22 @@ def _atomic_write(path: str, data: str) -> None:
 
 # --- scenario runners ----------------------------------------------------------
 
+def _frame_system(sc: dict) -> FrameSystem:
+    """The bodies of masses: at least two, each showing in the charts' c.m. row."""
+    masses, tiny = sc["masses"], np.finfo(float).tiny
+    if len(masses) < 2:
+        raise ConfigError("expected a list of at least 2 numbers")
+    # the c.m. row holds m_i / sum(m); a share below the smallest normal float loses
+    # its body, and the exchanges then refuse the chain's own charts
+    top = max(masses)  # scaled by the heaviest, so the sum cannot overflow
+    if min(masses) / top / sum(m / top for m in masses) < tiny:
+        raise ConfigError("the lightest body's share of the total mass underflows: "
+                          f"need min(masses) / sum(masses) >= {tiny:.3g}")
+    return FrameSystem.from_masses(masses)
+
+
 def _run_jacobi_demo(sc: dict) -> ResultTable:
-    system = FrameSystem.from_masses(sc["masses"])
+    system = _frame_system(sc)
     n = system.size
     first = build_chart(system, 1)
     rows = []
@@ -396,11 +360,13 @@ def _run_jacobi_demo(sc: dict) -> ResultTable:
 
 
 def _packet(sc: dict, mass: float) -> WavePacket:
-    """The scenario's Gaussian packet on grid_min..grid_max when given, else on the
-    default grid around packet_center."""
+    """The scenario's Gaussian packet on grid_min..grid_max when both are given, else on
+    the default grid around packet_center."""
     center, width, n = sc["packet_center"], sc["packet_width"], int(sc["grid_points"])
-    grid = (default_grid(center, width, n) if sc.get("grid_min") is None
-            else MomentumGrid.linspace(sc["grid_min"], sc["grid_max"], n))
+    lo, hi = sc.get("grid_min"), sc.get("grid_max")
+    if (lo is None) != (hi is None):
+        raise ConfigError("give both grid_min and grid_max, or neither")
+    grid = default_grid(center, width, n) if lo is None else MomentumGrid.linspace(lo, hi, n)
     return make_gaussian(grid, center, width, mass=mass)
 
 
@@ -422,25 +388,30 @@ def _dilation_table(sc: dict, sys_: RelClockSystem) -> ResultTable:
                        {"model": s.model, "alpha_i": sys_.alpha_i})
 
 
-def _run_rotator_dilation(sc: dict) -> ResultTable:
+def _rotator_system(sc: dict) -> RelClockSystem:
     clock = rotator_init(sc["j_z"], sc["omega"])
-    return _dilation_table(sc, RelClockSystem(sc["rest_mass"], _packet(sc, sc["rest_mass"]), clock))
+    return RelClockSystem(sc["rest_mass"], _packet(sc, sc["rest_mass"]), clock)
 
 
-def _free_clock(sc: dict) -> FreeClockState:
-    return FreeClockState(sc["m_a"], sc["m_b"], sc["p_bar"], sc["a_x"])
-
-
-def _run_freeclock_dilation(sc: dict) -> ResultTable:
+def _freeclock_system(sc: dict) -> RelClockSystem:
     mass = sc["m_a"] + sc["m_b"]
-    return _dilation_table(sc, RelClockSystem(mass, _packet(sc, mass), _free_clock(sc)))
+    clock = FreeClockState(sc["m_a"], sc["m_b"], sc["p_bar"], sc["a_x"])
+    return RelClockSystem(mass, _packet(sc, mass), clock)
+
+
+def _modes(sc: dict) -> ModeSuperposition:
+    weights = np.asarray(sc["mode_weights"], dtype=float)
+    return ModeSuperposition(np.asarray(sc["mode_momenta"], dtype=float),
+                             np.sqrt(weights / weights.sum()))
+
+
+def _entangled_system(sc: dict) -> RelClockSystem:
+    return RelClockSystem(sc["rest_mass"], _modes(sc), rotator_init(sc["j_z"], sc["omega"]))
 
 
 def _run_entangled(sc: dict) -> ResultTable:
-    weights = np.asarray(sc["mode_weights"], dtype=float)
-    coeffs = np.sqrt(weights / weights.sum())
-    modes = ModeSuperposition(np.asarray(sc["mode_momenta"], dtype=float), coeffs)
-    sys_ = RelClockSystem(sc["rest_mass"], modes, rotator_init(sc["j_z"], sc["omega"]))
+    sys_ = _entangled_system(sc)
+    modes = sys_.external
     tau0 = float(sc["tau0"])
     ent = boosted_evolve(sys_, tau0)
     bins = sc["histogram_bins"]
@@ -452,14 +423,20 @@ def _run_entangled(sc: dict) -> ResultTable:
         % (2 * np.pi))
     return ResultTable(sc["name"], (("theta", "rad"), ("density", "1/rad")), rows,
                        {"predicted_peaks": [float(p) for p in predicted],
-                        "tau0": tau0, "modes": len(coeffs)})
+                        "tau0": tau0, "modes": len(modes.coeffs)})
+
+
+def _round_trip(sc: dict) -> tuple[WavePacket, WavePacket, WavePacket]:
+    """The packet in frame 1, its image in frame 2, and that image mapped back."""
+    m1, m2 = sc["m1"], sc["m2"]
+    packet = _packet(sc, m2)
+    mapped = frame_to_frame(packet, m1, m2, sc["tau1"], sc["tau2"])
+    return packet, mapped, frame_to_frame(mapped, m2, m1, sc["tau2"], sc["tau1"])
 
 
 def _run_frame_transform(sc: dict) -> ResultTable:
     m1, m2 = sc["m1"], sc["m2"]
-    packet = _packet(sc, m2)
-    mapped = frame_to_frame(packet, m1, m2, sc["tau1"], sc["tau2"])
-    back = frame_to_frame(mapped, m2, m1, sc["tau2"], sc["tau1"])
+    packet, mapped, back = _round_trip(sc)
     b_12 = expectation(packet, lambda p: time_boost(p, m2)).real
     b_21 = expectation(mapped, lambda p: time_boost(p, m1)).real
     center = -(m1 / m2) * sc["packet_center"]  # nominal, as is the width: packets store neither
@@ -487,40 +464,37 @@ def _run_nonrel_limit(sc: dict) -> ResultTable:
     return ResultTable(sc["name"], columns, rows, {"k_m": k_m})
 
 
-_ON_GRID = ("grid_min", "packet_width")
+_ON_GRID = ("grid_min", "grid_max", "packet_width")
 
 SCENARIOS = {
     "jacobi-demo": Kind(
-        (Field("masses", "list", "positive"),),
-        (_two_or_more_masses, _every_body_shows_in_the_cm_row), _jacobi_bytes, {},
+        (Field("masses", "list", "positive"),), _jacobi_bytes, {("masses",): _frame_system},
         _run_jacobi_demo),
     "rotator-dilation": Kind(
         (Field("rest_mass", bound="positive"), *_PACKET, *_ROTATOR,
-         Field("tau_grid", "list", "nonnegative")),
-        (_grid_covers_the_packet, _mass_operator_stays_positive), _rotator_bytes,
-        {_ON_GRID: lambda sc: _packet(sc, sc["rest_mass"])}, _run_rotator_dilation),
+         Field("tau_grid", "list", "nonnegative")), _rotator_bytes,
+        {_ON_GRID: lambda sc: _packet(sc, sc["rest_mass"]), ("omega",): _rotator_system},
+        lambda sc: _dilation_table(sc, _rotator_system(sc))),
     "freeclock-dilation": Kind(
         (Field("m_a", bound="positive"), Field("m_b", bound="positive"),
          Field("p_bar", bound="nonzero"), Field("a_x", bound="positive"), *_PACKET,
-         Field("tau_grid", "list", "nonnegative")),
-        (_grid_covers_the_packet,), _freeclock_bytes,
-        {_ON_GRID: lambda sc: _packet(sc, sc["m_a"] + sc["m_b"]),
-         ("a_x",): lambda sc: freeclock_packet(_free_clock(sc), sc["grid_points"])},
-        _run_freeclock_dilation),
+         Field("tau_grid", "list", "nonnegative")), _freeclock_bytes,
+        {_ON_GRID: lambda sc: _packet(sc, sc["m_a"] + sc["m_b"]), ("a_x",): _freeclock_system},
+        lambda sc: _dilation_table(sc, _freeclock_system(sc))),
     "entangled-clock": Kind(
         (Field("rest_mass", bound="positive"), Field("mode_momenta", "list"),
          Field("mode_weights", "list", "positive"), *_ROTATOR, Field("tau0", bound=0),
-         Field("histogram_bins", "integer", 8)),
-        (_modes_match, _mass_operator_stays_positive), _entangled_bytes, {}, _run_entangled),
+         Field("histogram_bins", "integer", 8)), _entangled_bytes,
+        {("mode_momenta",): _modes, ("omega",): _entangled_system}, _run_entangled),
     "frame-transform": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"), *_PACKET,
-         Field("tau1"), Field("tau2")),
-        (_grid_covers_the_packet,), _packet_bytes, {_ON_GRID: lambda sc: _packet(sc, sc["m2"])},
+         Field("tau1"), Field("tau2")), _packet_bytes,
+        {_ON_GRID: lambda sc: _packet(sc, sc["m2"]), ("m1",): _round_trip},
         _run_frame_transform),
     "nonrel-limit": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"),
-         Field("betas", "list", "positive")),
-        (_betas_nonrelativistic,), _packet_bytes, {}, _run_nonrel_limit),
+         Field("betas", "list", "positive")), _packet_bytes,
+        {("betas",): lambda sc: nonrel_betas(sc["betas"])}, _run_nonrel_limit),
 }
 
 

@@ -143,18 +143,21 @@ class WavePacket:
         return replace(self, amplitudes=amp)
 
 
+def _delta_floor(center: float, width: float) -> float:
+    """width, or for width = 0 (a delta-like packet) DELTA_WIDTH_FRACTION * max(|center|, 1)."""
+    return width if width != 0.0 else DELTA_WIDTH_FRACTION * max(abs(center), 1.0)
+
+
 def make_gaussian(grid: MomentumGrid, center: float, width: float, mass: float,
                   x0: float = 0.0) -> WavePacket:
     """Gaussian packet whose momentum *density* has standard deviation `width`.
 
-    width = 0 requests a delta-like packet and is replaced by the floor
-    1e-3 * max(|center|, 1).  An optional position offset x0 is applied as the
-    translation phase exp(-i p x0).  from_function normalises it on the grid.
+    width = 0 requests a delta-like packet and is replaced by _delta_floor.  An
+    optional position offset x0 is applied as the translation phase exp(-i p x0).  from_function normalises it on the grid.
     """
     if width < 0:
         raise NonPositiveWidth("packet width must be >= 0")
-    if width == 0.0:
-        width = DELTA_WIDTH_FRACTION * max(abs(center), 1.0)
+    width = _delta_floor(center, width)
     if not grid.covers(center, MIN_HALF_WIDTH_SIGMAS * width):
         raise GridTooNarrow(f"grid {grid.extent} does not cover "
                             f"{center} +- {MIN_HALF_WIDTH_SIGMAS:g}*{width}")
@@ -177,9 +180,7 @@ def from_function(grid: MomentumGrid, fn: Callable[[np.ndarray], np.ndarray],
 
 def default_grid(center: float, width: float, n: int = DEFAULT_GRID_POINTS) -> MomentumGrid:
     """Grid spanning center +- 6 sigma, the library default for new packets."""
-    if width == 0.0:
-        width = DELTA_WIDTH_FRACTION * max(abs(center), 1.0)
-    return MomentumGrid.centered(center, MIN_HALF_WIDTH_SIGMAS * width, n)
+    return MomentumGrid.centered(center, MIN_HALF_WIDTH_SIGMAS * _delta_floor(center, width), n)
 
 
 def expectation(packet: WavePacket, f: Callable[[np.ndarray], np.ndarray]) -> complex:

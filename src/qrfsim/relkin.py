@@ -188,11 +188,11 @@ class RelClockSystem:
             object.__setattr__(self, "clock_packet", freeclock_packet(self.clock, n))
         elif not isinstance(self.clock, RotatorClockState):
             raise ConfigError(f"unknown clock model {type(self.clock).__name__}")
-        # the mass operator must stay positive on populated modes
-        masses, weights, _ = _clock_modes(self)
-        m_min = masses[weights > 1e-30].min()
+        # the boost moments need a positive mass on every mode, populated or not
+        m_min = _clock_modes(self)[0].min()
         if m_min <= 0:
-            raise ConfigError(f"mass operator reaches {m_min}; lower omega*J_z below m2'/2pi")
+            raise ConfigError(f"mass operator loses positivity: it reaches {m_min}; "
+                              "need 2*pi*omega*J_z < rest mass")
         if self.alpha_i > ALPHA_I_WARN:
             warnings.warn(
                 f"internal energy is {self.alpha_i:.3f} of the rest mass; "
@@ -264,9 +264,7 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
     themselves instead, which is exact, when their span is zero or a level would
     have as many points as there are masses or more than BOOST_MAX_NODES.  Either way
     the mesh is held BOOST_BLOCK_ROWS masses at a time, so the working set does not
-    grow with K."""
-    if not np.all(m_op > 0):
-        raise NonPositiveWidth("time boost needs a positive mass")
+    grow with K.  Every mass is positive: RelClockSystem refuses a clock otherwise."""
 
     def at(m):  # F and G at the masses m
         out = np.empty((2, m.size))
@@ -637,15 +635,22 @@ class NonrelRow:
     x_ratio: float
 
 
+def nonrel_betas(betas) -> np.ndarray:
+    """The velocities as an array, each in (0, 0.1], where the limit is taken."""
+    betas = np.asarray(betas, dtype=float)
+    for beta in betas:
+        if not 0 < beta <= 0.1:
+            raise ConfigError(f"nonrelativistic limit needs 0 < beta <= 0.1, got {beta}")
+    return betas
+
+
 def nonrel_limit_report(m1: float, m2: float, betas, n: int = DEFAULT_GRID_POINTS) -> list[NonrelRow]:
     """Convergence of the relativistic pair toward the mass-rescaled
     nonrelativistic description: H-ratio -> k_m, coordinate ratio -> 1/k_m."""
     k_m = (m1 + m2) / m1
     mu = m1 * m2 / (m1 + m2)
     rows = []
-    for beta in np.asarray(betas, dtype=float):
-        if not 0 < beta <= 0.1:
-            raise ConfigError(f"nonrelativistic limit needs 0 < beta <= 0.1, got {beta}")
+    for beta in nonrel_betas(betas):
         p = beta * m2
         h_ratio = (np.sqrt(m2 ** 2 + p ** 2) - m2) / (p ** 2 / (2 * mu * k_m ** 2))
 

@@ -62,6 +62,15 @@ class TestValidate:
         fields = {d.field for d in cli.validate_scenario(sc)}
         assert {"rest_mass", "packet_width", "omega", "j_z", "tau_grid"} <= fields
 
+    def test_grid_at_the_coverage_slack_is_clean(self, tmp_path, capsys):
+        # 1e-14 inside +- 6 sigma is within the slack make_gaussian allows, and validate
+        # asks of the grid only what make_gaussian asks
+        path = write_scenario(tmp_path, _edited("rotator-dilation", grid_min=0.15 + 1e-14,
+                                                grid_max=1.35, mc_samples=0, grid_points=256))
+        assert cli.main(["validate", "--scenario", path]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+
     def test_mass_positivity_cross_check(self):
         sc = cli.load_scenario(str(SCENARIO_DIR / "rotator-dilation.json"))
         sc["omega"], sc["j_z"] = 0.05, 16  # 2 pi w J_z > 1
@@ -162,6 +171,20 @@ _PACKET_VANISHES = dict(_FREE_CLOCK, packet_center=-0.1, packet_width=1e-4,
                         grid_min=-1.0, grid_max=0.0)
 # the proper-time coefficients overflow inside BLAS: g2 is NaN and d0 inf
 _COEFFICIENTS_OVERFLOW = dict(_FREE_CLOCK, m_a=10.0, m_b=1e308, mc_samples=2)
+# frame_to_frame refuses the mapped packet, which validate once did not build
+_FRAME = {"kind": "frame-transform", "name": "probe", "mc_samples": 0, "seed": 0}
+# the mapped grid, -(m1/m2) times the input one, collapses onto repeated points
+_MAPPED_GRID_COLLAPSES = dict(_FRAME, m1=3.098941331589392e-246, m2=7.008889804472171e79,
+                              packet_center=2.2495762172726526e-235, packet_width=1.0,
+                              grid_points=28, tau1=0.28370621708626387, tau2=1.0)
+# reflecting an even-count grid moves the Simpson end patch: the mapped norm reads 1.2187
+_REFLECTED_SIMPSON_PATCH = dict(_FRAME, m1=66.49577708333578, m2=1.0,
+                                grid_min=-66.49577708333578, grid_max=66.49577708333578,
+                                grid_points=30, packet_center=-0.29267844943705895,
+                                packet_width=1.0, tau1=0.0, tau2=-66.49577708333578)
+# with equal masses, a packet 1e-9 wide on 16 points maps to a norm of 0.99999992
+_NARROW_PACKET_EQUAL_MASSES = dict(_FRAME, m1=1.0, m2=1.0, packet_center=-1.0,
+                                   packet_width=1e-9, grid_points=16, tau1=-1.0, tau2=-1.0)
 
 
 @pytest.mark.parametrize("payload", [
@@ -214,12 +237,16 @@ _TINY_PACKET = {"packet_width": 1e-323, "m1": 0.0819, "m2": 1, "packet_center": 
      "packet_width: NonPositiveWidth: "),
     (_CLOCK_GRID_COLLAPSES, "a_x: NonPositiveWidth: grid points must be strictly increasing"),
     (_PACKET_VANISHES, "grid_min: NonPositiveWidth: amplitude function vanishes on the grid"),
+    (_MAPPED_GRID_COLLAPSES, "m1: NonPositiveWidth: grid points must be strictly increasing"),
+    (_REFLECTED_SIMPSON_PATCH, "m1: NonPositiveWidth: packet norm 1.21"),
+    (_NARROW_PACKET_EQUAL_MASSES, "m1: NonPositiveWidth: packet norm 0.99999992"),
 ], ids=["default-grid", "explicit-grid", "overflowing-grid", "clock-grid-collapses",
-        "packet-vanishes"])
+        "packet-vanishes", "mapped-grid-collapses", "reflected-simpson-patch",
+        "narrow-packet-equal-masses"])
 def test_grid_the_packet_cannot_have_fails_validation(tmp_path, capsys, payload, says):
     # at 1e-323, packet_center +- 6 packet_width rounds to packet_center and every grid
-    # point is the same number; at 1e308 the grid's ends overflow.  validate builds each
-    # packet its kind declares by the runner's own call, so it refuses what run would
+    # point is the same number; at 1e308 the grid's ends overflow.  validate makes each
+    # build its kind declares, a call of the runner's own, so it refuses what run would
     # refuse, and names the field
     path = write_scenario(tmp_path, payload)
     assert cli.main(["validate", "--scenario", path]) == 2
@@ -237,7 +264,7 @@ def test_numerical_failure_in_a_packet_is_left_to_run(monkeypatch, error):
 
     # the runner makes the same call, and run_scenario reports its failure as numerical
     monkeypatch.setitem(cli.SCENARIOS, "frame-transform", replace(
-        cli.SCENARIOS["frame-transform"], packets={("m1",): build}, runner=build))
+        cli.SCENARIOS["frame-transform"], builds={("m1",): build}, runner=build))
     sc = cli.load_scenario(str(SCENARIO_DIR / "frame-transform.json"))
     assert cli.validate_scenario(sc) == []
     with pytest.raises(NumericalError, match="synthetic overflow"):
@@ -257,10 +284,10 @@ def test_working_set_over_the_cap_fails_closed(tmp_path, capsys, monkeypatch, pa
     def never(sc):
         raise AssertionError("a scenario over the cap reached its runner or a packet")
 
-    # the runners and packet builds are replaced, so a missing check cannot allocate
+    # the runners and builds are replaced, so a missing check cannot allocate
     # the extreme case
     monkeypatch.setattr(cli, "SCENARIOS", {
-        name: replace(kind, runner=never, packets=dict.fromkeys(kind.packets, never))
+        name: replace(kind, runner=never, builds=dict.fromkeys(kind.builds, never))
         for name, kind in cli.SCENARIOS.items()})
     path = write_scenario(tmp_path, payload)
     assert cli.main(["validate", "--scenario", path]) == 2
@@ -375,6 +402,9 @@ def _numbers(v):
 @hyp.example(_CLOCK_GRID_COLLAPSES)
 @hyp.example(_PACKET_VANISHES)
 @hyp.example(_COEFFICIENTS_OVERFLOW)
+@hyp.example(_MAPPED_GRID_COLLAPSES)
+@hyp.example(_REFLECTED_SIMPSON_PATCH)
+@hyp.example(_NARROW_PACKET_EQUAL_MASSES)
 @hyp.given(_SCENARIOS)
 def test_every_scenario_succeeds_finite_or_fails_closed(sc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -398,30 +428,6 @@ def test_every_scenario_succeeds_finite_or_fails_closed(sc):
             except ValueError:  # an empty cell or a label
                 pass
         assert all(math.isfinite(x) for x in numbers)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="frame_to_frame refuses the mapped packet, which "
-                   "validate does not build")
-@pytest.mark.parametrize("payload", [
-    # the mapped grid, -(m1/m2) times the input one, collapses onto repeated points
-    {"kind": "frame-transform", "name": "probe", "m1": 3.098941331589392e-246,
-     "m2": 7.008889804472171e79, "packet_center": 2.2495762172726526e-235,
-     "packet_width": 1.0, "grid_points": 28, "tau1": 0.28370621708626387, "tau2": 1.0,
-     "mc_samples": 0, "seed": 0},
-    # reflecting an even-count grid moves the Simpson end patch: the mapped norm reads 1.2187
-    {"kind": "frame-transform", "name": "probe", "m1": 66.49577708333578, "m2": 1.0,
-     "grid_min": -66.49577708333578, "grid_max": 66.49577708333578, "grid_points": 30,
-     "packet_center": -0.29267844943705895, "packet_width": 1.0, "tau1": 0.0,
-     "tau2": -66.49577708333578, "mc_samples": 0, "seed": 0},
-    # with equal masses, a packet 1e-9 wide on 16 points maps to a norm of 0.99999992
-    {"kind": "frame-transform", "name": "probe", "m1": 1.0, "m2": 1.0, "packet_center": -1.0,
-     "packet_width": 1e-9, "grid_points": 16, "tau1": -1.0, "tau2": -1.0, "mc_samples": 0,
-     "seed": 0},
-], ids=["mapped-grid-collapses", "reflected-simpson-patch", "narrow-packet-equal-masses"])
-def test_frame_transform_run_refuses_only_what_validate_refuses(tmp_path, capsys, payload):
-    path = write_scenario(tmp_path, payload)
-    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) != 2
 
 
 def test_heavy_rotator_runs_at_its_rest_rate(tmp_path):
@@ -546,7 +552,7 @@ def test_freeclock_packet_follows_grid_points(tmp_path, monkeypatch):
                                                 grid_points=n), f"{n}.json")
         assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / str(n))]) == 0
         rows[n] = read_rows(tmp_path / str(n) / "freeclock-dilation.csv")
-    assert sizes == [256, 2048]
+    assert sizes == [256, 256, 2048, 2048]  # validate builds the clock system, then run
     for coarse, fine in zip(rows[256], rows[2048]):
         for column in ("tau_mean", "d_tau", "d_b", "d0", "d_x"):
             assert_allclose(float(coarse[column]), float(fine[column]), rtol=1e-5)

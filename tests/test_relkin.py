@@ -643,6 +643,15 @@ class TestSystemValidation:
         with pytest.raises(ConfigError, match="mass operator"):
             RelClockSystem(1.0, modes, rotator_init(20, 0.01))
 
+    def test_mass_operator_stays_positive_on_unpopulated_modes(self):
+        # the boost moments need a positive mass on every mode, so a clock whose only
+        # nonpositive mode is empty is refused here, not later by time_operator
+        c = np.full(5, 0.5, dtype=complex)
+        c[0] = 0.0  # m = -2, at mass 1 - 4 pi 0.1 < 0
+        modes = ModeSuperposition(np.array([0.0]), np.array([1.0]))
+        with pytest.raises(ConfigError, match="positivity"):
+            RelClockSystem(1.0, modes, RotatorClockState(2, 0.1, c))
+
     def test_freeclock_rest_mass_consistency(self):
         pk = make_gaussian(default_grid(0.5, 0.05), 0.5, 0.05, mass=1.0)
         with pytest.raises(ConfigError, match="rest mass"):
