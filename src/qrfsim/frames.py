@@ -26,6 +26,7 @@ from .errors import (
     NonPositiveWidth,
 )
 from .packets import ProductState, position_mean, position_variance, position_wavefunction
+from .sampling import INTERP_BLOCK
 
 #: Mass ratio used to realize the infinite-mass frame body numerically.
 ARF_MASS_RATIO = 1e8
@@ -334,7 +335,8 @@ class ReducedDensityMatrix:
 
     rho(delta_a, delta_b) is chi[a:b] chi[a:b]^dagger on each kept cell (a row range that no bin
     split), zero elsewhere; chi, scale times source's amplitude on the (delta_grid, cm_grid)
-    mesh, is formed only when matrix is read.  trace sums the cells' row_probs; weights per bin.
+    mesh, is formed only when matrix is read, one cell at a time.  trace sums the cells'
+    row_probs; weights per bin; widths are each kept cell's spread of x_n.
     """
 
     delta_grid: np.ndarray
@@ -413,6 +415,9 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     (delta, cm) amplitude (a product state's mesh is one cell) and erases cross-cell
     coherences; rho is read from the amplitude, which a re-reduction shares.  Bins that
     capture no probability are dropped and recorded, not errors, unless every bin is empty.
+    chi is never formed on the whole mesh: |chi|^2 is read INTERP_BLOCK // mesh_points rows
+    (at least one) at a time, each row reduced to its mass and the first two moments of x_n,
+    so the working set is O(INTERP_BLOCK + mesh_points), not O(mesh_points^2).
     """
     if not (isinstance(mesh_points, (int, np.integer)) and mesh_points >= 2):
         raise ConfigError(f"mesh_points must be an integer of at least 2, got {mesh_points!r}")
@@ -436,18 +441,25 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     delta, dd = np.linspace(xbar_d - 8 * sig_d, xbar_d + 8 * sig_d, mesh_points, retstep=True)
     xcm, dx = np.linspace(xbar_cm - 8 * sig_x, xbar_cm + 8 * sig_x, mesh_points, retstep=True)
 
-    prob = np.abs(_amplitude_rows(state, delta, xcm)(0, mesh_points)) ** 2  # chi, not kept
-    norm2 = np.sum(prob) * dd * dx
-    if norm2 <= 0:
+    # per row of |chi|^2: its mass and the first two moments of x_n - xbar_n = u + v, centred on
+    # the means so the variances lose no digits; chi is read one block of rows at a time
+    rows, step = _amplitude_rows(state, delta, xcm), max(1, INTERP_BLOCK // mesh_points)
+    u, v = xcm - xbar_cm, (m_1 / m_tot) * (delta - xbar_d)
+    powers, sums = np.stack([np.ones(mesh_points), u, u * u], axis=1), np.empty((mesh_points, 3))
+    for a in range(0, mesh_points, step):
+        chi = rows(a, a + step)
+        np.matmul(chi.real ** 2 + chi.imag ** 2, powers, out=sums[a:a + step])
+    mass, s1, s2 = sums.T
+    moments = np.stack([mass, s1 + v * mass, s2 + v * (2.0 * s1 + v * mass)])
+    norm2 = mass.sum() * dd * dx
+    if not norm2 > 0:
         raise EmptyBin("joint amplitude vanishes on the mesh")
     scale = float(np.sqrt(dx / norm2))  # rho's blocks are chi's Gram blocks; its trace is 1
-    prob *= dd * dx / norm2
-
-    row_probs = prob.sum(axis=1)
+    row_probs = mass * (dd * dx / norm2)
     edges, cells, weights, dropped = _project(delta, bins, row_probs, ((0, mesh_points),))
     widths = []
-    for (a, b), w in zip(cells, weights):  # one cell per kept bin
-        pj, xn = prob[a:b] / w, xcm + (m_1 / m_tot) * delta[a:b, None]
-        widths.append(np.sqrt(max(np.sum(pj * (xn - np.sum(pj * xn)) ** 2), 0.0)))
+    for a, b in cells:  # one cell per kept bin
+        m0, m1, m2 = moments[:, a:b].sum(axis=1)
+        widths.append(np.sqrt(max(m2 / m0 - (m1 / m0) ** 2, 0.0)))
     return ReducedDensityMatrix(delta, edges, weights, np.array(widths), dropped,
                                 state, xcm, scale, row_probs, cells)

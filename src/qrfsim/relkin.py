@@ -193,10 +193,10 @@ class RelClockSystem:
         if m_min <= 0:
             raise ConfigError(f"mass operator loses positivity: it reaches {m_min}; "
                               "need 2*pi*omega*J_z < rest mass")
-        if self.alpha_i > ALPHA_I_WARN:
+        if self.alpha_i > ALPHA_I_WARN:  # stacklevel 3: past the generated __init__ to its caller
             warnings.warn(
                 f"internal energy is {self.alpha_i:.3f} of the rest mass; "
-                "the factorized boosted evolution degrades beyond 0.1", stacklevel=2)
+                "the factorized boosted evolution degrades beyond 0.1", stacklevel=3)
 
     @property
     def alpha_i(self) -> float:

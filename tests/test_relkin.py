@@ -685,8 +685,9 @@ class TestSystemValidation:
 
     def test_hot_clock_warns(self):
         pk = make_gaussian(default_grid(0.5, 0.05), 0.5, 0.05, mass=1.0)
-        with pytest.warns(UserWarning, match="internal energy"):
+        with pytest.warns(UserWarning, match="internal energy") as record:
             RelClockSystem(1.0, pk, FreeClockState(0.5, 0.5, 0.5, 2.0))
+        assert record[0].filename == __file__  # the line that built the system, not __init__
 
 
 class TestBoostedEvolution:
