@@ -25,7 +25,8 @@ from .errors import (
     EmptyBin,
     NonPositiveWidth,
 )
-from .packets import ProductState, position_mean, position_variance, position_wavefunction
+from .packets import (ProductState, position_mean, position_variance, position_wavefunction,
+                      uniform_step)
 from .sampling import INTERP_BLOCK
 
 #: Mass ratio used to realize the infinite-mass frame body numerically.
@@ -352,7 +353,7 @@ class ReducedDensityMatrix:
 
     @property
     def delta_spacing(self) -> float:
-        return float(self.delta_grid[1] - self.delta_grid[0])
+        return uniform_step(self.delta_grid)
 
     @property
     def matrix(self) -> np.ndarray:

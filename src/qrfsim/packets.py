@@ -7,13 +7,14 @@ quantities come from phase derivatives or the quadrature Fourier sum psi(x)
     psi(x) = (2*pi)**-0.5 * Integral Phi(p) exp(+i p x) dp
     x_hat  = +i d/dp      (a packet located at x0 carries the phase exp(-i p x0))
 
-Expectations use a composite Simpson rule expressed as a weight vector so that
-normalisation, moments and Fourier sums all share one quadrature convention.
+Expectations use the trapezoid rule, MomentumGrid.quad_weights, so that normalisation,
+moments and Fourier sums all share one quadrature convention.  psi(x) on a grid of step
+dp therefore repeats every 2 pi/dp, with no other image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -29,40 +30,19 @@ MIN_HALF_WIDTH_SIGMAS = 6.0
 DELTA_WIDTH_FRACTION = 1e-3
 
 
-def simpson_weights(n: int, spacing: float) -> np.ndarray:
-    """Composite-Simpson quadrature weights for n uniformly spaced samples.
-
-    For an even sample count the final interval is closed with a trapezoid;
-    the packets this library integrates decay to ~1e-16 there, so the
-    lower-order patch is irrelevant in practice.
-    """
-    if n < 3:
-        raise NonPositiveWidth(f"quadrature needs at least 3 samples, got {n}")
-    w = np.zeros(n)
-    m = n if n % 2 == 1 else n - 1
-    w[0:m:2] = 2.0
-    w[1:m:2] = 4.0
-    w[0] = 1.0
-    w[m - 1] = 1.0
-    w *= spacing / 3.0
-    if m != n:
-        w[-2] += 0.5 * spacing
-        w[-1] += 0.5 * spacing
-    return w
-
-
 def uniform_step(points: np.ndarray) -> float:
-    """Step of a uniform 1D lattice (0 below 2 points); NonPositiveWidth if the
-    steps differ by more than 1e-12 * max(|first|, |last|, 1) or are NaN."""
+    """End-to-end step (last - first) / (n - 1) of a uniform 1D lattice (0 below 2
+    points): one rounding, so a lattice and its reflection share it.  NonPositiveWidth
+    if a step differs from it by more than 1e-12 * max(|first|, |last|, 1) or is NaN."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise NonPositiveWidth("sample points must be a 1D array")
     if pts.size < 2:
         return 0.0
-    steps = np.diff(pts)
-    if not np.max(np.abs(steps - steps[0])) <= 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0):
+    step = (pts[-1] - pts[0]) / (pts.size - 1)
+    if not np.max(np.abs(np.diff(pts) - step)) <= 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0):
         raise NonPositiveWidth("grid spacing is not uniform")
-    return float(steps[0])
+    return float(step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +50,16 @@ class MomentumGrid:
     """Strictly increasing, uniform momentum lattice (collinear axis)."""
 
     points: np.ndarray
+    spacing: float = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 3:
             raise NonPositiveWidth("grid must be a 1D array of at least 3 points")
-        if not uniform_step(pts) > 0:
+        object.__setattr__(self, "spacing", uniform_step(pts))
+        if not np.all(np.diff(pts) > 0):  # step by step: repeated points can pass as uniform
             raise NonPositiveWidth("grid points must be strictly increasing")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.points[1] - self.points[0])
 
     @property
     def size(self) -> int:
@@ -92,7 +70,12 @@ class MomentumGrid:
         return float(self.points[0]), float(self.points[-1])
 
     def quad_weights(self) -> np.ndarray:
-        return simpson_weights(self.size, self.spacing)
+        """Trapezoid weights, dp inside and dp/2 at both ends: the one quadrature rule.
+        Spectrally accurate for integrands that decay like a Gaussian, and
+        reflection-symmetric."""
+        w = np.full(self.size, self.spacing)
+        w[[0, -1]] *= 0.5
+        return w
 
     def covers(self, center: float, half_width: float) -> bool:
         lo, hi = self.extent
@@ -154,6 +137,10 @@ def make_gaussian(grid: MomentumGrid, center: float, width: float, mass: float,
 
     width = 0 requests a delta-like packet and is replaced by _delta_floor.  An
     optional position offset x0 is applied as the translation phase exp(-i p x0).  from_function normalises it on the grid.
+    A nonzero x0 must keep x0 +- 8 sigma_x (sigma_x = 1 / (2 width)) inside the grid's
+    alias window +- pi/dp: the psi(x) a grid of step dp holds repeats every 2 pi/dp, so
+    a larger offset would read as its image.  x0 = 0 asks for no translation, and
+    stays open to the coarsest grids (16 points over +- 6 width give pi/dp = 7.85 sigma_x).
     """
     if width < 0:
         raise NonPositiveWidth("packet width must be >= 0")
@@ -161,6 +148,10 @@ def make_gaussian(grid: MomentumGrid, center: float, width: float, mass: float,
     if not grid.covers(center, MIN_HALF_WIDTH_SIGMAS * width):
         raise GridTooNarrow(f"grid {grid.extent} does not cover "
                             f"{center} +- {MIN_HALF_WIDTH_SIGMAS:g}*{width}")
+    sigma_x = 1.0 / (2.0 * width)
+    if x0 != 0.0 and not abs(x0) + 8.0 * sigma_x < np.pi / grid.spacing:
+        raise GridTooNarrow(f"grid step {grid.spacing:g} repeats psi(x) every "
+                            f"{2 * np.pi / grid.spacing:g}: it cannot hold {x0:g} +- 8*{sigma_x:g}")
     return from_function(grid, lambda p: np.exp(-((p - center) ** 2) / (4.0 * width ** 2))
                          * np.exp(-1j * p * x0), mass)
 
@@ -266,7 +257,7 @@ def sym_xp_covariance(packet: WavePacket) -> float:
 def position_wavefunction(packet: WavePacket, xs: np.ndarray) -> np.ndarray:
     """psi(x) on a uniform 1D x lattice, ascending or descending.
 
-    The same Simpson quadrature sum, evaluated exactly as a Bluestein chirp-z
+    The same trapezoid quadrature sum, evaluated exactly as a Bluestein chirp-z
     transform: with p_j = p_c + j dp, x_k = x_c + k dx (j, k counted from the
     lattice middles) and jk = (j^2 + k^2 - (k - j)^2) / 2, the sum over j is one
     convolution, zero-padded to a linear one: no round trip, no periodic wrap.

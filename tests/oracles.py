@@ -5,6 +5,15 @@ Test modules import their shared helpers from here, never from one another."""
 import numpy as np
 
 
+def trapezoid_weights(n, step):
+    """The oracle: trapezoid weights for n samples one step apart, the step at every
+    inner point and half of it at both ends."""
+    w = np.full(n, float(step))
+    w[0] /= 2
+    w[-1] /= 2
+    return w
+
+
 def one_row_moments(x):
     """The oracle: mean, ddof-1 variance and their standard errors of one row of draws,
     in two passes over that row."""

@@ -177,14 +177,6 @@ _FRAME = {"kind": "frame-transform", "name": "probe", "mc_samples": 0, "seed": 0
 _MAPPED_GRID_COLLAPSES = dict(_FRAME, m1=3.098941331589392e-246, m2=7.008889804472171e79,
                               packet_center=2.2495762172726526e-235, packet_width=1.0,
                               grid_points=28, tau1=0.28370621708626387, tau2=1.0)
-# reflecting an even-count grid moves the Simpson end patch: the mapped norm reads 1.2187
-_REFLECTED_SIMPSON_PATCH = dict(_FRAME, m1=66.49577708333578, m2=1.0,
-                                grid_min=-66.49577708333578, grid_max=66.49577708333578,
-                                grid_points=30, packet_center=-0.29267844943705895,
-                                packet_width=1.0, tau1=0.0, tau2=-66.49577708333578)
-# with equal masses, a packet 1e-9 wide on 16 points maps to a norm of 0.99999992
-_NARROW_PACKET_EQUAL_MASSES = dict(_FRAME, m1=1.0, m2=1.0, packet_center=-1.0,
-                                   packet_width=1e-9, grid_points=16, tau1=-1.0, tau2=-1.0)
 
 
 @pytest.mark.parametrize("payload", [
@@ -238,11 +230,8 @@ _TINY_PACKET = {"packet_width": 1e-323, "m1": 0.0819, "m2": 1, "packet_center": 
     (_CLOCK_GRID_COLLAPSES, "a_x: NonPositiveWidth: grid points must be strictly increasing"),
     (_PACKET_VANISHES, "grid_min: NonPositiveWidth: amplitude function vanishes on the grid"),
     (_MAPPED_GRID_COLLAPSES, "m1: NonPositiveWidth: grid points must be strictly increasing"),
-    (_REFLECTED_SIMPSON_PATCH, "m1: NonPositiveWidth: packet norm 1.21"),
-    (_NARROW_PACKET_EQUAL_MASSES, "m1: NonPositiveWidth: packet norm 0.99999992"),
 ], ids=["default-grid", "explicit-grid", "overflowing-grid", "clock-grid-collapses",
-        "packet-vanishes", "mapped-grid-collapses", "reflected-simpson-patch",
-        "narrow-packet-equal-masses"])
+        "packet-vanishes", "mapped-grid-collapses"])
 def test_grid_the_packet_cannot_have_fails_validation(tmp_path, capsys, payload, says):
     # at 1e-323, packet_center +- 6 packet_width rounds to packet_center and every grid
     # point is the same number; at 1e308 the grid's ends overflow.  validate makes each
@@ -255,6 +244,30 @@ def test_grid_the_packet_cannot_have_fails_validation(tmp_path, capsys, payload,
     assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: " + says)
     assert not (tmp_path / "out").exists()
+
+
+# valid frame transforms that validate and run once refused, as a mapped norm off 1
+# an even-count grid whose last point holds the packet's tail, reflected by the map
+_REFLECTED_EVEN_GRID = dict(_FRAME, m1=66.49577708333578, m2=1.0,
+                            grid_min=-66.49577708333578, grid_max=66.49577708333578,
+                            grid_points=30, packet_center=-0.29267844943705895,
+                            packet_width=1.0, tau1=0.0, tau2=-66.49577708333578)
+# a grid 1.2e-8 wide at p = -1: points[1] - points[0] of it and of its reflection
+# differ by 1.4e-7 relative, the end-to-end step not at all
+_NARROW_PACKET_EQUAL_MASSES = dict(_FRAME, m1=1.0, m2=1.0, packet_center=-1.0,
+                                   packet_width=1e-9, grid_points=16, tau1=-1.0, tau2=-1.0)
+
+
+@pytest.mark.parametrize("payload", [_REFLECTED_EVEN_GRID, _NARROW_PACKET_EQUAL_MASSES],
+                         ids=["reflected-even-grid", "narrow-packet-equal-masses"])
+def test_frame_transform_maps_the_grids_it_validates(tmp_path, payload):
+    # measured: round_trip_error 5.6e-17 and 2.7e-12
+    path = write_scenario(tmp_path, payload)
+    assert cli.main(["validate", "--scenario", path]) == 0
+    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
+    rows = {row["quantity"]: float(row["value"]) for row in read_rows(tmp_path / "probe.csv")}
+    assert abs(rows["mapped_norm"] - 1.0) <= 1e-9
+    assert rows["round_trip_error"] <= 1e-10
 
 
 @pytest.mark.parametrize("error", [FloatingPointError, NumericalError])
@@ -403,7 +416,7 @@ def _numbers(v):
 @hyp.example(_PACKET_VANISHES)
 @hyp.example(_COEFFICIENTS_OVERFLOW)
 @hyp.example(_MAPPED_GRID_COLLAPSES)
-@hyp.example(_REFLECTED_SIMPSON_PATCH)
+@hyp.example(_REFLECTED_EVEN_GRID)
 @hyp.example(_NARROW_PACKET_EQUAL_MASSES)
 @hyp.given(_SCENARIOS)
 def test_every_scenario_succeeds_finite_or_fails_closed(sc):
@@ -534,6 +547,30 @@ def test_freeclock_monte_carlo_agrees_with_its_analytic_columns(tmp_path):
         r = {k: float(v) for k, v in row.items()}
         assert abs(r["mc_mean"] - r["tau_mean"]) < 5 * r["mc_stderr_mean"]
         assert abs(r["mc_variance"] - r["d_tau"]) < 5 * r["mc_stderr_variance"]
+
+
+def _freeclock_at_rest(grid_points):
+    """The shipped free clock's tau0 = 0 row at 4e5 draws, as {column: value}."""
+    table = cli.run_scenario(_edited("freeclock-dilation", grid_points=grid_points,
+                                     mc_samples=400000, tau_grid=[0.0]))
+    return dict(zip([name for name, _ in table.columns], table.rows[0]))
+
+
+def test_freeclock_monte_carlo_variance_is_the_same_on_every_grid():
+    # the draws' position table is |psi|^2 over x +- 10 sigma_x; an image of psi inside
+    # it once read 11606 at 16 points and 9142 at 20, against 977.7.  Measured: 977.6648
+    # at 16 and 20 points against 977.6645 at 2048, 3.1e-7 relative
+    fine = _freeclock_at_rest(2048)["mc_variance"]
+    for n in (16, 20):
+        assert_allclose(_freeclock_at_rest(n)["mc_variance"], fine, rtol=1e-6, atol=0)
+
+
+@pytest.mark.xfail(strict=True, reason="the closed-form d0 applies the 4th-order stencil, "
+                   "inaccurate on a 16-point grid: d_tau reads 955.1 against the draws' "
+                   "977.7, z = +10.3")
+def test_freeclock_closed_form_variance_agrees_on_the_coarsest_grid():
+    row = _freeclock_at_rest(16)
+    assert abs(row["mc_variance"] - row["d_tau"]) < 5 * row["mc_stderr_variance"]
 
 
 def test_freeclock_packet_follows_grid_points(tmp_path, monkeypatch):

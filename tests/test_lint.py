@@ -3,7 +3,8 @@ another module's private names, the library needs nothing beyond numpy, no
 deletion leaves an unused import, an unread private name or an unread
 public constant behind, no
 matrix is inverted numerically, no test tolerance is relative by default, no
-test module imports another, the default grid size is spelled once, and importing the CLI loads no numpy
+test module imports another, the default grid size is spelled once, no lattice step is
+read off its first two points, and importing the CLI loads no numpy
 submodule that only a rare path needs."""
 
 import ast
@@ -408,6 +409,37 @@ def test_the_rule_sees_grid_size_literals(tmp_path):
                      "def f(n=2048, k=DEFAULT_GRID_POINTS):\n"
                      "    return n\n")
     assert grid_size_literals(probe) == ["1: 2048", "2: 2048.0", "5: 2048"]
+
+
+def first_point_steps(path: Path) -> list[str]:
+    """'line: expression' for every difference x[1] - x[0] of one array's first two
+    entries: a lattice's step has one home, packets.uniform_step, which takes it end to
+    end, so that a lattice and its reflection share it to the bit."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Subscript) and isinstance(node.right, ast.Subscript)
+                and ast.dump(node.left.value) == ast.dump(node.right.value)
+                and [ast.unparse(node.left.slice), ast.unparse(node.right.slice)] == ["1", "0"]):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_lattice_step_is_read_off_its_first_points():
+    found = {p.relative_to(SRC).as_posix(): first_point_steps(p) for p in SRC.rglob("*.py")}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_the_rule_sees_first_point_steps(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("step = x[1] - x[0]\n"
+                     "h = float(self.points[1] - self.points[0])\n"
+                     "d = x[2] - x[1]\n"
+                     "e = x[1] - y[0]\n"
+                     "f = (x[-1] - x[0]) / (n - 1)\n"
+                     "g = a.b[1] - a.b[0] + x[0] - x[1]\n")
+    assert first_point_steps(probe) == ["1: x[1] - x[0]", "2: self.points[1] - self.points[0]",
+                                        "6: a.b[1] - a.b[0]"]
 
 
 def test_importing_the_cli_loads_no_numpy_polynomial():

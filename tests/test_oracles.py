@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import condition, correlated_draws, one_row_moments
+from oracles import condition, correlated_draws, one_row_moments, trapezoid_weights
 
 
 def test_one_row_moments_of_one_to_four():
@@ -34,3 +34,12 @@ def test_condition_counts_the_cancellation():
     slope, offset = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
     assert condition(slope, offset, 0.0).tolist() == [1.0, 1.0, 1.0, 1.0]
     assert condition(slope, offset, 0.5).tolist() == [1.0, 9.0, 9.0, 81.0]
+
+
+def test_trapezoid_weights_integrate_a_line_exactly():
+    # on [-1, 3] in steps of 1 the weights are 1/2, 1, 1, 1, 1/2, and the rule is exact
+    # for a line: Integral dx = 4, Integral (2x + 1) dx = 12
+    xs = np.linspace(-1.0, 3.0, 5)
+    w = trapezoid_weights(xs.size, 1.0)
+    assert w.tolist() == [0.5, 1.0, 1.0, 1.0, 0.5]
+    assert [np.sum(w), np.sum(w * (2 * xs + 1))] == [4.0, 12.0]

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from qrfsim.clocks import FreeClockState, freeclock_packet
 from qrfsim.errors import GridTooNarrow, NonFiniteSample, NonPositiveWidth
 from qrfsim.packets import (
+    DEFAULT_GRID_POINTS,
     DELTA_WIDTH_FRACTION,
     MomentumGrid,
     WavePacket,
@@ -22,9 +23,9 @@ from qrfsim.packets import (
     position_mean,
     position_variance,
     position_wavefunction,
-    simpson_weights,
     variance,
 )
+from oracles import trapezoid_weights
 
 # Frozen from an independent Simpson quadrature of the analytic Gaussian
 # density at 4x the default grid density (8192 points over +-6 sigma).
@@ -117,6 +118,16 @@ def test_narrow_grid_rejected():
         make_gaussian(g, center=0.0, width=0.5, mass=1.0)
 
 
+@pytest.mark.parametrize("x0", [30.0, 1000.0])
+def test_offset_past_the_alias_window_rejected(x0):
+    # sigma_x 0.05 on 1024 points: psi repeats every 2 pi/dp = 53.6, so x0 = 1000 once
+    # read position_mean -11.14 and x0 = 30 read -5.16; 26 + 8 sigma_x still fits
+    g = default_grid(0.7, 10.0, 1024)
+    make_gaussian(g, 0.7, 10.0, mass=1.3, x0=26.0)
+    with pytest.raises(GridTooNarrow, match="repeats psi"):
+        make_gaussian(g, 0.7, 10.0, mass=1.3, x0=x0)
+
+
 def test_negative_width_rejected():
     with pytest.raises(NonPositiveWidth):
         make_gaussian(default_grid(0.0, 1.0), center=0.0, width=-0.1, mass=1.0)
@@ -201,9 +212,10 @@ def test_doubling_grid_density_is_converged(center, width):
 # --- position space -------------------------------------------------------------
 
 def direct_position_sum(packet, xs):
-    """Oracle: the quadrature sum of psi(x) term by term, in kernel blocks of 2**20 entries."""
+    """Oracle: the trapezoid sum of psi(x) term by term, in kernel blocks of 2**20 entries."""
     xs = np.asarray(xs, dtype=float)
-    weighted = packet.grid.quad_weights() * packet.amplitudes
+    p = packet.grid.points
+    weighted = trapezoid_weights(p.size, (p[-1] - p[0]) / (p.size - 1)) * packet.amplitudes
     out = np.empty(xs.size, dtype=complex)
     block = max(1, (1 << 20) // packet.grid.size)
     for start in range(0, xs.size, block):
@@ -233,8 +245,8 @@ def _chirped():
     return pk, np.linspace(x0 - 10 * sig, x0 + 10 * sig, 3001)
 
 
-def _gaussian():
-    return make_gaussian(default_grid(0.4, 0.5), 0.4, 0.5, mass=1.0, x0=-0.7)
+def _gaussian(n=DEFAULT_GRID_POINTS):
+    return make_gaussian(default_grid(0.4, 0.5, n), 0.4, 0.5, mass=1.0, x0=-0.7)
 
 
 @pytest.mark.parametrize("case", [
@@ -255,18 +267,30 @@ def test_position_wavefunction_matches_direct_sum(case):
     assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
-def test_gaussian_position_density_is_normal():
-    # |psi|^2 of make_gaussian(..., x0) is normal: mean x0, sigma_x = 1/(2 sigma_p)
-    # up to the +-6 sigma_p grid cut, which leaves ~1e-4 of the peak pointwise
+@pytest.mark.parametrize("n", [64, 256, 1024, DEFAULT_GRID_POINTS])
+def test_gaussian_position_density_is_normal(n):
+    # |psi|^2 of make_gaussian(..., x0) is normal, mean x0 and sigma_x = 1/(2 sigma_p),
+    # up to the +-6 sigma_p grid cut, which leaves <= 4.6e-5 of the peak pointwise
+    # (measured).  Over the whole alias window x0 +- pi/dp it holds unit mass and no
+    # image of psi: |psi| at the window's ends is <= 2.3e-14 of the peak.  The moments
+    # are read on x0 +- 10 sigma_x, since the cut's far tails move sigma_x by 2.4e-6
     sigma_p, x0 = 0.5, -0.7
-    xs = np.linspace(-8.0, 6.0, 4001)
-    density = np.abs(position_wavefunction(_gaussian(), xs)) ** 2
-    w = simpson_weights(xs.size, xs[1] - xs[0])
-    mean = np.sum(w * density * xs)
-    assert_allclose([np.sum(w * density), mean], [1.0, x0], rtol=0, atol=1e-8)
-    assert_allclose(np.sqrt(np.sum(w * density * (xs - mean) ** 2)), 1 / (2 * sigma_p), rtol=1e-6)
+    packet = _gaussian(n)
+    half = np.pi / packet.grid.spacing
+    xs = np.linspace(x0 - half, x0 + half, 4097)
+    psi = position_wavefunction(packet, xs)
+    assert max(abs(psi[0]), abs(psi[-1])) <= 1e-12 * abs(psi[xs.size // 2])
+    density = np.abs(psi) ** 2
+    assert_allclose(np.sum(trapezoid_weights(xs.size, xs[1] - xs[0]) * density), 1.0,
+                    rtol=0, atol=1e-8)
     normal = np.exp(-(xs - x0) ** 2 * 2 * sigma_p ** 2) * np.sqrt(2 / np.pi) * sigma_p
     assert_allclose(density, normal, rtol=0, atol=1e-4 * normal.max())
+    core = np.abs(xs - x0) <= 10 / (2 * sigma_p)
+    xs, density = xs[core], density[core]
+    w = trapezoid_weights(xs.size, xs[1] - xs[0])
+    mean = np.sum(w * density * xs)
+    assert_allclose(mean, x0, rtol=0, atol=1e-8)
+    assert_allclose(np.sqrt(np.sum(w * density * (xs - mean) ** 2)), 1 / (2 * sigma_p), rtol=1e-6)
 
 
 def test_position_wavefunction_of_no_points_is_empty():

@@ -29,7 +29,6 @@ from qrfsim.packets import (
     make_gaussian,
     position_mean,
     position_wavefunction,
-    simpson_weights,
     variance,
 )
 from qrfsim.relkin import (
@@ -59,7 +58,7 @@ from qrfsim.sampling import (
     make_rng,
     sample_moments,
 )
-from oracles import condition, one_row_moments
+from oracles import condition, one_row_moments, trapezoid_weights
 
 
 def narrow_system(j_z=2, omega=1e-3):
@@ -678,7 +677,7 @@ class TestSystemValidation:
                                                       * clock.m_values)
         else:
             pk = sys.clock_packet
-            w = simpson_weights(pk.grid.size, pk.grid.spacing) * np.abs(pk.amplitudes) ** 2
+            w = pk.grid.quad_weights() * np.abs(pk.amplitudes) ** 2
             energy = np.sum(w * pk.grid.points ** 2) / (2 * clock.mu_ab)
         assert energy > 1e-3
         assert sys.alpha_i == pytest.approx(energy / sys.rest_mass, rel=1e-14, abs=0)
@@ -882,7 +881,7 @@ class TestNewtonWigner:
         psi = from_function(grid, lambda p: amp(p) / np.sqrt(2 * np.hypot(mass, p)), mass)
         xs = np.linspace(x0 - 60.0, x0 + 60.0, 8193)
         rho = np.abs(position_wavefunction(psi, xs)) ** 2
-        w = simpson_weights(xs.size, xs[1] - xs[0])
+        w = trapezoid_weights(xs.size, xs[1] - xs[0])
         oracle = np.sum(w * xs * rho) / np.sum(w * rho)
         assert abs(oracle - x0) > 1e-2
         assert newton_wigner_x(phi) == pytest.approx(oracle, abs=5e-9)
