@@ -30,8 +30,8 @@ class NumericalError(QrfError):
 
 
 class GridTooNarrow(ConfigError):
-    """Momentum grid does not cover center +- 6 sigma for the requested packet, or its
-    step repeats psi(x) within an offset packet's x0 +- 8 sigma_x."""
+    """Momentum grid does not cover center +- 6 sigma for the requested packet, or its step
+    exceeds sigma or repeats psi(x) within an offset packet's x0 +- 8 sigma_x."""
 
 
 class NonPositiveWidth(ConfigError):

@@ -1,9 +1,9 @@
 """Nonrelativistic quantum reference frames.
 
-Jacobi canonical charts per frame body, the exchange operators connecting
-them (dilatation * rotation * parity * dilatation), the infinite-mass
-"absolute" frame limit, internal Hamiltonians, and the measurement-reduction
-density matrix for a relative-position measurement.
+Jacobi canonical charts per frame body, the exchange operators connecting them
+(dilatation * rotation * parity * dilatation, the rotation read off mass ratios), the
+infinite-mass "absolute" frame limit, internal Hamiltonians, and the
+measurement-reduction density matrix for a relative-position measurement.
 
 Charts are plain linear maps over body indices: q = A r and pi = B p with
 A B^T = 1 (canonical pairing), so A^-1 = B^T.  Chart states are Gaussians: a
@@ -152,18 +152,13 @@ def build_chart(system: FrameSystem, frame_label: int) -> JacobiChart:
     return chart_for_ordering(system, frame_ordering(system.size, frame_label))
 
 
-def exchange_angle(m1: float, m2: float, m3: float) -> float:
-    """Rotation angle of the two-coordinate exchange block.
-
-    m1, m2 are the swapped pair's masses; m3 is the total mass beyond the
-    pair (0 when the pair sits at the tail, giving a pure parity).  Always
-    in [-pi/2, 0].
-    """
-    if not (np.isfinite([m1, m2, m3]).all() and m1 > 0 and m2 > 0 and m3 >= 0):
-        raise NonPositiveWidth("exchange angle needs finite positive pair masses and a finite "
-                               "nonnegative rest mass")
-    c = np.sqrt(m2 * m1 / ((m3 + m2) * (m1 + m3)))
-    return float(-np.arccos(np.clip(c, -1.0, 1.0)))
+def _exchange_cs(m1: float, m2: float, m3: float) -> tuple[float, float]:
+    """(cos beta, sin beta) of the turn swapping masses m1, m2 with m3 beyond them ((1, -0) at
+    the tail, m3 = 0), as roots of mass ratios: beta is never formed, and no product of masses
+    under- or overflows while each body's share of the total mass is a normal float."""
+    c = np.sqrt(m1 / (m1 + m3)) * np.sqrt(m2 / (m2 + m3))
+    s = -np.sqrt(m3 / (m2 + m3)) * np.sqrt((m1 + m2 + m3) / (m1 + m3))
+    return c, s
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +178,10 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
     """Exchange the bodies at ordering slots (position, position+1).
 
     The map is dilatation * rotation(beta) * parity * dilatation on the two affected
-    coordinates, every other row identity; at the tail no mass lies beyond the pair,
-    so beta = 0 and the block is the pure parity of the relative coordinate.  Only the
-    pair's chart rows move: A rows by the block, B rows by its inverse transpose.
+    coordinates, every other row identity, with cos beta and sin beta read off mass ratios;
+    at the tail no mass lies beyond the pair, so the block is the pure parity of the relative
+    coordinate.  Only the pair's chart rows move: A rows by the block, B rows by its inverse
+    transpose.
     """
     n = chart.size
     if not (0 <= position <= n - 2):
@@ -200,12 +196,11 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
             and np.all(np.abs(chart.coord_map[-1] * mu[-1] - masses) <= 1e-12 * masses)):
         raise ChartMismatch("chart was built for other body masses than this system's")
     pair = slice(position, position + 2)
-    beta = exchange_angle(m_ord[position], m_ord[position + 1], float(m_ord[position + 2:].sum()))
+    c, s = _exchange_cs(m_ord[position], m_ord[position + 1], float(m_ord[position + 2:].sum()))
     ordering = list(chart.ordering)
     ordering[pair], m_ord[pair] = ordering[pair][::-1], m_ord[pair][::-1]
     target_mu = _reduced_masses(m_ord)
     pre, root = np.sqrt(mu[pair]), np.sqrt(target_mu[pair])
-    c, s = np.cos(beta), np.sin(beta)
     turn = np.array([[-c, -s], [-s, c]])  # rotation(beta) times the parity diag(-1, 1)
     block = (1.0 / root)[:, None] * turn * pre
     a, b = chart.coord_map.copy(), chart.momentum_map.copy()

@@ -135,12 +135,11 @@ def make_gaussian(grid: MomentumGrid, center: float, width: float, mass: float,
                   x0: float = 0.0) -> WavePacket:
     """Gaussian packet whose momentum *density* has standard deviation `width`.
 
-    width = 0 requests a delta-like packet and is replaced by _delta_floor.  An
-    optional position offset x0 is applied as the translation phase exp(-i p x0).  from_function normalises it on the grid.
-    A nonzero x0 must keep x0 +- 8 sigma_x (sigma_x = 1 / (2 width)) inside the grid's
-    alias window +- pi/dp: the psi(x) a grid of step dp holds repeats every 2 pi/dp, so
-    a larger offset would read as its image.  x0 = 0 asks for no translation, and
-    stays open to the coarsest grids (16 points over +- 6 width give pi/dp = 7.85 sigma_x).
+    width = 0 requests a delta-like packet and is replaced by _delta_floor.  An optional
+    position offset x0 is the translation phase exp(-i p x0); from_function normalises it.
+    The psi(x) a grid of step dp holds repeats every 2 pi/dp, so dp must resolve the packet,
+    dp <= width (16 points over +- 6 width, the coarsest default grid, give 0.8 width), and a
+    nonzero x0 must keep x0 +- 8 sigma_x (sigma_x = 1 / (2 width)) inside +- pi/dp.
     """
     if width < 0:
         raise NonPositiveWidth("packet width must be >= 0")
@@ -148,6 +147,8 @@ def make_gaussian(grid: MomentumGrid, center: float, width: float, mass: float,
     if not grid.covers(center, MIN_HALF_WIDTH_SIGMAS * width):
         raise GridTooNarrow(f"grid {grid.extent} does not cover "
                             f"{center} +- {MIN_HALF_WIDTH_SIGMAS:g}*{width}")
+    if grid.spacing > width:
+        raise GridTooNarrow(f"grid step {grid.spacing:g} exceeds the packet width {width:g}")
     sigma_x = 1.0 / (2.0 * width)
     if x0 != 0.0 and not abs(x0) + 8.0 * sigma_x < np.pi / grid.spacing:
         raise GridTooNarrow(f"grid step {grid.spacing:g} repeats psi(x) every "

@@ -14,6 +14,14 @@ def trapezoid_weights(n, step):
     return w
 
 
+def exchange_angle(m1, m2, m3):
+    """The oracle: the turn angle beta of the exchange of a pair of masses m1, m2 with m3
+    beyond it, -arccos sqrt(m1 m2 / ((m2 + m3)(m1 + m3))), in [-pi/2, 0]; 0 at the tail,
+    m3 = 0.  Near beta = 0 arccos loses half its digits, and m1 m2 under- and overflows."""
+    c = np.sqrt(m1 * m2 / ((m2 + m3) * (m1 + m3)))
+    return float(-np.arccos(min(c, 1.0)))
+
+
 def one_row_moments(x):
     """The oracle: mean, ddof-1 variance and their standard errors of one row of draws,
     in two passes over that row."""

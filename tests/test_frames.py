@@ -20,7 +20,6 @@ from qrfsim.frames import (
     build_chart,
     chart_for_ordering,
     compose_transform,
-    exchange_angle,
     exchange_chain,
     gaussian_chart_state,
     internal_hamiltonian,
@@ -34,6 +33,7 @@ from qrfsim.packets import (
     position_variance,
     position_wavefunction,
 )
+from oracles import exchange_angle
 
 masses_strategy = st.lists(st.floats(0.1, 10.0, allow_nan=False), min_size=2, max_size=5)
 
@@ -90,24 +90,29 @@ def test_every_frame_chart_is_canonical(masses):
         assert_allclose(chart.coord_map[-1], system.masses / system.total_mass, rtol=0, atol=1e-12)
 
 
-def test_exchange_angle_closed_form():
-    assert_allclose(exchange_angle(1.0, 1.0, 1.0), -np.pi / 3, rtol=0, atol=1e-15)
-    assert_allclose(exchange_angle(1.0, 2.0, 3.0), -np.arccos(np.sqrt(2.0 / 20.0)),
-                    rtol=0, atol=1e-15)
-    assert_allclose(exchange_angle(1.0, 2.0, 1e12), -np.pi / 2, rtol=0, atol=1e-6)
-    assert exchange_angle(5.0, 3.0, 0.0) == 0.0  # tail pair: pure parity
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(masses=masses_strategy)
+def test_exchange_turn_is_the_angle_forms_cos_and_sin(masses):
+    # the pair's masses and the mass beyond it, 0 for a pair of two; measured worst 6.9 eps,
+    # at m1, m2 near 10 and m3 near 0.1, where the oracle's arccos is worst conditioned
+    # (1/|sin beta| ~ 7), so 16 eps leaves a margin of 2
+    m1, m2, m3 = masses[0], masses[1], sum(masses[2:])
+    beta = exchange_angle(m1, m2, m3)
+    assert_allclose(frames._exchange_cs(m1, m2, m3), [np.cos(beta), np.sin(beta)],
+                    rtol=0, atol=16 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("masses", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
-                                    (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
+                                    (1.0, 1.0, math.nan), (-math.inf, 1.0, 1.0),
                                     (1.0, 1.0, math.inf)])
-def test_exchange_angle_rejects_non_finite_masses(masses):
+def test_from_masses_rejects_non_finite_masses(masses):
+    # Body is the guard that keeps every exchange's (cos, sin) finite
     with pytest.raises(NonPositiveWidth):
-        exchange_angle(*masses)
+        FrameSystem.from_masses(masses)
 
 
 def test_exchange_matrix_matches_direct_chart_change():
-    # the exchange angles of both mass sets are checked in closed form above
+    # the exchange angles of both mass sets are checked in closed form in test_oracles
     for masses in ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]):
         system = FrameSystem.from_masses(masses)
         chart = build_chart(system, 1)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import condition, correlated_draws, one_row_moments, trapezoid_weights
+from oracles import (condition, correlated_draws, exchange_angle, one_row_moments,
+                     trapezoid_weights)
 
 
 def test_one_row_moments_of_one_to_four():
@@ -43,3 +44,13 @@ def test_trapezoid_weights_integrate_a_line_exactly():
     w = trapezoid_weights(xs.size, 1.0)
     assert w.tolist() == [0.5, 1.0, 1.0, 1.0, 0.5]
     assert [np.sum(w), np.sum(w * (2 * xs + 1))] == [4.0, 12.0]
+
+
+def test_exchange_angle_closed_form():
+    # equal masses turn by pi/3; (1, 2, 3) by arccos sqrt(2/20); a pair light against the rest
+    # by nearly pi/2; the tail pair not at all, a pure parity
+    assert_allclose(exchange_angle(1.0, 1.0, 1.0), -np.pi / 3, rtol=0, atol=1e-15)
+    assert_allclose(exchange_angle(1.0, 2.0, 3.0), -np.arccos(np.sqrt(2.0 / 20.0)),
+                    rtol=0, atol=1e-15)
+    assert_allclose(exchange_angle(1.0, 2.0, 1e12), -np.pi / 2, rtol=0, atol=1e-6)
+    assert exchange_angle(5.0, 3.0, 0.0) == 0.0

@@ -118,6 +118,23 @@ def test_narrow_grid_rejected():
         make_gaussian(g, center=0.0, width=0.5, mass=1.0)
 
 
+def test_step_coarser_than_the_packet_rejected():
+    # the coarsest default grid, 16 points over +- 6 widths, steps 0.8 width; a step of
+    # exactly one width still passes, 1.2 widths does not
+    make_gaussian(default_grid(0.0, 1.0, 16), center=0.0, width=1.0, mass=1.0)
+    make_gaussian(MomentumGrid.linspace(-6.0, 6.0, 13), center=0.0, width=1.0, mass=1.0)
+    with pytest.raises(GridTooNarrow, match="exceeds the packet width"):
+        make_gaussian(MomentumGrid.linspace(-6.0, 6.0, 11), center=0.0, width=1.0, mass=1.0)
+
+
+def test_amplitude_vanishing_on_the_grid_rejected():
+    # a Gaussian 1e-4 wide at -0.1 underflows at every point of 16 over [-1, 0]; make_gaussian
+    # refuses that step before it gets here, other callers of from_function do not
+    g = MomentumGrid.linspace(-1.0, 0.0, 16)
+    with pytest.raises(NonPositiveWidth, match="vanishes on the grid"):
+        from_function(g, lambda p: np.exp(-((p + 0.1) ** 2) / 4e-8), mass=1.0)
+
+
 @pytest.mark.parametrize("x0", [30.0, 1000.0])
 def test_offset_past_the_alias_window_rejected(x0):
     # sigma_x 0.05 on 1024 points: psi repeats every 2 pi/dp = 53.6, so x0 = 1000 once
