@@ -175,10 +175,12 @@ _ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
 # Working-set estimates: bytes of the arrays a runner holds at once, keyed by
 # the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
 # per packet grid point or histogram bin, 104 per draw of one Monte-Carlo block
-# (its buffers, the moment sums' squares, the lookups' temporaries and the offset
-# table; a block is at most INTERP_BLOCK draws, however many mc_samples), and per
-# rotator mode 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per
-# entangled clock's external mode.  The boost moments hold B_2 for BOOST_BLOCK_ROWS
+# (about 90 for its buffers, moment squares and lookups, and a share of the 0.63 MiB
+# offset table; a block is at most INTERP_BLOCK = 2^13 draws, however many mc_samples;
+# below a block the table's build, up to 1.3 MiB, sets the peak), and per rotator mode
+# 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per entangled
+# clock's external mode.  The shipped dilation tables trace 1.42 and 1.48 MiB against
+# 1.39 and 1.38 MiB estimated.  The boost moments hold B_2 for BOOST_BLOCK_ROWS
 # masses at a time, 8 bytes per momentum each, however many Chebyshev nodes K they
 # take, and sum their interpolant in arrays the size of the modes.
 # A jacobi-demo of n bodies holds its last frame's exchange chain: n - 1 exchanges,

@@ -412,8 +412,9 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     coherences; rho is read from the amplitude, which a re-reduction shares.  Bins that
     capture no probability are dropped and recorded, not errors, unless every bin is empty.
     chi is never formed on the whole mesh: |chi|^2 is read INTERP_BLOCK // mesh_points rows
-    (at least one) at a time, each row reduced to its mass and the first two moments of x_n,
-    so the working set is O(INTERP_BLOCK + mesh_points), not O(mesh_points^2).
+    (at least one; 21 at the default mesh) at a time, each row reduced to its mass and the
+    first two moments of x_n, so the working set is O(INTERP_BLOCK + mesh_points), not
+    O(mesh_points^2).
     """
     if not (isinstance(mesh_points, (int, np.integer)) and mesh_points >= 2):
         raise ConfigError(f"mesh_points must be an integer of at least 2, got {mesh_points!r}")

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridTooNarrow, NonFiniteSample, NonPositiveWidth
+from .sampling import INTERP_BLOCK
 
 DispersionRelation = Callable[[np.ndarray], np.ndarray]
 
@@ -262,12 +263,22 @@ def position_wavefunction(packet: WavePacket, xs: np.ndarray) -> np.ndarray:
     transform: with p_j = p_c + j dp, x_k = x_c + k dx (j, k counted from the
     lattice middles) and jk = (j^2 + k^2 - (k - j)^2) / 2, the sum over j is one
     convolution, zero-padded to a linear one: no round trip, no periodic wrap.
+    The lattice is transformed in chunks of L - n + 1 points for n momenta, each chunk
+    about its own middle, so no FFT is longer than L = max(INTERP_BLOCK, the power of
+    two >= 2n - 1) however many x there are; a shorter lattice is one transform.
     """
     xs = np.asarray(xs, dtype=float)
+    a, n = packet.grid.spacing * uniform_step(xs), packet.grid.size  # one check of the lattice
+    out = np.empty(xs.size, dtype=complex)
+    chunk = max(INTERP_BLOCK, 1 << (2 * n - 2).bit_length()) - n + 1
+    for start in range(0, xs.size, chunk):  # a chunk's temporaries go when it returns
+        out[start:start + chunk] = _chirp_z(packet, xs[start:start + chunk], a)
+    return out
+
+
+def _chirp_z(packet: WavePacket, xs: np.ndarray, a: float) -> np.ndarray:
+    """psi(x) on a nonempty uniform lattice xs of step a / dp, as one chirp-z transform."""
     n, m, dp = packet.grid.size, xs.size, packet.grid.spacing
-    a = dp * uniform_step(xs)
-    if m == 0:
-        return np.empty(0, dtype=complex)
     j, k = np.arange(n) - n // 2, np.arange(m) - m // 2
     chirped = packet.grid.quad_weights() * packet.amplitudes * np.exp(
         1j * (dp * xs[m // 2] * j + 0.5 * a * j * j))

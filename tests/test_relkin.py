@@ -480,6 +480,8 @@ def test_blocked_ensemble_is_the_materialised_one(build, n):
 
 
 def test_monte_carlo_memory_does_not_grow_with_the_draws():
+    # blocks of INTERP_BLOCK = 2**13 draws: measured 1.38 MiB traced at both counts
+    # (3.46 MiB with blocks of 2**15), a margin of 1.45
     sys, taus = gaussian_system(), np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
     mc_variance_check(sys, taus, 1000, seed=0)  # one-off allocations are not the working set
     peaks = []
@@ -490,7 +492,7 @@ def test_monte_carlo_memory_does_not_grow_with_the_draws():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks) < 8 * 2 ** 20 and abs(peaks[1] / peaks[0] - 1) < 0.1
+    assert max(peaks) < 2 * 2 ** 20 and abs(peaks[1] / peaks[0] - 1) < 0.1
 
 
 class TestDispersionQuadratic:
