@@ -174,26 +174,28 @@ _ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
 
 # Working-set estimates: bytes of the arrays a runner holds at once, keyed by
 # the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
-# per packet grid point or histogram bin, 104 per draw of one Monte-Carlo block
-# (about 90 for its buffers, moment squares and lookups, and a share of the 0.63 MiB
-# offset table; a block is at most INTERP_BLOCK = 2^13 draws, however many mc_samples;
-# below a block the table's build, up to 1.3 MiB, sets the peak), and per rotator mode
-# 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per entangled
-# clock's external mode.  The shipped dilation tables trace 1.42 and 1.48 MiB against
-# 1.39 and 1.38 MiB estimated.  The boost moments hold B_2 for BOOST_BLOCK_ROWS
-# masses at a time, 8 bytes per momentum each, however many Chebyshev nodes K they
-# take, and sum their interpolant in arrays the size of the modes.
+# per packet grid point or histogram bin; for any Monte-Carlo run (mc_samples > 0)
+# _MC_TABLE for building the offset table (density, CDF, guide and slopes over about
+# 16385 points), which sets the peak from 2 draws on, plus 16 per draw of one block:
+# a block (at most INTERP_BLOCK = 2^13 draws, however many mc_samples) holds 104 bytes
+# per draw beside the built 0.63 MiB table, 0.09-0.13 MiB above the build; per rotator
+# mode 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per entangled
+# clock's external mode.  The dilation kinds at grid_points 256 and 2048 and mc_samples
+# 2 to 10^6 trace 1.15-1.42 MiB, estimated at 0.91-1.41 times that (1.56 for a 2001-mode
+# rotator, whose mode term also counts its larger angle table).  The boost moments hold
+# B_2 for BOOST_BLOCK_ROWS masses at a time, 8 bytes per momentum each, however many
+# Chebyshev nodes K they take, and sum their interpolant in arrays the size of the modes.
 # A jacobi-demo of n bodies holds its last frame's exchange chain: n - 1 exchanges,
 # each its target chart's two maps, two n x n arrays (16 n^3 bytes), and about 256
 # bytes per output row (n^2 rows).  At 80 and 120 bodies the traced peaks are 9.3 and
 # 30.4 MB against 9.8 and 31.3 MB estimated.
-_PER_POINT, _PER_BLOCK_DRAW = 160, 104
+_PER_POINT, _PER_BLOCK_DRAW, _MC_TABLE = 160, 16, 1_180_000
 _PER_BOOST_POINT = _PER_POINT + 8 * BOOST_BLOCK_ROWS
 _PER_MODE, _PER_SAMPLED_MODE, _PER_STATE_MODE = 240, 1600, 48
 
 
 def _mc_bytes(mc):
-    return _PER_BLOCK_DRAW * min(mc, INTERP_BLOCK)
+    return _MC_TABLE + _PER_BLOCK_DRAW * min(mc, INTERP_BLOCK) if mc > 0 else 0
 
 
 def _rotator_bytes(sc):

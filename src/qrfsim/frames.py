@@ -235,8 +235,13 @@ def arf_limit_chart(system: FrameSystem, mass_ratio: float = ARF_MASS_RATIO) -> 
 
 @dataclass(frozen=True, eq=False)
 class ChartGaussian:
-    """norm * exp(-|q @ factor - center|^2) at chart points q (..., N), of shape q.shape[:-1];
-    evaluated coordinate-major: z = factor^T q^T is one (N, M) temporary, loops run over points."""
+    """norm * exp(-|q @ factor - center|^2) at chart points q (..., N), of shape q.shape[:-1].
+
+    Evaluated INTERP_BLOCK points at a time, coordinate-major: each block's z = factor^T q^T
+    is written into one (N, block) buffer reused for every block, so beyond the result the
+    working set is 8 N min(INTERP_BLOCK, M) bytes for M points.  The bound holds for
+    C-contiguous float input; input that is not float, or that reshape cannot view as
+    (M, N), is first copied once, whole, by asarray or reshape."""
 
     factor: np.ndarray
     center: np.ndarray
@@ -244,11 +249,17 @@ class ChartGaussian:
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
+        n = self.center.size
         if q.shape[-1:] != self.center.shape:
-            raise ConfigError(f"points need a last axis of N = {self.center.size}, got {q.shape}")
-        z = self.factor.T @ q.reshape(-1, self.center.size).T
-        z -= self.center[:, None]
-        r = np.einsum("ij,ij->j", z, z)
+            raise ConfigError(f"points need a last axis of N = {n}, got {q.shape}")
+        pts = q.reshape(-1, n)
+        r, buf = np.empty(len(pts)), np.empty(n * min(INTERP_BLOCK, len(pts)))
+        for a in range(0, len(pts), INTERP_BLOCK):
+            block = pts[a:a + INTERP_BLOCK]
+            z = buf[:block.size].reshape(n, -1)  # flat prefix: a short last block stays dense
+            np.matmul(self.factor.T, block.T, out=z)
+            z -= self.center[:, None]
+            np.einsum("ij,ij->j", z, z, out=r[a:a + INTERP_BLOCK])
         np.exp(np.negative(r, out=r), out=r)
         r *= self.norm
         return r.reshape(q.shape[:-1])

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ConfigError, NonFiniteSample
 
 #: Uniforms inverted, and draws reduced, per block, sized to a 2 MiB L2: a Monte-Carlo
-#: block holds 104 bytes per draw (cli._PER_BLOCK_DRAW), 0.81 MiB at 2**13, beside its
-#: offset table, 0.63 MiB for 16385 points with their guide: 1.44 MiB together.
+#: block holds 104 bytes per draw, 0.81 MiB at 2**13, beside its offset table, 0.63 MiB
+#: for 16385 points with their guide: 1.44 MiB together.
 INTERP_BLOCK = 1 << 13
 
 

@@ -475,8 +475,13 @@ def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
     _edited("entangled-clock", j_z=2000, omega=1e-5, grid_points=2048, mc_samples=0),
     _edited("jacobi-demo", masses=[1.0 + 0.1 * i for i in range(24)], grid_points=2048,
             mc_samples=0, seed=0),
+    # two draws: the offset table's build, not the block, sets the peak
+    _edited("rotator-dilation", grid_points=256, mc_samples=2),
+    _edited("freeclock-dilation", grid_points=256, mc_samples=2),
+    _edited("freeclock-dilation", grid_points=2048, mc_samples=2),
 ], ids=["freeclock-mesh", "freeclock-wide-span", "rotator-mc", "rotator-modes",
-        "rotator-wide-span", "rotator-angle-table", "entangled-modes", "jacobi-chains"])
+        "rotator-wide-span", "rotator-angle-table", "entangled-modes", "jacobi-chains",
+        "rotator-two-draws", "freeclock-two-draws", "freeclock-mesh-two-draws"])
 def test_working_set_estimate_tracks_the_traced_peak(payload):
     estimate = cli.SCENARIOS[payload["kind"]].estimate
     cli.run_scenario(payload)  # untraced: one-off lazy imports are not the working set

@@ -33,6 +33,7 @@ from qrfsim.packets import (
     position_variance,
     position_wavefunction,
 )
+from qrfsim.sampling import INTERP_BLOCK
 from oracles import exchange_angle
 
 masses_strategy = st.lists(st.floats(0.1, 10.0, allow_nan=False), min_size=2, max_size=5)
@@ -236,28 +237,60 @@ def test_gaussian_pushforward_center():
     assert_allclose(centroid, op.matrix @ means, rtol=0, atol=1e-6)
 
 
-def test_chart_amplitude_holds_one_temporary():
-    system = FrameSystem.from_masses(np.linspace(1.0, 4.0, 8))
-    means, widths = np.linspace(-1.0, 1.0, 8), np.linspace(0.5, 2.0, 8)
+def _pushed_to_last_frame(masses, means, widths):
+    """(state, its push to frame N's chart, the composed map u) for a product state on
+    frame 1's chart: N - 1 exchanges leave one Gaussian, with a full factor."""
+    system = FrameSystem.from_masses(masses)
     state = gaussian_chart_state(build_chart(system, 1), means, widths)
     pushed = state
-    for op in exchange_chain(system, 8):  # seven exchanges: still one product
+    for op in exchange_chain(system, system.size):
         pushed = apply_transform(pushed, op)
-    q = np.random.default_rng(3).normal(0.0, 2.0, (32768, 8))
-    for s in (state, pushed):
-        tracemalloc.start()
-        try:
-            s.amplitude(q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * q.nbytes
+    return state, pushed, compose_transform(system, 1, system.size).matrix
+
+
+def _check_against_oracles(state, pushed, u, means, widths, q):
+    # the closed form of the product state, and the pushed state read through u^-1
     norm = np.prod((2.0 * np.pi * widths ** 2) ** -0.25)
     expected = norm * np.exp(-np.sum((q - means) ** 2 / (4.0 * widths ** 2), axis=-1))
     assert_allclose(state.amplitude(q), expected, rtol=1e-12, atol=0.0)
-    u = compose_transform(system, 1, 8).matrix
     back = state.amplitude(q @ np.linalg.inv(u).T) / np.sqrt(abs(np.linalg.det(u)))
     assert_allclose(pushed.amplitude(q), back, rtol=1e-10, atol=0.0)
+
+
+def test_chart_amplitude_holds_one_temporary():
+    # beyond its result an evaluation holds one (N, INTERP_BLOCK) buffer, 512 KiB at N = 8,
+    # whatever the number of points; the margin covers numpy's views and call overhead,
+    # measured at 2.1 KiB.  An (N, M) temporary is 2 MiB at M = 32768, 8 MiB at 4x that
+    n, margin = 8, 16 << 10
+    means, widths = np.linspace(-1.0, 1.0, n), np.linspace(0.5, 2.0, n)
+    state, pushed, u = _pushed_to_last_frame(np.linspace(1.0, 4.0, n), means, widths)
+    for points in (32768, 4 * 32768):
+        q = np.random.default_rng(3).normal(0.0, 2.0, (points, n))
+        for s in (state, pushed):
+            s.amplitude(q[:1])  # untraced: one-off lazy set-up is not the working set
+            tracemalloc.start()
+            try:
+                r = s.amplitude(q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - r.nbytes <= 8 * n * INTERP_BLOCK + margin, points
+        _check_against_oracles(state, pushed, u, means, widths, q)
+
+
+@pytest.mark.parametrize("points", [0, 1, INTERP_BLOCK - 1, INTERP_BLOCK, INTERP_BLOCK + 1,
+                                    3 * INTERP_BLOCK + 5])
+@pytest.mark.parametrize("n", [3, 8])
+def test_chart_amplitude_across_block_boundaries(n, points):
+    # the last block is full, short, or one point, and batch axes split the points
+    rng = np.random.default_rng(n * points + 1)
+    means, widths = rng.normal(0.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+    state, pushed, u = _pushed_to_last_frame(rng.uniform(0.5, 4.0, n), means, widths)
+    q = rng.normal(0.0, 2.0, (points, n))
+    for shape in ((points, n), (1, points, n), (points, 1, n)):
+        batch = q.reshape(shape)
+        assert state.amplitude(batch).shape == pushed.amplitude(batch).shape == shape[:-1]
+        _check_against_oracles(state, pushed, u, means, widths, batch)
 
 
 def test_chart_amplitude_shape_and_layout_contract():
