@@ -25,22 +25,23 @@ import numpy as np
 from . import __version__
 from .clocks import FreeClockState, rotator_init
 from .errors import ConfigError, NumericalError, ScenarioParseError
-from .frames import FrameSystem, build_chart, exchange_chain
+from .frames import FrameSystem, build_chart, exchange_chain, exchange_chain_bytes
 from .packets import (DEFAULT_GRID_POINTS, MomentumGrid, WavePacket, default_grid, expectation,
-                      make_gaussian)
+                      make_gaussian, packet_bytes)
 from .relkin import (
-    BOOST_BLOCK_ROWS,
     ModeSuperposition,
     RelClockSystem,
     boosted_evolve,
+    ensemble_bytes,
+    entangled_bytes,
     frame_to_frame,
     mc_variance_check,
     nonrel_betas,
     nonrel_limit_report,
     proper_time_stats,
     time_boost,
+    time_operator_bytes,
 )
-from .sampling import INTERP_BLOCK
 
 _DEFAULTS = {"grid_points": DEFAULT_GRID_POINTS, "mc_samples": 0, "seed": 0, "histogram_bins": 720}
 
@@ -115,10 +116,10 @@ _BOUNDS = {
 class Kind:
     """What a scenario of one kind contains, and how it runs.
 
-    estimate maps the scenario to the bytes its runner holds, keyed by the field that
-    sizes them.  builds maps fields to a call the runner makes, blamed on the first of
-    them the scenario gives; each rule that relates several fields is raised there, by
-    the call that needs it.  A build repeats those before it, so validate_scenario
+    estimate maps the scenario to the bytes its runner holds at its peak, keyed by the
+    field that sizes them.  builds maps fields to a call the runner makes, blamed on the
+    first of them the scenario gives; each rule that relates several fields is raised
+    there, by the call that needs it.  A build repeats those before it, so validate_scenario
     stops at the first that fails.  runner and the builds take the scenario with its
     integer fields as int; runner returns a ResultTable.
     """
@@ -172,56 +173,44 @@ _PACKET = (Field("packet_center"), Field("packet_width", bound="positive"),
 _ROTATOR = (Field("omega", bound="positive"), Field("j_z", "integer", 1))
 
 
-# Working-set estimates: bytes of the arrays a runner holds at once, keyed by
-# the field that sizes them.  Fitted to tracemalloc peaks: about 100-140 bytes
-# per packet grid point or histogram bin; for any Monte-Carlo run (mc_samples > 0)
-# _MC_TABLE for building the offset table (density, CDF, guide and slopes over about
-# 16385 points), which sets the peak from 2 draws on, plus 16 per draw of one block:
-# a block (at most INTERP_BLOCK = 2^13 draws, however many mc_samples) holds 104 bytes
-# per draw beside the built 0.63 MiB table, 0.09-0.13 MiB above the build; per rotator
-# mode 216 (lag sums), up to 1830 with a Monte-Carlo angle table, or 48 per entangled
-# clock's external mode.  The dilation kinds at grid_points 256 and 2048 and mc_samples
-# 2 to 10^6 trace 1.15-1.42 MiB, estimated at 0.91-1.41 times that (1.56 for a 2001-mode
-# rotator, whose mode term also counts its larger angle table).  The boost moments hold
-# B_2 for BOOST_BLOCK_ROWS masses at a time, 8 bytes per momentum each, however many
-# Chebyshev nodes K they take, and sum their interpolant in arrays the size of the modes.
-# A jacobi-demo of n bodies holds its last frame's exchange chain: n - 1 exchanges,
-# each its target chart's two maps, two n x n arrays (16 n^3 bytes), and about 256
-# bytes per output row (n^2 rows).  At 80 and 120 bodies the traced peaks are 9.3 and
-# 30.4 MB against 9.8 and 31.3 MB estimated.
-_PER_POINT, _PER_BLOCK_DRAW, _MC_TABLE = 160, 16, 1_180_000
-_PER_BOOST_POINT = _PER_POINT + 8 * BOOST_BLOCK_ROWS
-_PER_MODE, _PER_SAMPLED_MODE, _PER_STATE_MODE = 240, 1600, 48
+# Working-set estimates: bytes a runner holds at its peak, keyed by the field that sizes them,
+# from the declarations beside the loops it runs: what it carries throughout, plus the largest
+# of the phases it goes through one after another.
+def _peak(carried: dict, *phases: tuple[str, int]) -> dict:
+    field, most = max(phases, key=lambda phase: phase[1])
+    return {**carried, field: carried.get(field, 0) + most}
 
 
-def _mc_bytes(mc):
-    return _MC_TABLE + _PER_BLOCK_DRAW * min(mc, INTERP_BLOCK) if mc > 0 else 0
+def _row_bytes(rows: int, cells: int) -> int:
+    """At most the bytes of a result table's rows: a list slot, a tuple and a float a cell."""
+    return rows * (8 + sys.getsizeof((0.0,) * cells) + cells * sys.getsizeof(0.0))
 
 
-def _rotator_bytes(sc):
-    modes, n, mc = 2 * int(sc["j_z"]) + 1, int(sc["grid_points"]), int(sc["mc_samples"])
-    return {"grid_points": _PER_BOOST_POINT * n,
-            "j_z": (_PER_SAMPLED_MODE if mc > 0 else _PER_MODE) * modes,
-            "mc_samples": _mc_bytes(mc)}
-
-
-def _freeclock_bytes(sc):
-    return {"grid_points": _PER_BOOST_POINT * int(sc["grid_points"]),
-            "mc_samples": _mc_bytes(int(sc["mc_samples"]))}
+def _dilation_bytes(sc: dict, rotator: bool) -> dict:
+    """A rotator's modes are its 2 J_z + 1 levels; a free clock's, its own packet's momenta."""
+    n, mc = int(sc["grid_points"]), int(sc["mc_samples"])
+    modes, sized = (2 * int(sc["j_z"]) + 1, "j_z") if rotator else (n, "grid_points")
+    (held, work), (boost, lags) = packet_bytes(n), time_operator_bytes(n, modes, rotator)
+    tables, block = ensemble_bytes(n, modes, mc, rotator) if mc > 0 else (0, 0)
+    return _peak({"grid_points": (1 if rotator else 2) * held}, ("grid_points", work),
+                 ("grid_points", boost), (sized, lags), (sized, tables), ("mc_samples", block))
 
 
 def _entangled_bytes(sc):
-    return {"j_z": _PER_STATE_MODE * (2 * int(sc["j_z"]) + 1) * len(sc["mode_momenta"]),
-            "histogram_bins": _PER_POINT * int(sc["histogram_bins"])}
+    bins = int(sc["histogram_bins"])
+    held, evolving = entangled_bytes(len(sc["mode_momenta"]), 2 * int(sc["j_z"]) + 1)
+    rows = _row_bytes(bins, 2) + 16 * bins  # and the angles and densities they are read from
+    return _peak({"j_z": held}, ("j_z", evolving), ("histogram_bins", rows))
 
 
 def _jacobi_bytes(sc):
     n = len(sc["masses"])
-    return {"masses": 16 * n ** 3 + 256 * n ** 2}
+    return {"masses": _row_bytes(n * n, 5) + exchange_chain_bytes(n)}
 
 
-def _packet_bytes(sc):
-    return {"grid_points": _PER_POINT * int(sc["grid_points"])}
+def _packet_bytes(sc, copies: int):
+    held, work = packet_bytes(int(sc["grid_points"]))
+    return {"grid_points": copies * held + work}
 
 
 def _typed(sc: dict, kind: Kind) -> dict:
@@ -476,13 +465,14 @@ SCENARIOS = {
         _run_jacobi_demo),
     "rotator-dilation": Kind(
         (Field("rest_mass", bound="positive"), *_PACKET, *_ROTATOR,
-         Field("tau_grid", "list", "nonnegative")), _rotator_bytes,
+         Field("tau_grid", "list", "nonnegative")), lambda sc: _dilation_bytes(sc, True),
         {_ON_GRID: lambda sc: _packet(sc, sc["rest_mass"]), ("omega",): _rotator_system},
         lambda sc: _dilation_table(sc, _rotator_system(sc))),
     "freeclock-dilation": Kind(
         (Field("m_a", bound="positive"), Field("m_b", bound="positive"),
          Field("p_bar", bound="nonzero"), Field("a_x", bound="positive"), *_PACKET,
-         Field("tau_grid", "list", "nonnegative")), _freeclock_bytes,
+         Field("tau_grid", "list", "nonnegative")),
+        lambda sc: _dilation_bytes(sc, False),
         {_ON_GRID: lambda sc: _packet(sc, sc["m_a"] + sc["m_b"]), ("a_x",): _freeclock_system},
         lambda sc: _dilation_table(sc, _freeclock_system(sc))),
     "entangled-clock": Kind(
@@ -492,12 +482,12 @@ SCENARIOS = {
         {("mode_momenta",): _modes, ("omega",): _entangled_system}, _run_entangled),
     "frame-transform": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"), *_PACKET,
-         Field("tau1"), Field("tau2")), _packet_bytes,
+         Field("tau1"), Field("tau2")), lambda sc: _packet_bytes(sc, 3),
         {_ON_GRID: lambda sc: _packet(sc, sc["m2"]), ("m1",): _round_trip},
         _run_frame_transform),
     "nonrel-limit": Kind(
         (Field("m1", bound="positive"), Field("m2", bound="positive"),
-         Field("betas", "list", "positive")), _packet_bytes,
+         Field("betas", "list", "positive")), lambda sc: _packet_bytes(sc, 1),
         {("betas",): lambda sc: nonrel_betas(sc["betas"])}, _run_nonrel_limit),
 }
 

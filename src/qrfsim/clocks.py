@@ -161,6 +161,11 @@ class AngleMoments:
     lobe_mass: float      # probability captured by the main lobe
 
 
+def lag_sum_bytes(modes: int) -> int:
+    """Peak bytes of branch_forms on `modes` modes: eleven floats a lag, of 2 modes - 1."""
+    return 88 * (2 * modes - 1)
+
+
 def branch_forms(x: np.ndarray, y: np.ndarray) -> tuple[complex, complex]:
     """(x^H u y, x^H u^2 y) for the branch angle u in (-pi, pi], x and y in the
     m basis: one correlation over the lags k = m - m', weighted by the closed-form

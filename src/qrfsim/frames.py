@@ -13,7 +13,7 @@ map, so any chain of pushes leaves one Gaussian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -50,15 +50,20 @@ class Body:
 
 @dataclass(frozen=True)
 class FrameSystem:
-    """Ordered collection of bodies; labels are 1-based body indices."""
+    """Ordered collection of bodies; labels are 1-based body indices.  masses is their
+    masses in label order, built once, read-only."""
 
     bodies: tuple[Body, ...]
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
         # one body alone is legal only as input to the infinite-mass frame limit
         if len(self.bodies) < 1:
             raise ConfigError("a frame system needs at least one body")
+        masses = np.array([b.mass for b in self.bodies])
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
 
     @classmethod
     def from_masses(cls, masses: Sequence[float], roles: Sequence[str] | None = None) -> "FrameSystem":
@@ -71,10 +76,6 @@ class FrameSystem:
     @property
     def size(self) -> int:
         return len(self.bodies)
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([b.mass for b in self.bodies])
 
     @property
     def total_mass(self) -> float:
@@ -195,7 +196,13 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
     if not (np.all(np.abs(mu - _reduced_masses(m_ord)) <= 1e-12 * mu)
             and np.all(np.abs(chart.coord_map[-1] * mu[-1] - masses) <= 1e-12 * masses)):
         raise ChartMismatch("chart was built for other body masses than this system's")
-    pair = slice(position, position + 2)
+    return _exchange(chart, position, m_ord)
+
+
+def _exchange(chart: JacobiChart, position: int, m_ord: np.ndarray) -> ChartTransform:
+    """adjacent_exchange, unchecked, of a chart built for the masses m_ord in slot order,
+    which are swapped in place into the target chart's slot order."""
+    mu, pair = chart.reduced_masses, slice(position, position + 2)
     c, s = _exchange_cs(m_ord[position], m_ord[position + 1], float(m_ord[position + 2:].sum()))
     ordering = list(chart.ordering)
     ordering[pair], m_ord[pair] = ordering[pair][::-1], m_ord[pair][::-1]
@@ -210,15 +217,21 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
 
 
 def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
-    """Adjacent exchanges carrying frame 1's chart into frame `to_label`'s."""
+    """Adjacent exchanges carrying frame 1's chart into frame `to_label`'s; the charts are
+    the chain's own, so no exchange checks them again."""
     _check_frame_label(system, to_label)
     ops: list[ChartTransform] = []
-    chart = build_chart(system, 1)
+    chart, m_ord = build_chart(system, 1), system.masses.copy()  # frame 1's slots: bodies 1..N
     for pos in range(to_label - 2, -1, -1):  # bubble the body to the front
-        op = adjacent_exchange(system, chart, pos)
-        ops.append(op)
-        chart = op.target
+        ops.append(_exchange(chart, pos, m_ord))
+        chart = ops[-1].target
     return ops
+
+
+def exchange_chain_bytes(bodies: int) -> int:
+    """Bytes exchange_chain holds at most: for n bodies, n - 1 target charts and the chart
+    they start from, each two n x n maps."""
+    return 16 * bodies ** 3
 
 
 def compose_transform(system: FrameSystem, from_label: int, to_label: int) -> ChartTransform:

@@ -127,6 +127,13 @@ class WavePacket:
         return replace(self, amplitudes=amp)
 
 
+def packet_bytes(points: int) -> tuple[int, int]:
+    """(held, work): the bytes of a packet on `points` momenta, its grid and complex amplitudes,
+    and at most those of building, evolving or measuring one: four complex temporaries and a
+    real one a point."""
+    return 24 * points, 72 * points
+
+
 def _delta_floor(center: float, width: float) -> float:
     """width, or for width = 0 (a delta-like packet) DELTA_WIDTH_FRACTION * max(|center|, 1)."""
     return width if width != 0.0 else DELTA_WIDTH_FRACTION * max(abs(center), 1.0)
@@ -270,10 +277,20 @@ def position_wavefunction(packet: WavePacket, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     a, n = packet.grid.spacing * uniform_step(xs), packet.grid.size  # one check of the lattice
     out = np.empty(xs.size, dtype=complex)
-    chunk = max(INTERP_BLOCK, 1 << (2 * n - 2).bit_length()) - n + 1
+    chunk = _transform_length(n) - n + 1
     for start in range(0, xs.size, chunk):  # a chunk's temporaries go when it returns
         out[start:start + chunk] = _chirp_z(packet, xs[start:start + chunk], a)
     return out
+
+
+def _transform_length(n: int) -> int:  # of position_wavefunction's FFTs, for n momenta
+    return max(INTERP_BLOCK, 1 << (2 * n - 2).bit_length())
+
+
+def wavefunction_bytes(points: int, xs: int) -> int:
+    """Peak bytes of position_wavefunction: the result and one chunk's five complex arrays of
+    the transform length (the kernel, both spectra, their product and its inverse)."""
+    return 16 * xs + 80 * _transform_length(points)
 
 
 def _chirp_z(packet: WavePacket, xs: np.ndarray, a: float) -> np.ndarray:

@@ -30,6 +30,7 @@ from .clocks import (
     branch_forms,
     freeclock_packet,
     freeclock_terms,
+    lag_sum_bytes,
     recenter,
     rotator_evolve_rest,
 )
@@ -52,6 +53,7 @@ from .packets import (
     position_mean,
     position_variance,
     position_wavefunction,
+    wavefunction_bytes,
 )
 from .sampling import (
     INTERP_BLOCK,
@@ -273,6 +275,7 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
             b = time_boost(p[None, :], m[rows, None])
             out[0, rows] = b @ w_p
             out[1, rows] = np.square(b, out=b) @ w_p  # squared in place: one mesh
+            del b  # so that the next block's mesh is not made beside it
         return out
 
     def scale(m):  # B_2 and B_2^2 at the rms momentum: F and G over them stay near 1
@@ -301,6 +304,17 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
             return _chebyshev_sum(c, (2 * s - lo - hi) / (hi - lo)) * scale(m_op)
         n *= 2
     return at(m_op)
+
+
+def time_operator_bytes(points: int, modes: int, rotator: bool) -> tuple[int, int]:
+    """Peak bytes of time_operator's boost moments, then a rotator's lag sums, each beside the
+    momentum weights and five floats a mode (the mode table, a rotator's coefficients): B_2's
+    mesh of BOOST_BLOCK_ROWS masses with numpy's buffers for its broadcast (np.getbufsize()
+    floats for each of two operands), or the dozen floats a mode of Clenshaw's sum; the lag
+    sums beside the modes' boosts and two recentred states."""
+    held = 8 * (points + 5 * modes)
+    boost = 8 * max(min(BOOST_BLOCK_ROWS, modes) * points + 2 * np.getbufsize(), 12 * modes)
+    return held + boost, (held + 40 * modes + lag_sum_bytes(modes)) if rotator else 0
 
 
 def _boost_moments(p, w_p, m_op, w_m, f) -> tuple[np.ndarray, float, float]:
@@ -346,6 +360,12 @@ class EntangledClockState:
         return rho
 
 
+def entangled_bytes(modes: int, clock_modes: int) -> tuple[int, int]:
+    """(held, evolving): the bytes of the clock and boosted_evolve's state per external mode,
+    and beside them at most five floats a clock mode while one is evolved."""
+    return 16 * clock_modes * (modes + 1), 40 * clock_modes
+
+
 def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:
     """Evolve mode-by-mode: internal clock at slowed time B0(p) tau0, plus
     the external phase exp(-i E(p) tau0)."""
@@ -369,6 +389,22 @@ def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:
 
 # --- Monte-Carlo oracle ------------------------------------------------------
 
+def _angle_table_points(n_states: int) -> int:  # lobes are 2 pi / N wide: 2^k + 1 >= 16 N
+    return max(ANGLE_TABLE_POINTS, (1 << (16 * n_states - 2).bit_length()) + 1)
+
+
+def ensemble_bytes(points: int, modes: int, draws: int, rotator: bool) -> tuple[int, int]:
+    """Peak bytes of mc_variance_check's phases: building the tables of the momenta, the modes
+    and the offsets (each a CDF and a guide of under twice its entries, 24 bytes an entry, a
+    density's also its grid and slopes, 40), from the angle density (z, phi and rho, five
+    floats an angle) or psi(x) on the table's grid; then the tables and a block of draws, 13
+    floats a draw (four arrays, two slopes, three squares and the lookups' temporaries)."""
+    table = _angle_table_points(modes) if rotator else POSITION_TABLE_POINTS
+    law = 8 * table + (40 * table if rotator else wavefunction_bytes(points, table))
+    held, offsets = 24 * (points + modes), 40 * table
+    return held + max(law, 2 * offsets), held + offsets + 104 * min(draws, INTERP_BLOCK)
+
+
 def _offset_law(sys: RelClockSystem) -> tuple[np.ndarray, np.ndarray]:
     """(ts, density): the law of the clock's offset T, tabulated on a grid of hand
     angles u on the peak-centred branch theta = phi + u of `recenter` (rotator) or of
@@ -377,9 +413,7 @@ def _offset_law(sys: RelClockSystem) -> tuple[np.ndarray, np.ndarray]:
     clock = sys.clock
     if isinstance(clock, RotatorClockState):
         phi, centered = recenter(clock)
-        # lobes are 2 pi / N wide: the table is the smallest 2^k + 1 >= 16 N if larger
-        table = max(ANGLE_TABLE_POINTS, (1 << (16 * clock.n_states - 2).bit_length()) + 1)
-        us = np.linspace(-np.pi, np.pi, table)
+        us = np.linspace(-np.pi, np.pi, _angle_table_points(clock.n_states))
         density = angular_density(centered, us)
         us += phi
         us /= 2 * np.pi * clock.omega

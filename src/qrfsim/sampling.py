@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteSample
 
-#: Uniforms inverted, and draws reduced, per block, sized to a 2 MiB L2: a Monte-Carlo
-#: block holds 104 bytes per draw, 0.81 MiB at 2**13, beside its offset table, 0.63 MiB
-#: for 16385 points with their guide: 1.44 MiB together.
+#: Uniforms inverted, and draws reduced, per block, sized to a 2 MiB L2 with the offset
+#: table beside a Monte-Carlo block (relkin.ensemble_bytes: 1.5 MiB for 16385 angles).
 INTERP_BLOCK = 1 << 13
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrfsim import cli, frames, relkin
+from qrfsim import cli, clocks, frames, packets, relkin
 from qrfsim.errors import ChartMismatch, ConfigError, NumericalError, QrfError, ScenarioParseError
 
 SCENARIO_DIR = Path(cli.__file__).parent / "scenarios"
@@ -479,19 +479,90 @@ def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
     _edited("rotator-dilation", grid_points=256, mc_samples=2),
     _edited("freeclock-dilation", grid_points=256, mc_samples=2),
     _edited("freeclock-dilation", grid_points=2048, mc_samples=2),
+    _edited("rotator-dilation"),
+    _edited("freeclock-dilation"),
 ], ids=["freeclock-mesh", "freeclock-wide-span", "rotator-mc", "rotator-modes",
         "rotator-wide-span", "rotator-angle-table", "entangled-modes", "jacobi-chains",
-        "rotator-two-draws", "freeclock-two-draws", "freeclock-mesh-two-draws"])
+        "rotator-two-draws", "freeclock-two-draws", "freeclock-mesh-two-draws",
+        "shipped-rotator-dilation", "shipped-freeclock-dilation"])
 def test_working_set_estimate_tracks_the_traced_peak(payload):
     estimate = cli.SCENARIOS[payload["kind"]].estimate
-    cli.run_scenario(payload)  # untraced: one-off lazy imports are not the working set
+    peak = _traced_peak(lambda: cli.run_scenario(payload))
+    assert 0.5 < sum(estimate(payload).values()) / peak < 2.0
+
+
+def _traced_peak(call):
+    """Bytes call allocates at its peak, traced on a second call: one-off lazy imports and
+    caches of the first are not its working set."""
+    call()
     tracemalloc.start()
     try:
-        cli.run_scenario(payload)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.5 < sum(estimate(payload).values()) / peak < 2.0
+
+
+def _packet(n):
+    return packets.make_gaussian(packets.default_grid(0.75, 0.1, n), 0.75, 0.1, 1.0)
+
+
+def _kernel_cases():
+    """(id, declared bytes, the kernel alone) at sizes where arrays, not a few KiB of Python
+    objects, set the peak; a kernel of two phases declares the larger."""
+    tau, cases = np.array([1.0, 2.0]), []
+    for n in (2048, 8192):
+        held, work = packets.packet_bytes(n)
+        pk, xs = _packet(n), np.linspace(-50.0, 50.0, relkin.POSITION_TABLE_POINTS)
+        cases += [(f"packet-build-{n}", held + work, lambda n=n: _packet(n)),
+                  (f"packet-moment-{n}", work, lambda pk=pk: packets.position_variance(pk)),
+                  (f"psi-chunks-{n}", packets.wavefunction_bytes(n, xs.size),
+                   lambda pk=pk, xs=xs: packets.position_wavefunction(pk, xs))]
+    for modes in (2001, 8001):
+        c = clocks.rotator_init((modes - 1) // 2, 0.01).coefficients
+        cases.append((f"lag-sums-{modes}", clocks.lag_sum_bytes(modes),
+                      lambda c=c: clocks.branch_forms(c, c)))
+    rotator, free = clocks.rotator_init, clocks.FreeClockState
+    for name, n, clock, draws in (
+            ("rotator", 2048, rotator(4, 0.02), (2, 10 ** 5)),
+            ("rotator-modes", 2048, rotator(1000, 1e-5), ()),
+            ("rotator-wide-span", 2048, rotator(1000, 0.999 / (2000 * np.pi)), ()),
+            ("rotator-angle-table", 16, rotator(1000, 1e-5), (2,)),
+            ("rotator-mesh", 8192, rotator(2, 1e-3), ()),
+            ("freeclock", 2048, free(0.5, 0.5, 0.2, 25.0), (2, 10 ** 5)),
+            ("freeclock-wide-span", 1024, free(0.5, 0.5, 0.2, 5.0), (2,))):
+        system = relkin.RelClockSystem(1.0, _packet(n), clock)
+        is_rotator = isinstance(clock, clocks.RotatorClockState)
+        modes = clock.n_states if is_rotator else n
+        cases.append((f"time-operator-{name}", max(relkin.time_operator_bytes(n, modes, is_rotator)),
+                      lambda s=system: type(s).time_operator.func(s)))
+        system.time_operator  # cached: the draws alone are traced
+        cases += [(f"ensemble-{name}-{d}", max(relkin.ensemble_bytes(n, modes, d, is_rotator)),
+                   lambda s=system, d=d: relkin.mc_variance_check(s, tau, d, 0)) for d in draws]
+    for external, j_z in ((2, 2000), (8, 500)):
+        modes = relkin.ModeSuperposition(np.linspace(0.0, 0.75, external),
+                                         np.full(external, external ** -0.5))
+        cases.append((f"entangled-{external}x{2 * j_z + 1}",
+                      sum(relkin.entangled_bytes(external, 2 * j_z + 1)),
+                      lambda m=modes, j=j_z: relkin.boosted_evolve(
+                          relkin.RelClockSystem(1.0, m, clocks.rotator_init(j, 1e-5)), 50.0)))
+    for bodies in (24, 80):
+        system = frames.FrameSystem.from_masses([1.0 + 0.1 * i for i in range(bodies)])
+        cases.append((f"exchange-chain-{bodies}", frames.exchange_chain_bytes(bodies),
+                      lambda s=system, b=bodies: frames.exchange_chain(s, b)))
+    return cases
+
+
+_KERNELS = _kernel_cases()
+
+
+@pytest.mark.parametrize("declared, kernel", [case[1:] for case in _KERNELS],
+                         ids=[case[0] for case in _KERNELS])
+def test_each_kernel_declares_its_traced_peak(declared, kernel):
+    # measured declared / traced: 0.88 (the 24-body exchange chain, whose chart objects add to
+    # its maps) to 1.35 (the free clock's boost moments, declared at BOOST_BLOCK_ROWS masses a
+    # mesh where its Chebyshev levels take 9); the bounds add about 15% on either side
+    assert 0.75 < declared / _traced_peak(kernel) < 1.55
 
 
 @st.composite
@@ -539,13 +610,15 @@ def test_jacobi_chain_residual_sees_a_wrong_exchange(monkeypatch, tail):
     assert max(chain_residuals().values()) <= 1e-15
     original = frames._exchange_cs
     monkeypatch.setattr(frames, "_exchange_cs", turned)
-    if tail:  # a tail exchange turns the c.m. row, which the next exchange refuses
+    # the chain does not check the charts it made itself: its residual sees a wrong exchange
+    residuals = chain_residuals()
+    assert residuals[1] == 0.0  # frame 1's chain is empty
+    assert all(residuals[label] > 1e-10 for label in (2, 3, 4))
+    if tail:  # a tail exchange turns the c.m. row, which the public exchange refuses
+        system = frames.FrameSystem.from_masses([1.0, 2.0, 3.0, 4.0])
+        chart = frames.adjacent_exchange(system, frames.build_chart(system, 1), 2).target
         with pytest.raises(ChartMismatch):
-            chain_residuals()
-    else:
-        residuals = chain_residuals()
-        assert residuals[1] == 0.0  # frame 1's chain is empty
-        assert all(residuals[label] > 1e-10 for label in (2, 3, 4))
+            frames.adjacent_exchange(system, chart, 1)
 
 
 def test_freeclock_table_builds_its_position_table_once(tmp_path, monkeypatch):

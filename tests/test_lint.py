@@ -1,5 +1,6 @@
 """Source rules that keep each rule in one home: no module reaches into
-another module's private names, the library needs nothing beyond numpy, no
+another module's private names, the CLI reads no kernel's block or table size (its
+working-set rules live beside the loops they bound), the library needs nothing beyond numpy, no
 deletion leaves an unused import, an unread private name or an unread
 public constant behind, no
 matrix is inverted numerically, no test tolerance is relative by default, no
@@ -25,8 +26,8 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_imports(path: Path) -> list[str]:
-    """'line: name' for every single-underscore name that the module takes from
+def imported_names(path: Path, wanted) -> list[str]:
+    """'line: name' for every name that wanted accepts and that the module takes from
     another qrfsim module, by `from . import` / `from qrfsim... import` or as an
     attribute of a qrfsim module it imported."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -35,7 +36,7 @@ def private_imports(path: Path) -> list[str]:
         if isinstance(node, ast.ImportFrom) and (
                 node.level > 0 or (node.module or "").split(".")[0] == "qrfsim"):
             for alias in node.names:
-                if _private(alias.name):
+                if wanted(alias.name):
                     found.append(f"{node.lineno}: {alias.name}")
                 if node.module in (None, "qrfsim"):  # `from . import packets`
                     modules.add(alias.asname or alias.name)
@@ -44,10 +45,15 @@ def private_imports(path: Path) -> list[str]:
                 if alias.name.split(".")[0] == "qrfsim":
                     modules.add(alias.asname or alias.name.split(".")[0])
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and _private(node.attr)
+        if (isinstance(node, ast.Attribute) and wanted(node.attr)
                 and isinstance(node.value, ast.Name) and node.value.id in modules):
             found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
     return found
+
+
+def private_imports(path: Path) -> list[str]:
+    """The single-underscore names the module takes from another qrfsim module."""
+    return imported_names(path, _private)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -65,6 +71,29 @@ def test_the_rule_sees_private_imports(tmp_path):
     assert private_imports(probe) == ["2: _derivative", "3: _nw_packet",
                                       "5: packets._derivative", "6: clk._LOBE_NODES"]
 
+
+
+def _block_or_table_size(name: str) -> bool:
+    """INTERP_BLOCK, BOOST_BLOCK_ROWS, ANGLE_TABLE_POINTS, POSITION_TABLE_POINTS and their like."""
+    return name.isupper() and ("BLOCK" in name or name.endswith("TABLE_POINTS"))
+
+
+def test_the_cli_reads_no_block_or_table_size():
+    # a working-set rule that needs a kernel's block or table size lives beside that kernel
+    assert imported_names(SRC / "cli.py", _block_or_table_size) == []
+
+
+def test_the_rule_sees_block_and_table_sizes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .sampling import INTERP_BLOCK, make_rng\n"
+                     "from qrfsim.relkin import (BOOST_BLOCK_ROWS, ANGLE_TABLE_POINTS,\n"
+                     "                           ALPHA_I_WARN)\n"
+                     "from . import relkin\n"
+                     "relkin.POSITION_TABLE_POINTS\nrelkin.BOOST_TAIL\n"
+                     "OWN_BLOCK = 3\n")
+    assert imported_names(probe, _block_or_table_size) == [
+        "1: INTERP_BLOCK", "2: BOOST_BLOCK_ROWS", "2: ANGLE_TABLE_POINTS",
+        "5: relkin.POSITION_TABLE_POINTS"]
 
 
 def function_level_imports(path: Path) -> list[str]:
