@@ -8,11 +8,15 @@ measurement-reduction density matrix for a relative-position measurement.
 Charts are plain linear maps over body indices: q = A r and pi = B p with
 A B^T = 1 (canonical pairing), so A^-1 = B^T.  Chart states are Gaussians: a
 unitary frame change pushes one through these maps by updating its linear
-map, so any chain of pushes leaves one Gaussian.
+map, so any chain of pushes leaves one Gaussian.  A chart's arrays are read-only,
+so each system shares its frame charts: build_chart returns the one a caller still
+holds, and the system's weak cache keeps none that no caller holds.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -51,10 +55,12 @@ class Body:
 @dataclass(frozen=True)
 class FrameSystem:
     """Ordered collection of bodies; labels are 1-based body indices.  masses is their
-    masses in label order, built once, read-only."""
+    masses in label order, built once, read-only.  charts maps frame labels to the frame
+    charts build_chart made that some caller still holds: weak, so it holds no chart itself."""
 
     bodies: tuple[Body, ...]
     masses: np.ndarray = field(init=False, repr=False, compare=False)
+    charts: weakref.WeakValueDictionary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
@@ -64,6 +70,7 @@ class FrameSystem:
         masses = np.array([b.mass for b in self.bodies])
         masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "charts", weakref.WeakValueDictionary())
 
     @classmethod
     def from_masses(cls, masses: Sequence[float], roles: Sequence[str] | None = None) -> "FrameSystem":
@@ -89,13 +96,17 @@ class JacobiChart:
     ordering holds 1-based body labels, frame body first.  coord_map rows are
     chart coordinates, columns original body indices; the last row is the
     center of mass.  reduced_masses[i] weights row i's kinetic term (the last
-    entry is the total mass).
+    entry is the total mass).  The three arrays are read-only, so a chart can be shared.
     """
 
     ordering: tuple[int, ...]
     coord_map: np.ndarray
     momentum_map: np.ndarray
     reduced_masses: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.coord_map, self.momentum_map, self.reduced_masses):
+            array.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -106,10 +117,21 @@ class JacobiChart:
         return self.coord_map @ self.momentum_map.T
 
 
-def _reduced_masses(m_ord: np.ndarray) -> np.ndarray:
-    """Chart weights for masses in slot order: 1 / (1/m_i + 1/tail_i), then the total."""
-    tails = np.cumsum(m_ord[::-1])[::-1][1:]  # mass beyond each slot but the last
-    return np.append(1.0 / (1.0 / m_ord[:-1] + 1.0 / tails), float(m_ord.sum()))
+def _reduced_masses(m_ord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart weights for masses in slot order, 1 / (1/m_i + 1/tail_i) then the total, and the
+    tails: the mass beyond each slot but the last."""
+    tails = np.cumsum(m_ord[::-1])[::-1][1:]
+    mu = np.empty(m_ord.size)
+    np.divide(1.0, np.add(1.0 / m_ord[:-1], 1.0 / tails, out=mu[:-1]), out=mu[:-1])
+    mu[-1] = m_ord.sum()
+    return mu, tails
+
+
+def _built_for(chart: JacobiChart, mu: np.ndarray, masses: np.ndarray) -> bool:
+    """Whether chart has reduced masses mu and body masses (c.m. row times total), to 1e-12."""
+    own = chart.reduced_masses
+    return bool(np.all(np.abs(own - mu) <= 1e-12 * own)
+                and np.all(np.abs(chart.coord_map[-1] * own[-1] - masses) <= 1e-12 * masses))
 
 
 def chart_for_ordering(system: FrameSystem, ordering: Sequence[int]) -> JacobiChart:
@@ -119,8 +141,7 @@ def chart_for_ordering(system: FrameSystem, ordering: Sequence[int]) -> JacobiCh
     if sorted(ordering) != list(range(1, n + 1)):
         raise BadLabel(f"ordering {ordering} is not a permutation of 1..{n}")
     m_ord = system.masses[[l - 1 for l in ordering]]
-    tails = np.cumsum(m_ord[::-1])[::-1][1:]  # mass beyond each slot but the last
-    mu = _reduced_masses(m_ord)
+    mu, tails = _reduced_masses(m_ord)
 
     a_ord, b_ord = np.zeros((2, n, n))
     for i in range(n - 1):
@@ -148,17 +169,22 @@ def _check_frame_label(system: FrameSystem, label: int) -> None:
 
 
 def build_chart(system: FrameSystem, frame_label: int) -> JacobiChart:
-    """Canonical chart attached to the given frame body."""
+    """Canonical chart attached to the given frame body: the live one if a caller still holds
+    it, else a new one, which the system then shares until its last holder drops it."""
     _check_frame_label(system, frame_label)
-    return chart_for_ordering(system, frame_ordering(system.size, frame_label))
+    chart = system.charts.get(frame_label)
+    if chart is None:
+        chart = chart_for_ordering(system, frame_ordering(system.size, frame_label))
+        system.charts[frame_label] = chart
+    return chart
 
 
 def _exchange_cs(m1: float, m2: float, m3: float) -> tuple[float, float]:
     """(cos beta, sin beta) of the turn swapping masses m1, m2 with m3 beyond them ((1, -0) at
     the tail, m3 = 0), as roots of mass ratios: beta is never formed, and no product of masses
     under- or overflows while each body's share of the total mass is a normal float."""
-    c = np.sqrt(m1 / (m1 + m3)) * np.sqrt(m2 / (m2 + m3))
-    s = -np.sqrt(m3 / (m2 + m3)) * np.sqrt((m1 + m2 + m3) / (m1 + m3))
+    c = math.sqrt(m1 / (m1 + m3)) * math.sqrt(m2 / (m2 + m3))
+    s = -math.sqrt(m3 / (m2 + m3)) * math.sqrt((m1 + m2 + m3) / (m1 + m3))
     return c, s
 
 
@@ -189,12 +215,8 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
         raise BadLabel(f"swap position {position} outside 0..{n - 2}")
     if n != system.size:
         raise ChartMismatch(f"chart of {n} bodies given for a system of {system.size}")
-    masses = system.masses
-    m_ord = masses[[l - 1 for l in chart.ordering]]
-    mu = chart.reduced_masses
-    # the c.m. row times the total mass holds the body masses the chart was built for
-    if not (np.all(np.abs(mu - _reduced_masses(m_ord)) <= 1e-12 * mu)
-            and np.all(np.abs(chart.coord_map[-1] * mu[-1] - masses) <= 1e-12 * masses)):
+    m_ord = system.masses[[l - 1 for l in chart.ordering]]
+    if not _built_for(chart, _reduced_masses(m_ord)[0], system.masses):
         raise ChartMismatch("chart was built for other body masses than this system's")
     return _exchange(chart, position, m_ord)
 
@@ -203,10 +225,10 @@ def _exchange(chart: JacobiChart, position: int, m_ord: np.ndarray) -> ChartTran
     """adjacent_exchange, unchecked, of a chart built for the masses m_ord in slot order,
     which are swapped in place into the target chart's slot order."""
     mu, pair = chart.reduced_masses, slice(position, position + 2)
-    c, s = _exchange_cs(m_ord[position], m_ord[position + 1], float(m_ord[position + 2:].sum()))
+    c, s = _exchange_cs(*m_ord[pair].tolist(), float(m_ord[position + 2:].sum()))
     ordering = list(chart.ordering)
     ordering[pair], m_ord[pair] = ordering[pair][::-1], m_ord[pair][::-1]
-    target_mu = _reduced_masses(m_ord)
+    target_mu = _reduced_masses(m_ord)[0]
     pre, root = np.sqrt(mu[pair]), np.sqrt(target_mu[pair])
     turn = np.array([[-c, -s], [-s, c]])  # rotation(beta) times the parity diag(-1, 1)
     block = (1.0 / root)[:, None] * turn * pre
@@ -304,10 +326,13 @@ def gaussian_chart_state(chart: JacobiChart, means: Sequence[float],
 def apply_transform(state: ChartState, op: ChartTransform) -> ChartState:
     """Push through q' = U q: the factor becomes U^-T factor = B_target A_source^T factor.
     The norm is kept: maps between one system's Jacobi charts have |det U| = 1 (each exchange
-    turns between dilatations whose determinants cancel), so |det U|^(-1/2) is exactly 1."""
-    if state.chart is not op.source and tuple(state.chart.ordering) != tuple(op.source.ordering):
-        raise ChartMismatch(
-            f"state on ordering {state.chart.ordering} fed to a transform from {op.source.ordering}")
+    turns between dilatations whose determinants cancel), so |det U|^(-1/2) is exactly 1.
+    A state on another chart than op.source must match its ordering and masses."""
+    own, source = state.chart, op.source
+    if own is not source and (tuple(own.ordering) != tuple(source.ordering) or not _built_for(
+            own, source.reduced_masses, source.coord_map[-1] * source.reduced_masses[-1])):
+        raise ChartMismatch(f"state on ordering {own.ordering} fed to a transform from "
+                            f"{source.ordering}, or on a chart of other body masses")
     g = state.amplitude
     factor = op.target.momentum_map @ (op.source.coord_map.T @ g.factor)
     return ChartState(op.target, ChartGaussian(factor, g.center, g.norm))

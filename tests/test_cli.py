@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -481,10 +482,11 @@ def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
     _edited("freeclock-dilation", grid_points=2048, mc_samples=2),
     _edited("rotator-dilation"),
     _edited("freeclock-dilation"),
+    cli.load_scenario(str(SCENARIO_DIR / "entangled-clock.json")),  # with the run defaults
 ], ids=["freeclock-mesh", "freeclock-wide-span", "rotator-mc", "rotator-modes",
         "rotator-wide-span", "rotator-angle-table", "entangled-modes", "jacobi-chains",
         "rotator-two-draws", "freeclock-two-draws", "freeclock-mesh-two-draws",
-        "shipped-rotator-dilation", "shipped-freeclock-dilation"])
+        "shipped-rotator-dilation", "shipped-freeclock-dilation", "shipped-entangled-clock"])
 def test_working_set_estimate_tracks_the_traced_peak(payload):
     estimate = cli.SCENARIOS[payload["kind"]].estimate
     peak = _traced_peak(lambda: cli.run_scenario(payload))
@@ -495,6 +497,7 @@ def _traced_peak(call):
     """Bytes call allocates at its peak, traced on a second call: one-off lazy imports and
     caches of the first are not its working set."""
     call()
+    gc.collect()  # a full collection empties CPython's free lists, so small tuples are traced
     tracemalloc.start()
     try:
         call()

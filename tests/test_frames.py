@@ -1,7 +1,9 @@
 """Jacobi charts, exchange operators, internal Hamiltonians, measurement reduction."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -21,6 +23,7 @@ from qrfsim.frames import (
     chart_for_ordering,
     compose_transform,
     exchange_chain,
+    frame_ordering,
     gaussian_chart_state,
     internal_hamiltonian,
     measurement_reduce,
@@ -366,6 +369,76 @@ def test_transform_rejects_wrong_chart():
     state = gaussian_chart_state(c2, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(ChartMismatch):
         apply_transform(state, adjacent_exchange(system, c1, 0))
+
+
+@pytest.mark.parametrize("masses, other", [
+    ([1.0, 2.0, 4.0], [2.0, 2.0, 4.0]),
+    ([1.0, 3.0], [3.0, 1.0]),  # equal reduced masses; only the c.m. row tells them apart
+], ids=["other-masses", "mirrored-masses"])
+def test_transform_rejects_a_state_on_a_chart_of_other_masses(masses, other):
+    system = FrameSystem.from_masses(masses)
+    n, op = system.size, compose_transform(system, 1, 2)
+    chart = build_chart(FrameSystem.from_masses(other), 1)
+    assert chart.ordering == op.source.ordering
+    with pytest.raises(ChartMismatch, match="masses"):
+        apply_transform(gaussian_chart_state(chart, [0.0] * n, [1.0] * n), op)
+    # a chart built apart from the transform's, for the same masses, is its chart
+    same = chart_for_ordering(system, op.source.ordering)
+    assert apply_transform(gaussian_chart_state(same, [0.0] * n, [1.0] * n), op).chart is op.target
+
+
+def test_frame_charts_are_shared_while_held():
+    system = FrameSystem.from_masses([1.0, 2.0, 3.0, 4.0])
+    first = build_chart(system, 1)
+    assert build_chart(system, 1) is first
+    for k in (2, 3, 4):
+        chart = build_chart(system, k)
+        assert build_chart(system, k) is chart
+        op = compose_transform(system, 1, k)
+        assert op.source is first and op.target is chart
+        assert exchange_chain(system, k)[0].source is first
+
+
+def test_dropped_frame_charts_are_released():
+    # the system's chart cache is weak: it keeps no chart that no caller holds
+    system = FrameSystem.from_masses([1.0, 2.0, 3.0])
+    chart, chain = build_chart(system, 3), exchange_chain(system, 3)
+    refs = [weakref.ref(chart), weakref.ref(chain[0].source)]
+    del chart, chain
+    gc.collect()
+    assert all(ref() is None for ref in refs) and len(system.charts) == 0
+    assert build_chart(system, 3).ordering == (3, 1, 2)  # built again when asked for
+
+
+def test_chart_arrays_are_read_only():
+    system = FrameSystem.from_masses([1.0, 2.0, 3.0])
+    charts = [build_chart(system, 2), *(op.target for op in exchange_chain(system, 3)),
+              adjacent_exchange(system, build_chart(system, 1), 1).target]
+    for chart in charts:
+        for array in (chart.coord_map, chart.momentum_map, chart.reduced_masses):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(masses=masses_strategy)
+def test_shared_charts_are_the_directly_built_charts(masses):
+    # after every frame change has used them, the shared charts still hold the bits of a
+    # fresh build, sign bits included
+    system = FrameSystem.from_masses(masses)
+    n = system.size
+    held = [build_chart(system, k) for k in range(1, n + 1)]
+    state = gaussian_chart_state(held[0], [0.5] * n, [1.0] * n)
+    for k in range(1, n + 1):
+        apply_transform(state, compose_transform(system, 1, k))
+        for op in exchange_chain(system, k):
+            state = apply_transform(state, op)
+        state = apply_transform(state, compose_transform(system, k, 1))
+    for k, chart in enumerate(held, 1):
+        fresh = chart_for_ordering(system, frame_ordering(n, k))
+        assert build_chart(system, k) is chart and chart.ordering == fresh.ordering
+        for name in ("coord_map", "momentum_map", "reduced_masses"):
+            assert getattr(chart, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 def test_compose_identity_and_inverse_pair():
