@@ -56,7 +56,8 @@ class Body:
 class FrameSystem:
     """Ordered collection of bodies; labels are 1-based body indices.  masses is their
     masses in label order, built once, read-only.  charts maps frame labels to the frame
-    charts build_chart made that some caller still holds: weak, so it holds no chart itself."""
+    charts build_chart made that some caller still holds: weak, so it holds no chart itself.
+    Each body's share of the total mass, held in the charts' c.m. row, must be a normal float."""
 
     bodies: tuple[Body, ...]
     masses: np.ndarray = field(init=False, repr=False, compare=False)
@@ -67,7 +68,11 @@ class FrameSystem:
         # one body alone is legal only as input to the infinite-mass frame limit
         if len(self.bodies) < 1:
             raise ConfigError("a frame system needs at least one body")
-        masses = np.array([b.mass for b in self.bodies])
+        masses, tiny = np.array([b.mass for b in self.bodies], dtype=float), np.finfo(float).tiny
+        shares = masses / masses.max()  # over the heaviest, so that their sum cannot overflow
+        if shares.min() / shares.sum() < tiny:
+            raise ConfigError("the lightest body's share of the total mass underflows: "
+                              f"need min(masses) / sum(masses) >= {tiny:.3g}")
         masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "charts", weakref.WeakValueDictionary())
@@ -251,9 +256,9 @@ def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
 
 
 def exchange_chain_bytes(bodies: int) -> int:
-    """Bytes exchange_chain holds at most: for n bodies, n - 1 target charts and the chart
-    they start from, each two n x n maps."""
-    return 16 * bodies ** 3
+    """Bytes exchange_chain holds at most: n - 1 target charts and the one they start from, each
+    two n x n maps, 16 n of masses and ordering, and with its transform 1 KiB of objects."""
+    return bodies * (16 * bodies * (bodies + 1) + 1024)
 
 
 def compose_transform(system: FrameSystem, from_label: int, to_label: int) -> ChartTransform:
@@ -380,20 +385,20 @@ class ReducedDensityMatrix:
 
     rho(delta_a, delta_b) is chi[a:b] chi[a:b]^dagger on each kept cell (a row range that no bin
     split), zero elsewhere; chi, scale times source's amplitude on the (delta_grid, cm_grid)
-    mesh, is formed only when matrix is read, one cell at a time.  trace sums the cells'
-    row_probs; weights per bin; widths are each kept cell's spread of x_n.
-    """
+    mesh, is formed only when matrix is read, one cell at a time.  No cut changes row_moments,
+    each delta row's probability and first two moments of x_n: trace, weights and widths (spread
+    of x_n) per kept bin are read off them."""
 
     delta_grid: np.ndarray
-    bin_edges: np.ndarray
-    weights: np.ndarray
-    widths: np.ndarray
-    dropped_bins: tuple[int, ...]
     source: ProductState
     cm_grid: np.ndarray
     scale: float
-    row_probs: np.ndarray
+    row_moments: np.ndarray
+    bin_edges: np.ndarray  # these five are what a cut sets
     cells: tuple[tuple[int, int], ...]
+    weights: np.ndarray
+    widths: np.ndarray
+    dropped_bins: tuple[int, ...]
 
     @property
     def delta_spacing(self) -> float:
@@ -409,7 +414,7 @@ class ReducedDensityMatrix:
         return out
 
     def trace(self) -> float:
-        return float(sum(self.row_probs[a:b].sum() for a, b in self.cells))
+        return float(sum(self.row_moments[0, a:b].sum() for a, b in self.cells))
 
 
 def _amplitude_rows(state: ProductState, delta: np.ndarray, xcm: np.ndarray):
@@ -430,10 +435,10 @@ def _amplitude_rows(state: ProductState, delta: np.ndarray, xcm: np.ndarray):
     return rows
 
 
-def _project(delta: np.ndarray, bins, row_probs: np.ndarray, cells):
+def _project(delta: np.ndarray, bins, row_moments: np.ndarray, cells):
     """Cut the cells (row ranges of the sorted mesh) by half-open bins (e_{j-1}, e_j], the
-    first closed on the left: (edges, kept cells, weights, dropped).  Bin j is rows a:b; it
-    weighs row_probs over its rows inside the cells and keeps its pieces of them."""
+    first closed on the left, into the fields the cut sets.  Bin j is rows a:b; its weight and
+    width are read off row_moments summed over its pieces of the cells, which it keeps."""
     edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ConfigError("bins must be a strictly increasing edge array of length >= 2")
@@ -443,12 +448,15 @@ def _project(delta: np.ndarray, bins, row_probs: np.ndarray, cells):
     bounds = [0, *np.searchsorted(delta, edges[1:], side="right").tolist()]
     pieces = [[(max(a, c), min(b, d)) for c, d in cells if max(a, c) < min(b, d)]
               for a, b in zip(bounds[:-1], bounds[1:])]
-    weights = np.array([sum(row_probs[a:b].sum() for a, b in p) for p in pieces])
-    keep = weights > 1e-14
+    sums = np.array([sum((row_moments[:, a:b].sum(axis=1) for a, b in p), np.zeros(3))
+                     for p in pieces])
+    keep = sums[:, 0] > 1e-14
     if not keep.any():
         raise EmptyBin("every bin captured zero probability")
-    kept = tuple(c for p, k in zip(pieces, keep) if k for c in p)
-    return edges, kept, weights[keep], tuple(int(j) for j in np.flatnonzero(~keep))
+    m0, m1, m2 = sums[keep].T
+    return dict(bin_edges=edges, cells=tuple(c for p, k in zip(pieces, keep) if k for c in p),
+                weights=m0, widths=np.sqrt(np.maximum(m2 / m0 - (m1 / m0) ** 2, 0.0)),
+                dropped_bins=tuple(int(j) for j in np.flatnonzero(~keep)))
 
 
 def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
@@ -468,11 +476,7 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     if not (isinstance(mesh_points, (int, np.integer)) and mesh_points >= 2):
         raise ConfigError(f"mesh_points must be an integer of at least 2, got {mesh_points!r}")
     if isinstance(state, ReducedDensityMatrix):
-        edges, cells, weights, dropped = _project(state.delta_grid, bins, state.row_probs,
-                                                  state.cells)
-        same = cells == state.cells and len(cells) == weights.size  # no cell split or merged
-        return replace(state, bin_edges=edges, weights=weights, cells=cells, dropped_bins=dropped,
-                       widths=state.widths if same else np.array([]))
+        return replace(state, **_project(state.delta_grid, bins, state.row_moments, state.cells))
     if len(state.factors) != 2:
         raise ConfigError("measurement reduction expects exactly two bodies")
     pk_n, pk_1 = state.factors
@@ -501,11 +505,6 @@ def measurement_reduce(state: ProductState | ReducedDensityMatrix, bins,
     if not norm2 > 0:
         raise EmptyBin("joint amplitude vanishes on the mesh")
     scale = float(np.sqrt(dx / norm2))  # rho's blocks are chi's Gram blocks; its trace is 1
-    row_probs = mass * (dd * dx / norm2)
-    edges, cells, weights, dropped = _project(delta, bins, row_probs, ((0, mesh_points),))
-    widths = []
-    for a, b in cells:  # one cell per kept bin
-        m0, m1, m2 = moments[:, a:b].sum(axis=1)
-        widths.append(np.sqrt(max(m2 / m0 - (m1 / m0) ** 2, 0.0)))
-    return ReducedDensityMatrix(delta, edges, weights, np.array(widths), dropped,
-                                state, xcm, scale, row_probs, cells)
+    moments *= dd * dx / norm2
+    return ReducedDensityMatrix(delta, state, xcm, scale, moments,
+                                **_project(delta, bins, moments, ((0, mesh_points),)))

@@ -91,8 +91,13 @@ def time_boost(p: np.ndarray, m2: float | np.ndarray) -> np.ndarray:
     if not np.all(m2 > 0):
         raise NonPositiveWidth("time boost needs a positive mass")
     p = np.asarray(p, dtype=float)
+    b = np.empty(np.broadcast(p, m2).shape)
     with np.errstate(over="ignore"):
-        b = np.divide(p, m2, out=np.empty(np.broadcast_shapes(p.shape, m2.shape)))
+        if b.ndim < 2:
+            np.divide(p, m2, out=b)
+        else:  # row by row: numpy buffers both operands of a divide broadcast over two axes
+            for row, p_row, m_row in zip(b, *np.broadcast_arrays(p, m2)):
+                np.divide(p_row, m_row, out=row)
         b *= b
     b += 1.0
     np.sqrt(b, out=b)
@@ -309,11 +314,10 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
 def time_operator_bytes(points: int, modes: int, rotator: bool) -> tuple[int, int]:
     """Peak bytes of time_operator's boost moments, then a rotator's lag sums, each beside the
     momentum weights and five floats a mode (the mode table, a rotator's coefficients): B_2's
-    mesh of BOOST_BLOCK_ROWS masses with numpy's buffers for its broadcast (np.getbufsize()
-    floats for each of two operands), or the dozen floats a mode of Clenshaw's sum; the lag
+    mesh of BOOST_BLOCK_ROWS masses, or the dozen floats a mode of Clenshaw's sum; the lag
     sums beside the modes' boosts and two recentred states."""
     held = 8 * (points + 5 * modes)
-    boost = 8 * max(min(BOOST_BLOCK_ROWS, modes) * points + 2 * np.getbufsize(), 12 * modes)
+    boost = 8 * max(min(BOOST_BLOCK_ROWS, modes) * points, 12 * modes)
     return held + boost, (held + 40 * modes + lag_sum_bytes(modes)) if rotator else 0
 
 

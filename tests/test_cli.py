@@ -562,16 +562,16 @@ _KERNELS = _kernel_cases()
 @pytest.mark.parametrize("declared, kernel", [case[1:] for case in _KERNELS],
                          ids=[case[0] for case in _KERNELS])
 def test_each_kernel_declares_its_traced_peak(declared, kernel):
-    # measured declared / traced: 0.88 (the 24-body exchange chain, whose chart objects add to
-    # its maps) to 1.35 (the free clock's boost moments, declared at BOOST_BLOCK_ROWS masses a
-    # mesh where its Chebyshev levels take 9); the bounds add about 15% on either side
+    # measured declared / traced: 0.95 (the rotator's boost moments and its two-draw ensemble)
+    # to 1.34 (the free clock's boost moments, declared at BOOST_BLOCK_ROWS masses a mesh where
+    # its Chebyshev levels take 9); the bounds add about 15% on either side
     assert 0.75 < declared / _traced_peak(kernel) < 1.55
 
 
 @st.composite
 def _log_uniform_masses(draw):
     """2 to 8 masses log-uniform inside 1e-300..1e300, the lightest and the heaviest up to
-    320 decades apart, so some lists cross the share bound of cli._frame_system."""
+    320 decades apart, so some lists cross the share bound of frames.FrameSystem."""
     low = draw(st.floats(-300.0, 300.0))
     high = min(low + draw(st.floats(0.0, 320.0)), 300.0)
     inner = draw(st.lists(st.floats(low, high), max_size=6))

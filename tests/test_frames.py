@@ -115,6 +115,22 @@ def test_from_masses_rejects_non_finite_masses(masses):
         FrameSystem.from_masses(masses)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: FrameSystem.from_masses([1e-320, 1.0, 2.0, 3.0]),
+    lambda: FrameSystem((Body(1.0), Body(1e-320), Body(2.0), Body(3.0))),
+    lambda: arf_limit_chart(FrameSystem.from_masses([1e-300, 1.0])),  # share 1e-300 / 1e8
+], ids=["from-masses", "bodies", "arf-limit"])
+def test_frame_system_refuses_a_share_that_underflows(build):
+    # a body of share 1e-320 dropped out of the c.m. row: every frame chart's pairing was off
+    # the identity by 1, exchange_chain gave NaN maps and adjacent_exchange refused the
+    # system's own chart
+    with pytest.raises(ConfigError, match="share of the total mass underflows"):
+        build()
+    system = FrameSystem.from_masses([np.finfo(float).tiny, 1.0])  # the least share admitted
+    assert np.all(np.isfinite(exchange_chain(system, 2)[0].target.coord_map))
+    adjacent_exchange(system, build_chart(system, 1), 0)
+
+
 def test_exchange_matrix_matches_direct_chart_change():
     # the exchange angles of both mass sets are checked in closed form in test_oracles
     for masses in ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]):
@@ -629,57 +645,59 @@ def test_bins_must_cover_support():
 def _dense_reduce(state, bins, mesh_points=384):
     """Reference reduction by the dense path: the full 2D Gram over the cm
     coordinate, then every cross-bin entry zeroed; a ReducedDensityMatrix input
-    is projected the same way.  (edges, matrix, weights, widths, dropped)."""
+    is projected the same way, its widths read off its source's dense |chi|^2 on
+    its own mesh, in the rows its matrix keeps.  (edges, matrix, weights, widths, dropped)."""
     edges = np.asarray(bins, dtype=float)
+    source = state if isinstance(state, ProductState) else state.source
+    pk_n, pk_1 = source.factors
+    m_n, m_1 = pk_n.mass, pk_1.mass
+    m_tot = m_n + m_1
     if isinstance(state, ProductState):
-        pk_n, pk_1 = state.factors
-        m_n, m_1 = pk_n.mass, pk_1.mass
-        m_tot = m_n + m_1
         xbar_n, sig_n = position_mean(pk_n), math.sqrt(position_variance(pk_n))
         xbar_1, sig_1 = position_mean(pk_1), math.sqrt(position_variance(pk_1))
         sig_d, sig_x = math.hypot(sig_n, sig_1), math.hypot(m_n * sig_n, m_1 * sig_1) / m_tot
         delta = np.linspace(xbar_n - xbar_1 - 8 * sig_d, xbar_n - xbar_1 + 8 * sig_d, mesh_points)
         xbar_cm = (m_n * xbar_n + m_1 * xbar_1) / m_tot
         xcm = np.linspace(xbar_cm - 8 * sig_x, xbar_cm + 8 * sig_x, mesh_points)
-        dd, dx = delta[1] - delta[0], xcm[1] - xcm[0]
-        xn = xcm[None, :] + (m_1 / m_tot) * delta[:, None]
-        x1 = xcm[None, :] - (m_n / m_tot) * delta[:, None]
+    else:
+        delta, xcm = state.delta_grid, state.cm_grid
+    dd, dx = delta[1] - delta[0], xcm[1] - xcm[0]
+    xn = xcm[None, :] + (m_1 / m_tot) * delta[:, None]
+    x1 = xcm[None, :] - (m_n / m_tot) * delta[:, None]
 
-        def on_mesh(packet, mesh):
-            fine = np.linspace(mesh.min() - 1e-9, mesh.max() + 1e-9, 4096)
-            psi = position_wavefunction(packet, fine)
-            return np.interp(mesh, fine, psi.real) + 1j * np.interp(mesh, fine, psi.imag)
+    def on_mesh(packet, mesh):
+        fine = np.linspace(mesh.min() - 1e-9, mesh.max() + 1e-9, 4096)
+        psi = position_wavefunction(packet, fine)
+        return np.interp(mesh, fine, psi.real) + 1j * np.interp(mesh, fine, psi.imag)
 
-        chi = on_mesh(pk_n, xn) * on_mesh(pk_1, x1)
-        chi /= np.sqrt(np.sum(np.abs(chi) ** 2) * dd * dx)
+    chi = on_mesh(pk_n, xn) * on_mesh(pk_1, x1)
+    chi /= np.sqrt(np.sum(np.abs(chi) ** 2) * dd * dx)
+    if isinstance(state, ProductState):
         kernel = (chi @ chi.conj().T) * dx
     else:
-        delta, dd, kernel = state.delta_grid, state.delta_spacing, state.matrix
+        dd, kernel = state.delta_spacing, state.matrix
     idx = np.searchsorted(edges, delta, side="left") - 1
     idx[delta <= edges[0]] = 0
     matrix = np.where(idx[:, None] == idx[None, :], kernel, 0.0)
     diag = np.diag(matrix).real * dd
     weights = np.array([diag[idx == j].sum() for j in range(edges.size - 1)])
     keep = weights > 1e-14
+    prob = np.abs(chi) ** 2 * (np.diag(kernel) != 0)[:, None]  # no row of a dropped cell
     widths = []
-    if isinstance(state, ProductState):
-        prob = np.abs(chi) ** 2 * dd * dx
-        for j in np.flatnonzero(keep):
-            pj, x = prob[idx == j] / weights[j], xn[idx == j]
-            widths.append(math.sqrt(np.sum(pj * (x - np.sum(pj * x)) ** 2)))
+    for j in np.flatnonzero(keep):
+        pj, x = prob[idx == j] / prob[idx == j].sum(), xn[idx == j]
+        widths.append(math.sqrt(np.sum(pj * (x - np.sum(pj * x)) ** 2)))
     return edges, matrix, weights[keep], np.array(widths), tuple(np.flatnonzero(~keep).tolist())
 
 
-def _assert_matches_dense(rho, dense, widths=True):
-    edges, matrix, weights, dense_widths, dropped = dense
+def _assert_matches_dense(rho, dense):
+    edges, matrix, weights, widths, dropped = dense
     assert rho.dropped_bins == dropped
     assert_allclose(rho.bin_edges, edges, rtol=0.0, atol=0.0)
     scale = np.max(np.abs(matrix))
     assert_allclose(rho.matrix, matrix, rtol=0.0, atol=1e-12 * scale)
     assert_allclose(rho.weights, weights, rtol=0.0, atol=1e-12)
-    if widths:
-        assert_allclose(rho.widths, dense_widths, rtol=0.0,
-                        atol=1e-12 * np.max(dense_widths))
+    assert_allclose(rho.widths, widths, rtol=0.0, atol=1e-12 * np.max(widths))
 
 
 @pytest.mark.parametrize("sig_n, sig_1, x_n, x_1, m_n, m_1", [
@@ -698,8 +716,7 @@ def test_block_reduction_matches_dense_gram(sig_n, sig_1, x_n, x_1, m_n, m_1):
     rho = measurement_reduce(state, coarse)
     _assert_matches_dense(rho, _dense_reduce(state, coarse))
     for bins in (fine, coarse):
-        _assert_matches_dense(measurement_reduce(rho, bins), _dense_reduce(rho, bins),
-                              widths=False)
+        _assert_matches_dense(measurement_reduce(rho, bins), _dense_reduce(rho, bins))
     assert_allclose(measurement_reduce(rho, coarse).widths, rho.widths, rtol=0.0, atol=0.0)
 
 
@@ -713,7 +730,7 @@ def test_block_reduction_matches_dense_gram_edge_cases(bins):
     rho = measurement_reduce(state, bins)
     _assert_matches_dense(rho, _dense_reduce(state, bins))
     again = bins if np.isinf(bins[0]) else np.linspace(-12.0, 12.0, 9)  # same or finer bins
-    _assert_matches_dense(measurement_reduce(rho, again), _dense_reduce(rho, again), widths=False)
+    _assert_matches_dense(measurement_reduce(rho, again), _dense_reduce(rho, again))
 
 
 @pytest.mark.parametrize("pair, mesh_points, block", [
@@ -799,8 +816,8 @@ def test_re_reduction_shares_the_amplitude():
 
 @pytest.mark.parametrize("mesh_points", [384, 1536])
 def test_reduced_state_retains_no_amplitude(mesh_points):
-    # what the result holds beyond its source: the meshes, row_probs and the bins, about
-    # 3 mesh_points floats; chi would be one mesh_points^2 complex array
+    # what the result holds beyond its source: the meshes, row_moments and the bins, about
+    # 5 mesh_points floats; chi would be one mesh_points^2 complex array
     state = _position_pair(sig_n=0.3, sig_1=0.5)
     bins = math.hypot(0.3, 0.5) * np.array([-8.5, -1.0, 0.0, 1.0, 8.5])
     measurement_reduce(state, bins, mesh_points)
@@ -821,30 +838,24 @@ def test_matrix_at_an_odd_mesh_matches_dense_gram():
     rho = measurement_reduce(state, bins, 97)
     _assert_matches_dense(rho, _dense_reduce(state, bins, 97))
     fine = 0.4 + math.hypot(0.3, 0.5) * np.linspace(-8.5, 8.5, 13)
-    _assert_matches_dense(measurement_reduce(rho, fine), _dense_reduce(rho, fine), widths=False)
+    _assert_matches_dense(measurement_reduce(rho, fine), _dense_reduce(rho, fine))
 
 
-def test_re_reduction_that_splits_a_cell_drops_the_widths():
-    # moving an edge by less than a mesh step moves one row into the other bin, so the
-    # source's widths are no longer the branches' widths
+@pytest.mark.parametrize("bins, moved", [
+    (lambda e: [-12.0, e - 1e-6, 12.0], True),  # moved by less than a mesh step: a row changes bin
+    (lambda e: [-12.0, 12.0], False),  # one bin over both cells
+    (lambda e: [-20.0, -12.0, e, 12.0], False),  # an outer bin holding no row; both cells whole
+], ids=["split", "merged", "unsplit"])
+def test_re_reduction_equals_a_direct_reduction_over_its_bins(bins, moved):
+    # cutting cells keeps rho's diagonal, so a re-reduction reads the same rows' moments as a
+    # direct reduction over its bins; the sums over a bin's pieces group the rows differently
     state = _position_pair(sig_n=0.3, sig_1=0.5)
     e = measurement_reduce(state, [-12.0, 12.0]).delta_grid[200]
     rho = measurement_reduce(state, [-12.0, e, 12.0])
-    bins = [-12.0, e - 1e-6, 12.0]
-    direct = measurement_reduce(state, bins)
-    assert np.all(np.abs(direct.widths - rho.widths) > 1e-4)
-    again = measurement_reduce(rho, bins)
-    assert again.widths.size == 0
-    assert again.cells != rho.cells
-
-
-def test_re_reduction_that_splits_no_cell_keeps_the_widths():
-    state = _position_pair(sig_n=0.3, sig_1=0.5)
-    e = measurement_reduce(state, [-12.0, 12.0]).delta_grid[200]
-    rho = measurement_reduce(state, [-12.0, e, 12.0])
-    again = measurement_reduce(rho, [-20.0, -12.0, e, 12.0])  # an outer bin holding no row
-    assert_allclose(again.widths, rho.widths, rtol=0.0, atol=0.0)
-    assert again.dropped_bins == (0,) and again.cells == rho.cells
-    assert_allclose(again.weights, rho.weights, rtol=0.0, atol=0.0)
-    merged = measurement_reduce(rho, [-12.0, 12.0])  # one bin over both cells: no branch widths
-    assert merged.cells == rho.cells and merged.widths.size == 0
+    again, direct = measurement_reduce(rho, bins(e)), measurement_reduce(state, bins(e))
+    assert again.dropped_bins == direct.dropped_bins
+    assert again.widths.size == again.weights.size
+    assert_allclose(again.weights, direct.weights, rtol=1e-14, atol=0.0)
+    assert_allclose(again.widths, direct.widths, rtol=1e-14, atol=0.0)
+    if moved:  # the branches' widths are no longer rho's
+        assert np.all(np.abs(again.widths - rho.widths) > 1e-4)
