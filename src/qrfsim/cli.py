@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .clocks import FreeClockState, rotator_init
 from .errors import ConfigError, NumericalError, ScenarioParseError
-from .frames import FrameSystem, build_chart, exchange_chain, exchange_chain_bytes
+from .frames import FrameSystem, build_chart, chart_bytes, exchange_chain, exchange_chain_bytes
 from .packets import (DEFAULT_GRID_POINTS, MomentumGrid, WavePacket, default_grid, expectation,
                       make_gaussian, packet_bytes)
 from .relkin import (
@@ -197,19 +197,17 @@ def _dilation_bytes(sc: dict, rotator: bool) -> dict:
 
 
 def _entangled_bytes(sc):
-    """The clock's states, with 8 KiB for the run's Python objects (its scenario, system and
-    states: traced 6.8 KiB beside the rows of the shipped scenario, whose states' arrays take
-    1.2 KiB of it); then one state evolved, or the rows beside the angles and densities."""
+    """The clock's states; then one state evolved, or the rows beside the angles and densities."""
     bins = int(sc["histogram_bins"])
     held, evolving = entangled_bytes(len(sc["mode_momenta"]), 2 * int(sc["j_z"]) + 1)
     rows = _row_bytes(bins, 2) + 16 * bins
-    return _peak({"j_z": held + 8192}, ("j_z", evolving), ("histogram_bins", rows))
+    return _peak({"j_z": held}, ("j_z", evolving), ("histogram_bins", rows))
 
 
 def _jacobi_bytes(sc):
     """The rows, and one frame's exchange chain beside the chart its end is checked on."""
     n = len(sc["masses"])
-    return {"masses": _row_bytes(n * n, 5) + exchange_chain_bytes(n) * (n + 1) // n}
+    return {"masses": _row_bytes(n * n, 5) + exchange_chain_bytes(n) + chart_bytes(n)}
 
 
 def _packet_bytes(sc, copies: int):

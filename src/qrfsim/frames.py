@@ -255,10 +255,14 @@ def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
     return ops
 
 
+def chart_bytes(bodies: int) -> int:
+    """A chart's bytes: two n x n maps, 16 n of masses and ordering, 1 KiB with its transform."""
+    return 16 * bodies * (bodies + 1) + 1024
+
+
 def exchange_chain_bytes(bodies: int) -> int:
-    """Bytes exchange_chain holds at most: n - 1 target charts and the one they start from, each
-    two n x n maps, 16 n of masses and ordering, and with its transform 1 KiB of objects."""
-    return bodies * (16 * bodies * (bodies + 1) + 1024)
+    """Bytes exchange_chain holds at most: n - 1 target charts and the one they start from."""
+    return bodies * chart_bytes(bodies)
 
 
 def compose_transform(system: FrameSystem, from_label: int, to_label: int) -> ChartTransform:

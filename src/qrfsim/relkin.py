@@ -365,9 +365,11 @@ class EntangledClockState:
 
 
 def entangled_bytes(modes: int, clock_modes: int) -> tuple[int, int]:
-    """(held, evolving): the bytes of the clock and boosted_evolve's state per external mode,
-    and beside them at most five floats a clock mode while one is evolved."""
-    return 16 * clock_modes * (modes + 1), 40 * clock_modes
+    """(held, evolving): the clock and boosted_evolve's state per external mode, 16 B a clock mode
+    and 512 B of objects each (traced 0.4 KiB at 25 and 401 clock modes), and 8 KiB for the
+    system's, the result's and the run's other objects (traced 4.5 KiB at 2 external modes of 25
+    clock modes); beside them at most five floats a clock mode while one is evolved."""
+    return (16 * clock_modes + 512) * (modes + 1) + 8192, 40 * clock_modes
 
 
 def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:

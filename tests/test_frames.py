@@ -848,14 +848,18 @@ def test_matrix_at_an_odd_mesh_matches_dense_gram():
 ], ids=["split", "merged", "unsplit"])
 def test_re_reduction_equals_a_direct_reduction_over_its_bins(bins, moved):
     # cutting cells keeps rho's diagonal, so a re-reduction reads the same rows' moments as a
-    # direct reduction over its bins; the sums over a bin's pieces group the rows differently
+    # direct reduction over its bins; the sums over a bin's pieces group the rows differently.
+    # Its matrix keeps rho's cells, cut where a bin splits one: a merged bin keeps no coherence
+    # between them, which the dense oracle checks entry by entry
     state = _position_pair(sig_n=0.3, sig_1=0.5)
     e = measurement_reduce(state, [-12.0, 12.0]).delta_grid[200]
     rho = measurement_reduce(state, [-12.0, e, 12.0])
     again, direct = measurement_reduce(rho, bins(e)), measurement_reduce(state, bins(e))
+    _assert_matches_dense(again, _dense_reduce(rho, bins(e)))
     assert again.dropped_bins == direct.dropped_bins
     assert again.widths.size == again.weights.size
     assert_allclose(again.weights, direct.weights, rtol=1e-14, atol=0.0)
     assert_allclose(again.widths, direct.widths, rtol=1e-14, atol=0.0)
+    assert (again.cells != rho.cells) == moved
     if moved:  # the branches' widths are no longer rho's
         assert np.all(np.abs(again.widths - rho.widths) > 1e-4)
