@@ -197,7 +197,8 @@ def _dilation_bytes(sc: dict, rotator: bool) -> dict:
 
 
 def _entangled_bytes(sc):
-    """The clock's states; then one state evolved, or the rows beside the angles and densities."""
+    """The clock's states; then one state evolved or the boosts formed, or the rows beside the
+    angles and densities."""
     bins = int(sc["histogram_bins"])
     held, evolving = entangled_bytes(len(sc["mode_momenta"]), 2 * int(sc["j_z"]) + 1)
     rows = _row_bytes(bins, 2) + 16 * bins
@@ -330,13 +331,13 @@ def _run_jacobi_demo(sc: dict) -> ResultTable:
     system = _frame_system(sc)
     n = system.size
     first = build_chart(system, 1)
-    rows = []
+    b_1, rows = first.momentum_map, []
     for label in range(1, n + 1):
         chart = build_chart(system, label)
         pairing = float(np.max(np.abs(chart.pairing_matrix() - np.eye(n))))
         ops = exchange_chain(system, label)  # frame 1's rows moved to the end: A_end B_1^T
         end = ops[-1].target if ops else first
-        chain_res = float(np.max(np.abs((end.coord_map - chart.coord_map) @ first.momentum_map.T)))
+        chain_res = float(np.max(np.abs((end.coord_map - chart.coord_map) @ b_1.T)))
         del ops, end  # so that the next frame's chain is not built beside this one
         for i, mu in enumerate(chart.reduced_masses):
             rows.append((label, i, float(mu), pairing, chain_res))

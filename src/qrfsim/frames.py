@@ -5,9 +5,9 @@ Jacobi canonical charts per frame body, the exchange operators connecting them
 infinite-mass "absolute" frame limit, internal Hamiltonians, and the
 measurement-reduction density matrix for a relative-position measurement.
 
-Charts are plain linear maps over body indices: q = A r and pi = B p with
-A B^T = 1 (canonical pairing), so A^-1 = B^T.  Chart states are Gaussians: a
-unitary frame change pushes one through these maps by updating its linear
+Charts are linear maps over body indices: q = A r and pi = B p with A B^T = 1 (canonical
+pairing), so A^-1 = B^T; a chart stores A, and B = mu dq/dt is derived.  Chart states are
+Gaussians: a unitary frame change pushes one through these maps by updating its linear
 map, so any chain of pushes leaves one Gaussian.  A chart's arrays are read-only,
 so each system shares its frame charts: build_chart returns the one a caller still
 holds, and the system's weak cache keeps none that no caller holds.
@@ -98,24 +98,30 @@ class FrameSystem:
 class JacobiChart:
     """Canonical chart for one body ordering.
 
-    ordering holds 1-based body labels, frame body first.  coord_map rows are
-    chart coordinates, columns original body indices; the last row is the
-    center of mass.  reduced_masses[i] weights row i's kinetic term (the last
-    entry is the total mass).  The three arrays are read-only, so a chart can be shared.
+    ordering holds 1-based body labels, frame body first.  coord_map A (q = A r) has rows
+    chart coordinates, columns body indices; the last row is the center of mass.
+    reduced_masses weight the rows' kinetic terms (the last is the total mass).  Both are
+    read-only, so a chart can be shared; momentum_map B (pi = B p) follows from them.
     """
 
     ordering: tuple[int, ...]
     coord_map: np.ndarray
-    momentum_map: np.ndarray
     reduced_masses: np.ndarray
 
     def __post_init__(self):
-        for array in (self.coord_map, self.momentum_map, self.reduced_masses):
+        for array in (self.coord_map, self.reduced_masses):
             array.setflags(write=False)
 
     @property
     def size(self) -> int:
         return len(self.ordering)
+
+    @property
+    def momentum_map(self) -> np.ndarray:
+        """B = diag(mu) A diag(1/m), derived on each read, m the c.m. row times the total;
+        mu_i / m_j is formed first, as mu_i A_ij can underflow where B_ij does not."""
+        mu = self.reduced_masses
+        return mu[:, None] / (self.coord_map[-1] * mu[-1]) * self.coord_map
 
     def pairing_matrix(self) -> np.ndarray:
         """{q_i, pi_j} assembled numerically; identity iff canonical."""
@@ -148,16 +154,13 @@ def chart_for_ordering(system: FrameSystem, ordering: Sequence[int]) -> JacobiCh
     m_ord = system.masses[[l - 1 for l in ordering]]
     mu, tails = _reduced_masses(m_ord)
 
-    a_ord, b_ord = np.zeros((2, n, n))
+    a_ord = np.zeros((n, n))
     for i in range(n - 1):
         a_ord[i, i] = -1.0
         a_ord[i, i + 1:] = m_ord[i + 1:] / tails[i]
-        b_ord[i, i] = -mu[i] / m_ord[i]
-        b_ord[i, i + 1:] = mu[i] / tails[i]
     a_ord[n - 1, :] = m_ord / mu[-1]
-    b_ord[n - 1, :] = 1.0
     cols = np.argsort(ordering)  # column k holds body k + 1
-    return JacobiChart(ordering, a_ord[:, cols], b_ord[:, cols], mu)
+    return JacobiChart(ordering, a_ord[:, cols], mu)
 
 
 def frame_ordering(n: int, label: int) -> tuple[int, ...]:
@@ -212,8 +215,7 @@ def adjacent_exchange(system: FrameSystem, chart: JacobiChart, position: int) ->
     The map is dilatation * rotation(beta) * parity * dilatation on the two affected
     coordinates, every other row identity, with cos beta and sin beta read off mass ratios;
     at the tail no mass lies beyond the pair, so the block is the pure parity of the relative
-    coordinate.  Only the pair's chart rows move: A rows by the block, B rows by its inverse
-    transpose.
+    coordinate.  Only the pair's two A rows move, by the block; B follows from A.
     """
     n = chart.size
     if not (0 <= position <= n - 2):
@@ -236,11 +238,9 @@ def _exchange(chart: JacobiChart, position: int, m_ord: np.ndarray) -> ChartTran
     target_mu = _reduced_masses(m_ord)[0]
     pre, root = np.sqrt(mu[pair]), np.sqrt(target_mu[pair])
     turn = np.array([[-c, -s], [-s, c]])  # rotation(beta) times the parity diag(-1, 1)
-    block = (1.0 / root)[:, None] * turn * pre
-    a, b = chart.coord_map.copy(), chart.momentum_map.copy()
-    # block^-T is the same turn with the two dilatations swapped
-    a[pair], b[pair] = block @ a[pair], (root[:, None] * turn / pre) @ b[pair]
-    return ChartTransform(chart, JacobiChart(tuple(ordering), a, b, target_mu))
+    a = chart.coord_map.copy()
+    a[pair] = ((1.0 / root)[:, None] * turn * pre) @ a[pair]
+    return ChartTransform(chart, JacobiChart(tuple(ordering), a, target_mu))
 
 
 def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
@@ -256,8 +256,8 @@ def exchange_chain(system: FrameSystem, to_label: int) -> list[ChartTransform]:
 
 
 def chart_bytes(bodies: int) -> int:
-    """A chart's bytes: two n x n maps, 16 n of masses and ordering, 1 KiB with its transform."""
-    return 16 * bodies * (bodies + 1) + 1024
+    """A chart's bytes: its n x n map A, 16 n of masses and ordering, 1 KiB with its transform."""
+    return 8 * bodies * (bodies + 2) + 1024
 
 
 def exchange_chain_bytes(bodies: int) -> int:

@@ -368,8 +368,10 @@ def entangled_bytes(modes: int, clock_modes: int) -> tuple[int, int]:
     """(held, evolving): the clock and boosted_evolve's state per external mode, 16 B a clock mode
     and 512 B of objects each (traced 0.4 KiB at 25 and 401 clock modes), and 8 KiB for the
     system's, the result's and the run's other objects (traced 4.5 KiB at 2 external modes of 25
-    clock modes); beside them at most five floats a clock mode while one is evolved."""
-    return (16 * clock_modes + 512) * (modes + 1) + 8192, 40 * clock_modes
+    clock modes); beside them at most five floats a clock mode while one is evolved, or 6.5 KiB
+    while the modes' boosts are formed, here or for a run's predicted peaks (time_boost's
+    np.broadcast traces 6.2 KiB)."""
+    return (16 * clock_modes + 512) * (modes + 1) + 8192, max(40 * clock_modes, 6656)
 
 
 def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:

@@ -2,6 +2,8 @@
 plainer route, and tests/test_oracles.py checks each on a case it can compute exactly.
 Test modules import their shared helpers from here, never from one another."""
 
+import math
+
 import numpy as np
 
 
@@ -20,6 +22,21 @@ def exchange_angle(m1, m2, m3):
     m3 = 0.  Near beta = 0 arccos loses half its digits, and m1 m2 under- and overflows."""
     c = np.sqrt(m1 * m2 / ((m2 + m3) * (m1 + m3)))
     return float(-np.arccos(min(c, 1.0)))
+
+
+def jacobi_momentum_map(masses, ordering):
+    """The oracle: the Jacobi chart's momentum rows pi = B p in closed form for 1-based body
+    labels in slot order, columns in body order.  Row i < n - 1 holds -mu_i / m_i at its own
+    body and mu_i / tail_i at each body beyond it, mu_i = 1 / (1/m_i + 1/tail_i) with tail_i
+    the mass beyond slot i; the c.m. row is all ones."""
+    m = [float(masses[label - 1]) for label in ordering]
+    b = np.zeros((len(m), len(m)))
+    for i in range(len(m) - 1):
+        tail = math.fsum(m[i + 1:])
+        mu = 1.0 / (1.0 / m[i] + 1.0 / tail)
+        b[i, i], b[i, i + 1:] = -mu / m[i], mu / tail
+    b[-1] = 1.0
+    return b[:, np.argsort(ordering)]
 
 
 def one_row_moments(x):

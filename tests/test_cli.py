@@ -294,9 +294,9 @@ def test_numerical_failure_in_a_packet_is_left_to_run(monkeypatch, error):
     (_edited("rotator-dilation", j_z=10 ** 9, omega=1e-11, mc_samples=0), "j_z"),
     (_edited("entangled-clock", j_z=10 ** 9, omega=1e-11), "j_z"),
     (_edited("entangled-clock", histogram_bins=10 ** 8), "histogram_bins"),
-    (_edited("jacobi-demo", masses=[1.0] * 600), "masses"),
+    (_edited("jacobi-demo", masses=[1.0] * 640), "masses"),
 ], ids=["freeclock-grid_points-2^24", "mc_samples-1e10", "rotator-j_z-1e9",
-        "entangled-j_z-1e9", "histogram_bins-1e8", "jacobi-masses-600"])
+        "entangled-j_z-1e9", "histogram_bins-1e8", "jacobi-masses-640"])
 def test_working_set_over_the_cap_fails_closed(tmp_path, capsys, monkeypatch, payload, field):
     def never(sc):
         raise AssertionError("a scenario over the cap reached its runner or a packet")
@@ -465,6 +465,19 @@ def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
     assert cli.validate_scenario(payload) == []
 
 
+@pytest.mark.parametrize("bodies, out", [(635, "ok"), (636, "masses: ConfigError: ")],
+                         ids=["jacobi-masses-635", "jacobi-masses-636"])
+def test_jacobi_body_limit_is_the_cap(tmp_path, capsys, bodies, out):
+    # n + 1 charts of one n x n map each, beside n^2 rows, reach 2 GiB past 635 bodies
+    path = write_scenario(tmp_path, _edited("jacobi-demo", masses=[1.0] * bodies))
+    assert cli.main(["validate", "--scenario", path]) == (0 if out == "ok" else 2)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(out)
+
+
+_FEW_BINS = dict(cli.load_scenario(str(SCENARIO_DIR / "entangled-clock.json")), histogram_bins=8)
+
+
 @pytest.mark.parametrize("payload", [
     _edited("freeclock-dilation", grid_points=1024, mc_samples=0),
     _edited("freeclock-dilation", grid_points=1024, mc_samples=0, a_x=5.0),
@@ -483,14 +496,18 @@ def test_benchmark_tau_scan_sizes_are_under_the_cap(payload):
     _edited("rotator-dilation"),
     _edited("freeclock-dilation"),
     cli.load_scenario(str(SCENARIO_DIR / "entangled-clock.json")),  # with the run defaults
+    _FEW_BINS,
 ], ids=["freeclock-mesh", "freeclock-wide-span", "rotator-mc", "rotator-modes",
         "rotator-wide-span", "rotator-angle-table", "entangled-modes", "jacobi-chains",
         "rotator-two-draws", "freeclock-two-draws", "freeclock-mesh-two-draws",
-        "shipped-rotator-dilation", "shipped-freeclock-dilation", "shipped-entangled-clock"])
+        "shipped-rotator-dilation", "shipped-freeclock-dilation", "shipped-entangled-clock",
+        "entangled-8-bins"])
 def test_working_set_estimate_tracks_the_traced_peak(payload):
     estimate = cli.SCENARIOS[payload["kind"]].estimate
-    peak = _traced_peak(lambda: cli.run_scenario(payload))
-    assert 0.5 < sum(estimate(payload).values()) / peak < 2.0
+    ratio = sum(estimate(payload).values()) / _traced_peak(lambda: cli.run_scenario(payload))
+    assert 0.5 < ratio < 2.0
+    if payload is _FEW_BINS:  # the boosts' small numpy calls, not the rows, set its peak
+        assert ratio >= 1.0
 
 
 def _traced_peak(call):

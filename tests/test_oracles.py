@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (condition, correlated_draws, exchange_angle, one_row_moments,
-                     trapezoid_weights)
+from oracles import (condition, correlated_draws, exchange_angle, jacobi_momentum_map,
+                     one_row_moments, trapezoid_weights)
+from qrfsim.frames import FrameSystem, chart_for_ordering, frame_ordering
 
 
 def test_one_row_moments_of_one_to_four():
@@ -54,3 +55,13 @@ def test_exchange_angle_closed_form():
                     rtol=0, atol=1e-15)
     assert_allclose(exchange_angle(1.0, 2.0, 1e12), -np.pi / 2, rtol=0, atol=1e-6)
     assert exchange_angle(5.0, 3.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("label", [1, 2, 3, 4])
+def test_jacobi_momentum_map_pairs_with_the_coordinate_map(label):
+    # canonical pairing A B^T = 1: the closed-form momentum rows invert the built
+    # coordinate rows of every frame chart of masses 1..4
+    masses = [1.0, 2.0, 3.0, 4.0]
+    ordering = frame_ordering(4, label)
+    a = chart_for_ordering(FrameSystem.from_masses(masses), ordering).coord_map
+    assert_allclose(a @ jacobi_momentum_map(masses, ordering).T, np.eye(4), rtol=0, atol=1e-15)
