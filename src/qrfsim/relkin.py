@@ -76,28 +76,19 @@ POSITION_TABLE_POINTS = 16384
 #: Chebyshev nodes of the boost moments' first level, and the most any level may have.
 BOOST_FIRST_NODES, BOOST_MAX_NODES = 9, 513
 
-#: Masses per block of the B_2 mesh that _mode_averages holds at once.
-BOOST_BLOCK_ROWS = 16
-
 #: Relative size below which the upper half of the Chebyshev coefficients ends the doubling.
 BOOST_TAIL = 1e-14
 
 
 def time_boost(p: np.ndarray, m2: float | np.ndarray) -> np.ndarray:
     """B_2 = 1 / sqrt(1 + (p/m_2)^2), the operator-valued inverse Lorentz factor, in
-    one buffer (a float for scalars): no m_2^2 to overflow, no temporaries.  Where
+    one fresh array (a float for scalars): no m_2^2 to overflow, no temporaries.  Where
     (p/m_2)^2 overflows, B_2 < 1e-154 flushes to 0, as an underflow would."""
     m2 = np.asarray(m2, dtype=float)
     if not np.all(m2 > 0):
         raise NonPositiveWidth("time boost needs a positive mass")
-    p = np.asarray(p, dtype=float)
-    b = np.empty(np.broadcast(p, m2).shape)
     with np.errstate(over="ignore"):
-        if b.ndim < 2:
-            np.divide(p, m2, out=b)
-        else:  # row by row: numpy buffers both operands of a divide broadcast over two axes
-            for row, p_row, m_row in zip(b, *np.broadcast_arrays(p, m2)):
-                np.divide(p_row, m_row, out=row)
+        b = np.asarray(np.divide(p, m2, dtype=float))
         b *= b
     b += 1.0
     np.sqrt(b, out=b)
@@ -258,34 +249,41 @@ def _chebyshev_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _mode_averages(p, w_p, m_op) -> np.ndarray:
-    """F = sum_p w_p B_2(p, m) and G = sum_p w_p B_2^2 at every mass of m_op (rows 0
-    and 1), from B_2 at K masses.
+    """F = sum_p w_p B_2(p, m) and G = sum_p w_p (B_2 - F)^2, each mass's row centred on
+    its own mean, at every mass of m_op (rows 0 and 1), from B_2 at K masses.
 
-    F and G are analytic in s = log m within |Im s| < pi/2 (B_2 is singular at
-    m = +-i p), whatever the momenta, so they are interpolated in s at the nested
-    Chebyshev points s_j = cos(pi j / N) of [log m_min, log m_max], j = 0..N.  N
-    doubles, each level evaluating only its new points and taking its coefficients as
-    a DCT-I by one real FFT of the even extension, until the upper half of both
-    coefficient sets is below BOOST_TAIL of its largest (Trefethen, Approximation
-    Theory and Approximation Practice, 2013, ch. 8).  B_2 is evaluated at the masses
-    themselves instead, which is exact, when their span is zero or a level would
-    have as many points as there are masses or more than BOOST_MAX_NODES.  Either way
-    the mesh is held BOOST_BLOCK_ROWS masses at a time, so the working set does not
-    grow with K.  Every mass is positive: RelClockSystem refuses a clock otherwise."""
+    G is summed from d = B_2(p) - B_2(p0), p0 the mean momentum, in the exact-difference
+    form (p0^2 - p^2) / m^2 B_2^2 B_2(p0)^2 / (B_2 + B_2(p0)), so it keeps the digits that
+    a difference of two B_2 near 1 would cancel.  F and G are analytic in s = log m within
+    |Im s| < pi/2 (B_2 is singular at m = +-i p), whatever the momenta, so they are
+    interpolated in s, over scales that keep them near 1, at the nested Chebyshev points
+    s_j = cos(pi j / N) of [log m_min, log m_max], j = 0..N.  N doubles, each level
+    evaluating only its new points and taking its coefficients as a DCT-I by one real FFT
+    of the even extension, until the upper half of both coefficient sets is below
+    BOOST_TAIL of its largest (Trefethen, Approximation Theory and Approximation Practice,
+    2013, ch. 8).  B_2 is evaluated at the masses themselves instead, which is exact, when
+    their span is zero or a level would have as many points as there are masses or more
+    than BOOST_MAX_NODES.  Either way B_2 is formed one mass at a time and reduced before
+    the next, so the working set is a few rows of momenta, whatever K.  Every mass is
+    positive: RelClockSystem refuses a clock otherwise."""
 
-    def at(m):  # F and G at the masses m
-        out = np.empty((2, m.size))
-        for i in range(0, m.size, BOOST_BLOCK_ROWS):
-            rows = slice(i, i + BOOST_BLOCK_ROWS)
-            b = time_boost(p[None, :], m[rows, None])
-            out[0, rows] = b @ w_p
-            out[1, rows] = np.square(b, out=b) @ w_p  # squared in place: one mesh
-            del b  # so that the next block's mesh is not made beside it
-        return out
+    def row(m_i, b0):  # F and G at one mass, b0 = B_2(p0); d is 0 where both B_2 flush to 0
+        b = time_boost(p, m_i)
+        f_row = b @ w_p
+        d = b + b0
+        np.divide(np.square(b, out=b), d, out=d, where=d > 0)
+        d *= q
+        d *= b0 / m_i  # twice, not squared: (b0 / m)^2 = 1 / E0^2 overflows first
+        d *= b0 / m_i
+        d -= d @ w_p
+        return f_row, np.square(d, out=d) @ w_p
 
-    def scale(m):  # B_2 and B_2^2 at the rms momentum: F and G over them stay near 1
-        b = time_boost(p_rms, m)
-        return np.stack((b, b * b))
+    def at(m):  # F and G at the masses m, one row at a time
+        return np.array([row(m_i, b0) for m_i, b0 in zip(m, time_boost(p0, m))]).T
+
+    def scale(m):  # at the rms momentum B_2 = m / E, and (B_2 v^2)^2 with v = p / E = B_2 p / m,
+        b = time_boost(p_rms, m)  # a variance of B_2's shape: F and G over them stay near 1
+        return np.stack((b, (b ** 3 * (p_rms / m) ** 2) ** 2))
 
     def at_nodes(j, n):  # F and G over their scale at the Chebyshev points j of level n
         m = np.exp(lo + 0.5 * (hi - lo) * (1.0 + np.cos(np.pi * j / n)))
@@ -294,40 +292,50 @@ def _mode_averages(p, w_p, m_op) -> np.ndarray:
     s = np.log(m_op)
     lo, hi = float(s.min()), float(s.max())
     p_rms = np.sqrt((w_p @ p ** 2) / w_p.sum())
+    p0 = (w_p @ p) / w_p.sum()
+    q = p0 - p
+    q *= p0 + p
     n, values = BOOST_FIRST_NODES - 1, None
-    while lo < hi and n + 1 < m_op.size and n + 1 <= BOOST_MAX_NODES:
-        if values is None:
-            values = at_nodes(np.arange(n + 1), n)
-        else:  # level n's even points are the last level's
-            doubled = np.empty((2, n + 1))
-            doubled[:, ::2] = values
-            doubled[:, 1::2] = at_nodes(np.arange(1, n, 2), n)
-            values = doubled
-        c = np.fft.rfft(np.concatenate((values, values[:, -2:0:-1]), axis=1), axis=1).real / n
-        c[:, [0, n]] /= 2
-        if np.all(np.abs(c[:, n // 2 + 1:]).max(axis=1) <= BOOST_TAIL * np.abs(c).max(axis=1)):
-            return _chebyshev_sum(c, (2 * s - lo - hi) / (hi - lo)) * scale(m_op)
-        n *= 2
+    # a level whose scale under- or overflows at a node reads NaN or inf there, and is not taken
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while lo < hi and n + 1 < m_op.size and n + 1 <= BOOST_MAX_NODES:
+            if values is None:
+                values = at_nodes(np.arange(n + 1), n)
+            else:  # level n's even points are the last level's
+                doubled = np.empty((2, n + 1))
+                doubled[:, ::2] = values
+                doubled[:, 1::2] = at_nodes(np.arange(1, n, 2), n)
+                values = doubled
+            c = np.fft.rfft(np.concatenate((values, values[:, -2:0:-1]), axis=1), axis=1).real / n
+            c[:, [0, n]] /= 2
+            if np.all(np.abs(c[:, n // 2 + 1:]).max(axis=1) <= BOOST_TAIL * np.abs(c).max(axis=1)):
+                return _chebyshev_sum(c, (2 * s - lo - hi) / (hi - lo)) * scale(m_op)
+            n *= 2
     return at(m_op)
 
 
 def time_operator_bytes(points: int, modes: int, rotator: bool) -> tuple[int, int]:
     """Peak bytes of time_operator's boost moments, then a rotator's lag sums, each beside the
-    momentum weights and five floats a mode (the mode table, a rotator's coefficients): B_2's
-    mesh of BOOST_BLOCK_ROWS masses, or the dozen floats a mode of Clenshaw's sum; the lag
-    sums beside the modes' boosts and two recentred states."""
+    momentum weights and five floats a mode (the mode table, a rotator's coefficients): p0^2 -
+    p^2, one mass's B_2 and its difference from B_2(p0), and their mask, more than the two
+    factors of the weights while they are formed, or the dozen floats a mode of Clenshaw's sum;
+    the lag sums beside the modes' boosts and two recentred states."""
     held = 8 * (points + 5 * modes)
-    boost = 8 * max(min(BOOST_BLOCK_ROWS, modes) * points, 12 * modes)
+    boost = max(25 * points, 96 * modes)
     return held + boost, (held + 40 * modes + lag_sum_bytes(modes)) if rotator else 0
 
 
 def _boost_moments(p, w_p, m_op, w_m, f) -> tuple[np.ndarray, float, float]:
     """B_2's per-mode average over the momenta, F(m) of _mode_averages, and the mean
-    and variance of the slope S = f B_2 on the clock's mode table (m_op, w_m, f)."""
-    b_mode, b2_mode = _mode_averages(p, w_p, m_op)
-    s_bar = float(w_m @ (f * b_mode))
-    s2_bar = float(w_m @ (f ** 2 * b2_mode))
-    return b_mode, s_bar, max(s2_bar - s_bar ** 2, 0.0)
+    and variance of the slope S = f B_2 on the clock's mode table (m_op, w_m, f).  The
+    variance is summed centred, never as a difference of squares, which would lose
+    log10(mean^2 / variance) digits in the classical limit (Chan, Golub & LeVeque, Am.
+    Stat. 37, 242 (1983)): within each mode f^2 G, and between the modes' means f F."""
+    b_mode, within = _mode_averages(p, w_p, m_op)
+    s_mode = f * b_mode
+    s_bar = float(w_m @ s_mode)
+    s_mode -= s_bar
+    return b_mode, s_bar, float(w_m @ (f * f * within + s_mode * s_mode))
 
 
 def proper_time_stats(sys: RelClockSystem, tau0: float | np.ndarray) -> TimeOperatorStats:
@@ -368,10 +376,8 @@ def entangled_bytes(modes: int, clock_modes: int) -> tuple[int, int]:
     """(held, evolving): the clock and boosted_evolve's state per external mode, 16 B a clock mode
     and 512 B of objects each (traced 0.4 KiB at 25 and 401 clock modes), and 8 KiB for the
     system's, the result's and the run's other objects (traced 4.5 KiB at 2 external modes of 25
-    clock modes); beside them at most five floats a clock mode while one is evolved, or 6.5 KiB
-    while the modes' boosts are formed, here or for a run's predicted peaks (time_boost's
-    np.broadcast traces 6.2 KiB)."""
-    return (16 * clock_modes + 512) * (modes + 1) + 8192, max(40 * clock_modes, 6656)
+    clock modes); beside them at most five floats a clock mode while one is evolved."""
+    return (16 * clock_modes + 512) * (modes + 1) + 8192, 40 * clock_modes
 
 
 def boosted_evolve(sys: RelClockSystem, tau0: float) -> EntangledClockState:

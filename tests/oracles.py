@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 
+from qrfsim import relkin
+from qrfsim.relkin import time_boost
+from qrfsim.sampling import choice_from_weights, inverse_cdf_sample, make_rng
+
 
 def trapezoid_weights(n, step):
     """The oracle: trapezoid weights for n samples one step apart, the step at every
@@ -64,3 +68,48 @@ def condition(slope, offset, tau0):
     c2, c4 = (np.sum((np.abs(s * tau0) + np.abs(t)) ** k) / np.sum((s * tau0 + t) ** k)
               for k in (2, 4))
     return np.array([1.0, c2, c2, max(c4, c2 ** 2)])
+
+
+def full_mesh_averages(p, w_p, m_op, rows=256):
+    """The oracle: F = sum_p w_p B_2 and G = sum_p w_p (B_2 - F / sum_p w_p)^2, centred on
+    the normalised mean, of relkin._mode_averages, from B_2 = m / sqrt(m^2 + p^2) in
+    numpy.longdouble on the whole (mass x momentum) mesh, 256 masses at a time, never
+    interpolated."""
+    p, w_p = (np.asarray(a, dtype=np.longdouble) for a in (p, w_p))
+    out = np.empty((2, m_op.size))
+    for i in range(0, m_op.size, rows):
+        m = np.asarray(m_op[i:i + rows, None], dtype=np.longdouble)
+        b = m / np.sqrt(m * m + p * p)
+        mean = b @ w_p
+        b -= mean[:, None] / w_p.sum()
+        out[0, i:i + rows], out[1, i:i + rows] = mean, (b * b) @ w_p
+    return out
+
+
+def boost_variance(p, w_p, masses, w_m, f, rows=256):
+    """The oracle: the variance of the slope S = f B_2 under the weights w_m w_p of the
+    (mode x momentum) product, normalised, by a two-pass sum in numpy.longdouble over that
+    whole product, 256 modes at a time, with B_2 = m / sqrt(m^2 + p^2)."""
+    p, w_p, masses, w_m, f = (np.asarray(a, dtype=np.longdouble)
+                              for a in (p, w_p, masses, w_m, f))
+
+    def blocks():  # (weights, S) on 256 modes at a time
+        for i in range(0, masses.size, rows):
+            m = masses[i:i + rows, None]
+            yield w_m[i:i + rows, None] * w_p, f[i:i + rows, None] * m / np.sqrt(m * m + p * p)
+
+    total = w_m.sum() * w_p.sum()
+    mean = sum(np.sum(w * s) for w, s in blocks()) / total
+    return float(sum(np.sum(w * (s - mean) ** 2) for w, s in blocks()) / total)
+
+
+def materialised_ensemble(sys, n, seed):
+    """The oracle: (S, T) of all n draws at once, by the public samplers on one stream
+    whose uniforms the momenta, the modes and the offsets read in turn."""
+    rng = make_rng(seed)
+    p, w_p = relkin._external_weights(sys.external)
+    masses, weights, f = relkin._clock_modes(sys)
+    p = p[choice_from_weights(w_p, n, rng)]
+    k = choice_from_weights(weights, n, rng)
+    slope = time_boost(p, masses[k]) * f[k]
+    return slope, inverse_cdf_sample(*relkin._offset_law(sys), n, rng)

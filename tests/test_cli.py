@@ -506,7 +506,7 @@ def test_working_set_estimate_tracks_the_traced_peak(payload):
     estimate = cli.SCENARIOS[payload["kind"]].estimate
     ratio = sum(estimate(payload).values()) / _traced_peak(lambda: cli.run_scenario(payload))
     assert 0.5 < ratio < 2.0
-    if payload is _FEW_BINS:  # the boosts' small numpy calls, not the rows, set its peak
+    if payload is _FEW_BINS:  # the states' and the run's objects, not the rows, set its peak
         assert ratio >= 1.0
 
 
@@ -579,9 +579,9 @@ _KERNELS = _kernel_cases()
 @pytest.mark.parametrize("declared, kernel", [case[1:] for case in _KERNELS],
                          ids=[case[0] for case in _KERNELS])
 def test_each_kernel_declares_its_traced_peak(declared, kernel):
-    # measured declared / traced: 0.95 (the rotator's boost moments and its two-draw ensemble)
-    # to 1.34 (the free clock's boost moments, declared at BOOST_BLOCK_ROWS masses a mesh where
-    # its Chebyshev levels take 9); the bounds add about 15% on either side
+    # measured declared / traced: 0.91 (the rotator's boost moments at 2048 points, where the
+    # weights' two factors and 4 KiB of small objects set the peak) to 1.33 (building a packet);
+    # the bounds add about 15% on either side
     assert 0.75 < declared / _traced_peak(kernel) < 1.55
 
 

@@ -74,7 +74,7 @@ def test_the_rule_sees_private_imports(tmp_path):
 
 
 def _block_or_table_size(name: str) -> bool:
-    """INTERP_BLOCK, BOOST_BLOCK_ROWS, ANGLE_TABLE_POINTS, POSITION_TABLE_POINTS and their like."""
+    """INTERP_BLOCK, ANGLE_TABLE_POINTS, POSITION_TABLE_POINTS and their like."""
     return name.isupper() and ("BLOCK" in name or name.endswith("TABLE_POINTS"))
 
 
@@ -86,14 +86,14 @@ def test_the_cli_reads_no_block_or_table_size():
 def test_the_rule_sees_block_and_table_sizes(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .sampling import INTERP_BLOCK, make_rng\n"
-                     "from qrfsim.relkin import (BOOST_BLOCK_ROWS, ANGLE_TABLE_POINTS,\n"
+                     "from qrfsim.relkin import (BOOST_MAX_NODES, ANGLE_TABLE_POINTS,\n"
                      "                           ALPHA_I_WARN)\n"
-                     "from . import relkin\n"
-                     "relkin.POSITION_TABLE_POINTS\nrelkin.BOOST_TAIL\n"
+                     "from . import relkin, sampling\n"
+                     "relkin.POSITION_TABLE_POINTS\nrelkin.BOOST_TAIL\nsampling.INTERP_BLOCK\n"
                      "OWN_BLOCK = 3\n")
     assert imported_names(probe, _block_or_table_size) == [
-        "1: INTERP_BLOCK", "2: BOOST_BLOCK_ROWS", "2: ANGLE_TABLE_POINTS",
-        "5: relkin.POSITION_TABLE_POINTS"]
+        "1: INTERP_BLOCK", "2: ANGLE_TABLE_POINTS", "5: relkin.POSITION_TABLE_POINTS",
+        "7: sampling.INTERP_BLOCK"]
 
 
 def function_level_imports(path: Path) -> list[str]:

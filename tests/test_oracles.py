@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (condition, correlated_draws, exchange_angle, jacobi_momentum_map,
+from oracles import (boost_variance, condition, correlated_draws, exchange_angle,
+                     full_mesh_averages, jacobi_momentum_map, materialised_ensemble,
                      one_row_moments, trapezoid_weights)
+from qrfsim.clocks import RotatorClockState
 from qrfsim.frames import FrameSystem, chart_for_ordering, frame_ordering
+from qrfsim.relkin import ModeSuperposition, RelClockSystem
+from qrfsim.sampling import make_rng
 
 
 def test_one_row_moments_of_one_to_four():
@@ -65,3 +69,33 @@ def test_jacobi_momentum_map_pairs_with_the_coordinate_map(label):
     ordering = frame_ordering(4, label)
     a = chart_for_ordering(FrameSystem.from_masses(masses), ordering).coord_map
     assert_allclose(a @ jacobi_momentum_map(masses, ordering).T, np.eye(4), rtol=0, atol=1e-15)
+
+
+# two equally weighted momenta {0, 0.75}: B_2 is {1, 0.8} at m = 1 and {1, 0.6} at m = 0.5625
+_P, _W_P, _M = np.array([0.0, 0.75]), np.array([0.5, 0.5]), np.array([1.0, 0.5625])
+
+
+def test_full_mesh_averages_of_two_momenta():
+    # F is the mean of each mass's pair, G its centred square: 0.01 and 0.04
+    assert_allclose(full_mesh_averages(_P, _W_P, _M), [[0.9, 0.8], [0.01, 0.04]],
+                    rtol=1e-15, atol=0)
+
+
+def test_boost_variance_of_two_momenta():
+    # at one mass the variance of {1, 0.8} is 0.01; over both masses, equally weighted, that
+    # of {1, 0.8, 1, 0.6} about 0.85 is 0.11 / 4
+    one = np.ones(1)
+    assert_allclose(boost_variance(_P, _W_P, _M[:1], one, one), 0.01, rtol=1e-15, atol=0)
+    assert_allclose(boost_variance(_P, _W_P, _M, _W_P, np.ones(2)), 0.0275, rtol=1e-15, atol=0)
+
+
+def test_materialised_ensemble_of_one_mode_and_a_flat_clock():
+    # one momentum 0.75 at rest mass 1 and one populated J_z level: every slope is 0.8, and
+    # the flat angle density makes each offset (u - 1/2) / omega, u the uniforms [2n, 3n),
+    # to 4.7e-12 of a table interpolation on offsets up to 50
+    n, omega = 1000, 0.01
+    sys = RelClockSystem(1.0, ModeSuperposition(np.array([0.75]), np.ones(1)),
+                         RotatorClockState(1, omega, np.array([0.0, 1.0, 0.0])))
+    slope, offset = materialised_ensemble(sys, n, seed=4)
+    assert_allclose(slope, np.full(n, 0.8), rtol=1e-15, atol=0)
+    assert_allclose(offset, (make_rng(4, 2 * n).random(n) - 0.5) / omega, rtol=0, atol=2e-11)
